@@ -16,9 +16,16 @@ from typing import Sequence
 
 from initalg.groebner import MonomialIdeal, buchberger
 from initalg.hilbert import hilbert_series_monomial
-from initalg.linalg import exact_rank
+from initalg.linalg import exact_rank_sparse
 from initalg.orders import MonomialOrder, RevLex
-from initalg.poly import Monomial, PolyRing, Polynomial, WeightVector
+from initalg.poly import (
+    Monomial,
+    PolyRing,
+    Polynomial,
+    WeightVector,
+    is_weight_homogeneous,
+    monomials_of_weight,
+)
 
 
 class BettiInconsistencyError(RuntimeError):
@@ -53,22 +60,13 @@ class BettiTable:
             )
 
 
-def projdim_and_reg(table: BettiTable) -> tuple[int, int]:
-    """(projective dimension, Castelnuovo-Mumford regularity) of a complete table."""
-    return table.projective_dimension(), table.regularity()
-
-
 def _check_standard_graded(gens: Sequence[Polynomial]):
-    for g in gens:
-        if g.is_zero():
-            continue
-        if len({t.mono.degree() for t in g.terms}) > 1:
-            raise ValueError("generators must be homogeneous for the standard grading")
+    ones = WeightVector.ones(gens[0].ring.n)
+    if not all(is_weight_homogeneous(g, ones) for g in gens):
+        raise ValueError("generators must be homogeneous for the standard grading")
 
 
 def _standard_monomials(ini: MonomialIdeal, degree: int) -> list[Monomial]:
-    from initalg.family import monomials_of_weight
-
     n = ini.ring.n
     return [
         m
@@ -145,20 +143,19 @@ def graded_betti(
         target_sets = {S: k for k, S in enumerate(combinations(range(n), i - 1))}
         if not source_monos or not target_monos or not target_sets:
             return 0
-        cols = len(target_sets) * len(target_monos)
+        width = len(target_monos)
         rows = []
         for S in combinations(range(n), i):
             for m in source_monos:
-                row = [Fraction(0)] * cols
+                row: dict[int, Fraction] = {}
                 for pos, var in enumerate(S):
                     rest = tuple(v for v in S if v != var)
                     sign = -1 if pos % 2 else 1
-                    image = nf_times_var(var, m)
-                    base = target_sets[rest] * len(target_monos)
-                    for t in image.terms:
-                        row[base + target_monos[t.mono]] += sign * t.coeff
+                    base = target_sets[rest] * width
+                    for t in nf_times_var(var, m).terms:
+                        row[base + target_monos[t.mono]] = sign * t.coeff
                 rows.append(row)
-        return exact_rank(rows)
+        return exact_rank_sparse(rows)
 
     ranks: dict[tuple[int, int], int] = {}
     entries: dict[tuple[int, int], int] = {}
@@ -192,10 +189,6 @@ class BettiComparison:
     initial: BettiTable
     projdim: tuple[int, int]  # (R/I, R/ini)
     regularity: tuple[int, int]
-
-    @property
-    def ok(self) -> bool:
-        return True  # construction fails loudly instead of reporting False
 
 
 def betti_comparison(

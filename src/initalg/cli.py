@@ -100,20 +100,18 @@ def _split_names(rest: str) -> list[str]:
     return [p for p in parts if p]
 
 
-def _parse_weight_line(rest: str, ring: PolyRing, line_no: int) -> WeightVector:
+def _parse_weight_line(rest: str, ring: PolyRing, where: str) -> WeightVector:
     parts = _split_names(rest)
     try:
         entries = tuple(int(p) for p in parts)
     except ValueError:
-        raise CLIInputError(f"line {line_no}: weights must be integers")
+        raise CLIInputError(f"{where}: weights must be integers")
     if len(entries) != ring.n:
-        raise CLIInputError(
-            f"line {line_no}: expected {ring.n} weight entries, got {len(entries)}"
-        )
+        raise CLIInputError(f"{where}: expected {ring.n} weight entries, got {len(entries)}")
     try:
         return WeightVector(entries)
     except ValueError as exc:
-        raise CLIInputError(f"line {line_no}: {exc}")
+        raise CLIInputError(f"{where}: {exc}")
 
 
 def _parse_single_monomial(ring: PolyRing, text: str, line_no: int) -> Monomial:
@@ -174,11 +172,11 @@ def parse_problem(text: str) -> Problem:
         elif keyword == "weight":
             if problem.ring is None:
                 raise CLIInputError(f"line {line_no}: ring must precede weight")
-            problem.weight = _parse_weight_line(rest, problem.ring, line_no)
+            problem.weight = _parse_weight_line(rest, problem.ring, f"line {line_no}")
         elif keyword == "grading":
             if problem.ring is None:
                 raise CLIInputError(f"line {line_no}: ring must precede grading")
-            problem.grading = _parse_weight_line(rest, problem.ring, line_no)
+            problem.grading = _parse_weight_line(rest, problem.ring, f"line {line_no}")
         elif keyword in ("ideal", "algebra"):
             if problem.block is not None:
                 raise CLIInputError(f"line {line_no}: only one generator block is allowed")
@@ -212,7 +210,7 @@ def _load(args) -> Problem:
         except ParseError as exc:
             raise CLIInputError(f"--order: {exc}")
     if getattr(args, "weight", None):
-        problem.weight = _parse_weight_line(args.weight, problem.ring, 0)
+        problem.weight = _parse_weight_line(args.weight, problem.ring, "--weight")
     return problem
 
 
@@ -517,19 +515,14 @@ def _scenario_betti_bound() -> list[str]:
         (ring2, ("x^2 - y^2",)),
         (ring3, ("x^2 - y*z", "x*y")),
     ]
-    lines = []
-    all_ok = True
     for ring, texts in fixtures:
-        cmp = betti_comparison([parse_poly(ring, s) for s in texts], DegLex())
-        all_ok = all_ok and cmp.ok
+        betti_comparison([parse_poly(ring, s) for s in texts], DegLex())  # raises on violation
     diag = graded_betti([parse_poly(ring2, "x"), parse_poly(ring2, "y")])
-    diag_ok = diag.entries == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
-    all_ok = all_ok and diag_ok
-    lines.append(
-        f"{'PASS' if all_ok else 'FAIL'} betti-bound: quotient tables never exceed "
+    ok = diag.entries == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
+    return [
+        f"{'PASS' if ok else 'FAIL'} betti-bound: quotient tables never exceed "
         "initial tables; variable ideal gives 1,2,1 on the diagonal"
-    )
-    return lines
+    ]
 
 
 def _scenario_symmetry() -> list[str]:

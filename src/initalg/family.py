@@ -17,35 +17,15 @@ from initalg.groebner import MonomialIdeal, ReducedGroebnerBasis, buchberger
 from initalg.linalg import exact_rank_sparse
 from initalg.orders import ExtendedOrder, MonomialOrder, RevLex, WeightOrder, leading_monomial
 from initalg.poly import (
-    Monomial,
     PolyRing,
     Polynomial,
     Scalar,
     WeightVector,
     homogenize,
-    is_weight_homogeneous,
+    monomials_of_weight,
     specialize_t,
     weighted_degree,
 )
-
-
-def monomials_of_weight(n: int, weight: WeightVector, degree: int) -> list[Monomial]:
-    """All monomials in n variables of the exact weighted degree, ascending by exponents."""
-    out: list[Monomial] = []
-
-    def rec(i: int, remaining: int, acc: list[int]):
-        if i == n - 1:
-            w = weight.entries[i]
-            if remaining % w == 0:
-                out.append(Monomial(tuple(acc + [remaining // w])))
-            return
-        e = 0
-        while e * weight.entries[i] <= remaining:
-            rec(i + 1, remaining - e * weight.entries[i], acc + [e])
-            e += 1
-
-    rec(0, degree, [])
-    return out
 
 
 @dataclass(frozen=True)

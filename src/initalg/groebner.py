@@ -28,6 +28,7 @@ from initalg.poly import (
     WeightVector,
     ZeroPolynomialError,
     initial_form,
+    is_weight_homogeneous,
 )
 
 STEP_LIMIT_ENV = "INITALG_STEP_LIMIT"
@@ -41,7 +42,11 @@ def _step_limit(explicit: int | None) -> int | None:
     if explicit is not None:
         return explicit
     raw = os.environ.get(STEP_LIMIT_ENV)
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    if not raw.strip().isdecimal():
+        raise ValueError(f"{STEP_LIMIT_ENV} must be a nonnegative integer, got {raw!r}")
+    return int(raw)
 
 
 def _check_gens(gens: Sequence[Polynomial]) -> PolyRing:
@@ -365,13 +370,10 @@ def quadratic_initial_certificate(gens: Sequence[Polynomial], order: MonomialOrd
     Requires generators homogeneous for the standard grading; a true result
     certifies the quotient is Koszul, false certifies nothing.
     """
-    _check_gens(gens)
-    for g in gens:
-        if g.is_zero():
-            continue
-        degs = {t.mono.degree() for t in g.terms}
-        if len(degs) > 1:
-            raise ValueError("generators must be homogeneous for the standard grading")
+    ring = _check_gens(gens)
+    ones = WeightVector.ones(ring.n)
+    if not all(is_weight_homogeneous(g, ones) for g in gens):
+        raise ValueError("generators must be homogeneous for the standard grading")
     nonzero = [g for g in gens if not g.is_zero()]
     if not nonzero:
         return True  # zero ideal: vacuously generated in degree 2, R itself is Koszul

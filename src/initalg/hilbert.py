@@ -10,6 +10,7 @@ integer polynomials stored as dense coefficient tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from initalg.groebner import MonomialIdeal, initial_ideal
@@ -21,6 +22,7 @@ from initalg.poly import (
     WeightVector,
     format_poly,
     is_weight_homogeneous,
+    monomials_of_weight,
 )
 from initalg.sagbi import SagbiState
 
@@ -138,7 +140,8 @@ class HilbertSeries:
         return f"({num}) / " + " ".join(parts)
 
 
-def _pivot_variable(mingens: Sequence[Monomial], n: int, strategy: str) -> int | None:
+def _pivot_variable(mingens: Sequence[Monomial], n: int) -> int | None:
+    """The variable shared by the most generators (lowest index on ties), or None."""
     counts = [0] * n
     for g in mingens:
         for i in g.support():
@@ -146,16 +149,10 @@ def _pivot_variable(mingens: Sequence[Monomial], n: int, strategy: str) -> int |
     shared = [i for i in range(n) if counts[i] >= 2]
     if not shared:
         return None
-    if strategy == "most-shared":
-        return max(shared, key=lambda i: (counts[i], -i))
-    if strategy == "first-shared":
-        return shared[0]
-    raise ValueError(f"unknown pivot strategy {strategy!r}")
+    return max(shared, key=lambda i: (counts[i], -i))
 
 
-def hilbert_series_monomial(
-    M: MonomialIdeal, weight: WeightVector | None = None, pivot_strategy: str = "most-shared"
-) -> HilbertSeries:
+def hilbert_series_monomial(M: MonomialIdeal, weight: WeightVector | None = None) -> HilbertSeries:
     """Series of R/M under the weighted grading, denominator over all variables.
 
     Splits on a shared variable x: N(M) = N(M + (x)) + t^w(x) N(M : x); the
@@ -168,7 +165,7 @@ def hilbert_series_monomial(
         raise ValueError("weight arity does not match ring")
 
     def numerator(gens: tuple[Monomial, ...]) -> list[int]:
-        piv = _pivot_variable(gens, n, pivot_strategy)
+        piv = _pivot_variable(gens, n)
         if piv is None:  # pairwise coprime generators
             out = [1]
             for g in gens:
@@ -188,17 +185,10 @@ def hilbert_series_monomial(
     return HilbertSeries(_trim(numerator(M.mingens)), weight.entries)
 
 
-def hilbert_function(series: HilbertSeries, d_max: int) -> tuple[int, ...]:
-    """Expansion coefficients 0..d_max (the Hilbert function table)."""
-    return series.expand(d_max)
-
-
 def brute_force_hilbert_function(
     M: MonomialIdeal, d_max: int, weight: WeightVector | None = None
 ) -> tuple[int, ...]:
     """Independent oracle: count standard monomials degree by degree."""
-    from initalg.family import monomials_of_weight
-
     n = M.ring.n
     if weight is None:
         weight = WeightVector.ones(n)
@@ -210,8 +200,6 @@ def brute_force_hilbert_function(
 
 def krull_dim_monomial(M: MonomialIdeal) -> int:
     """Largest size of a variable set containing no minimal generator's support."""
-    from itertools import combinations
-
     if any(g.is_one() for g in M.mingens):
         raise ValueError("unit ideal: the quotient is the zero ring")
     n = M.ring.n

@@ -1,4 +1,4 @@
-"""Exact rank of rational matrices: Bareiss for dense, row reduction for sparse."""
+"""Exact rank of rational matrices: sparse row reduction, plus a dense Bareiss reference."""
 
 from __future__ import annotations
 
@@ -8,7 +8,11 @@ from typing import Iterable, Sequence
 
 
 def exact_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank over the rationals; rows may be ragged-free lists of Fraction/int."""
+    """Rank over the rationals of dense rows of Fraction/int, by fraction-free Bareiss.
+
+    The dense reference that tests check `exact_rank_sparse` against; the
+    library ranks its matrices with `exact_rank_sparse`.
+    """
     if not rows:
         return 0
     width = len(rows[0])

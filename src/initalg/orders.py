@@ -108,20 +108,6 @@ class ExtendedOrder(MonomialOrder):
 
 
 @dataclass(frozen=True)
-class BlockOrder(MonomialOrder):
-    """Compare the first `split` variables by `first`, then the rest by `second`."""
-
-    split: int
-    first: MonomialOrder
-    second: MonomialOrder
-
-    def key(self, mono: Monomial):
-        head = Monomial(mono.exponents[: self.split])
-        tail = Monomial(mono.exponents[self.split :])
-        return (self.first.key(head), self.second.key(tail))
-
-
-@dataclass(frozen=True)
 class EliminationOrder(MonomialOrder):
     """Block order on arbitrary index sets: the eliminated block dominates.
 

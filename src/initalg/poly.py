@@ -4,7 +4,8 @@ Monomials are dense exponent vectors, coefficients are `fractions.Fraction`
 (always in lowest terms with positive denominator).  A polynomial stores its
 terms sorted strictly descending under a fixed canonical order (DegLex with
 the natural variable order), so equality is structural and hashing works.
-Weighted degrees, initial forms and homogenization live here as well.
+Weighted degrees, monomials of a weighted degree, initial forms and
+homogenization live here as well.
 """
 
 from __future__ import annotations
@@ -334,6 +335,25 @@ def is_weight_homogeneous(f: Polynomial, w: WeightVector) -> bool:
         return True
     degs = {w.degree(t.mono) for t in f.terms}
     return len(degs) == 1
+
+
+def monomials_of_weight(n: int, weight: WeightVector, degree: int) -> list[Monomial]:
+    """All monomials in n variables of the exact weighted degree, ascending by exponents."""
+    out: list[Monomial] = []
+
+    def rec(i: int, remaining: int, acc: list[int]):
+        if i == n - 1:
+            w = weight.entries[i]
+            if remaining % w == 0:
+                out.append(Monomial(tuple(acc + [remaining // w])))
+            return
+        e = 0
+        while e * weight.entries[i] <= remaining:
+            rec(i + 1, remaining - e * weight.entries[i], acc + [e])
+            e += 1
+
+    rec(0, degree, [])
+    return out
 
 
 def homogenize(f: Polynomial, w: WeightVector, extended: PolyRing | None = None) -> Polynomial:

@@ -14,14 +14,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from initalg.groebner import AlgebraKernel, buchberger, presentation_kernel
+from initalg.groebner import (
+    AlgebraKernel,
+    buchberger,
+    initial_ideal_weight,
+    presentation_kernel,
+    toric_kernel,
+)
 from initalg.orders import MonomialOrder, RevLex, WeightOrder, leading_term, monic
 from initalg.poly import (
     Monomial,
     PolyRing,
     Polynomial,
     RingMismatchError,
-    Term,
     WeightVector,
     initial_form,
     weighted_degree,
@@ -156,12 +161,11 @@ def _lifted_relations(gens: Sequence[Polynomial], order: MonomialOrder) -> list[
     """For each binomial syzygy Y^u - Y^v of the initial monomials, the scaled f^u - f^v."""
     ring = gens[0].ring
     inis = [leading_term(g, order) for g in gens]
-    kernel = presentation_kernel(
-        [Polynomial(ring, (Term(Fraction(1), it.mono),)) for it in inis]
-    )
+    kernel = toric_kernel(ring, [it.mono for it in inis])
     lifts = []
     for rel in kernel.gens:
-        assert len(rel.terms) == 2, "toric kernel generators are binomials"
+        if len(rel.terms) != 2:
+            raise RuntimeError(f"toric kernel generator is not a binomial: {rel!r}")
         parts = []
         for t in rel.terms:
             prod = ring.one()
@@ -283,8 +287,6 @@ def kernel_initial_check(
     forms = [initial_form(f, weight) for f in gens]
     initial_kernel = presentation_kernel(forms, names=names)
     if kernel.gens:
-        from initalg.groebner import initial_ideal_weight
-
         forms_of_kernel = initial_ideal_weight(list(kernel.gens), image_weights, tiebreak)
     else:
         forms_of_kernel = ()

@@ -13,8 +13,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+from initalg.groebner import buchberger
 from initalg.orders import MonomialOrder, leading_monomial, sorted_terms
 from initalg.poly import Monomial, Polynomial, WeightVector
+from initalg.sagbi import sagbi_test
 from initalg.simplex import EQ, GE, INFEASIBLE, LE, OPTIMAL, linear_program
 
 
@@ -122,8 +124,6 @@ def represent_order_by_weight(
     gens: Sequence[Polynomial], order: MonomialOrder
 ) -> WeightVector:
     """A weight a with ini_a = ini_order on the reduced GB of (gens), hence on the ideal."""
-    from initalg.groebner import buchberger
-
     gb = buchberger(gens, order)
     pairs = comparison_pairs(gb.elements, order)
     if not pairs:
@@ -136,8 +136,6 @@ def represent_sagbi_by_weight(
 ) -> WeightVector:
     """A weight a with ini_a(f) = leading term of f for every Sagbi generator f."""
     if check_basis:
-        from initalg.sagbi import sagbi_test
-
         ok, witnesses = sagbi_test(gens, order)
         if not ok:
             raise ValueError("generators are not a Sagbi basis under this order")

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from initalg.orders import DegLex, Lex, RevLex, WeightOrder
-from initalg.poly import Monomial, Polynomial, WeightVector
+from initalg.poly import Monomial, Polynomial, WeightVector, monomials_of_weight
 
 # outcome/detail registries for the end-to-end acceptance checks; the summary
 # hook prints one PASS/FAIL line per check outside of output capture
@@ -53,7 +53,7 @@ def random_poly(rng, ring, max_terms=4, max_exp=3, max_coeff=5):
 
 def random_homogeneous_poly(rng, ring, degree, max_terms=3, max_coeff=4, weight=None):
     """Random nonzero polynomial all of whose terms share the given (weighted) degree."""
-    pool = [m for m in monomials_of_weighted_degree(ring.n, degree, weight)]
+    pool = monomials_of_weight(ring.n, weight or WeightVector.ones(ring.n), degree)
     acc = {}
     for _ in range(rng.randint(1, max_terms)):
         m = rng.choice(pool)
@@ -64,25 +64,6 @@ def random_homogeneous_poly(rng, ring, degree, max_terms=3, max_coeff=4, weight=
         m = rng.choice(pool)
         f = Polynomial.from_dict(ring, {m: Fraction(1)})
     return f
-
-
-def monomials_of_weighted_degree(n, degree, weight=None):
-    """All exponent vectors of the exact (weighted) total degree."""
-    w = weight.entries if isinstance(weight, WeightVector) else (weight or (1,) * n)
-    out = []
-
-    def rec(i, remaining, acc):
-        if i == n - 1:
-            if remaining % w[i] == 0:
-                out.append(Monomial(tuple(acc + [remaining // w[i]])))
-            return
-        e = 0
-        while e * w[i] <= remaining:
-            rec(i + 1, remaining - e * w[i], acc + [e])
-            e += 1
-
-    rec(0, degree, [])
-    return out
 
 
 def sample_orders(n):

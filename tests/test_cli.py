@@ -183,6 +183,24 @@ def test_wrong_block_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bad_weight_flag_exits_two(tmp_path, capsys):
+    path = write(tmp_path, LEX_IDEAL)
+    assert run(["ini", path, "--weight", "2,1"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: --weight: expected 3 weight entries, got 2\n"
+    assert run(["ini", path, "--weight", "2,x,1"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: --weight: weights must be integers\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_bad_step_limit_exits_two(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("INITALG_STEP_LIMIT", value)
+    path = write(tmp_path, LEX_IDEAL)
+    assert run(["gb", path]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: INITALG_STEP_LIMIT must be a nonnegative integer, got {value!r}\n"
+    )
+
+
 def test_unknown_scenario_exits_two(capsys):
     assert run(["verify", "nonsense"]) == EXIT_INPUT
     capsys.readouterr()

@@ -10,12 +10,17 @@ from initalg.family import (
     fiber,
     freeness_basis_check,
     homogenize_ideal,
-    monomials_of_weight,
 )
 from initalg.groebner import buchberger, initial_ideal, initial_ideal_weight
 from initalg.hilbert import hilbert_series_monomial
 from initalg.orders import DegLex, ExtendedOrder, Lex, RevLex, WeightOrder, leading_monomial
-from initalg.poly import Monomial, PolyRing, WeightVector, is_weight_homogeneous
+from initalg.poly import (
+    Monomial,
+    PolyRing,
+    WeightVector,
+    is_weight_homogeneous,
+    monomials_of_weight,
+)
 
 R2 = PolyRing(("x", "y"))
 x, y = R2.gens()

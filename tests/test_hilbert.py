@@ -9,7 +9,6 @@ from initalg.hilbert import (
     brute_force_hilbert_function,
     compare_hilbert,
     gorenstein_symmetry_check,
-    hilbert_function,
     hilbert_series_monomial,
     hilbert_series_subalgebra,
     krull_dim_monomial,
@@ -38,14 +37,14 @@ def test_series_fixture_two_gens():
     H = hilbert_series_monomial(mi(R2, m(2, 0), m(1, 1)))
     assert H.numerator == (1, 0, -2, 1)
     assert H.denominator_degrees == (1, 1)
-    assert hilbert_function(H, 4) == (1, 2, 1, 1, 1)
+    assert H.expand(4) == (1, 2, 1, 1, 1)
 
 
 def test_series_trivial_cases():
     assert hilbert_series_monomial(mi(R2)).numerator == (1,)
     H = hilbert_series_monomial(mi(R2, m(1, 0), m(0, 1)))
     assert H.numerator == (1, -2, 1)
-    assert hilbert_function(H, 3) == (1, 0, 0, 0)
+    assert H.expand(3) == (1, 0, 0, 0)
 
 
 def test_function_fixtures():
@@ -71,21 +70,6 @@ def test_series_matches_brute_force():
         )
         H = hilbert_series_monomial(M, weight)
         assert H.expand(12) == brute_force_hilbert_function(M, 12, weight)
-
-
-def test_pivot_strategy_independence():
-    rng = random.Random(127)
-    for _ in range(30):
-        n = rng.randint(2, 4)
-        ring = PolyRing(tuple(f"x{i}" for i in range(n)))
-        M = MonomialIdeal.from_monomials(
-            ring, [random_monomial(rng, n, 3) for _ in range(rng.randint(1, 4))]
-        )
-        if any(g.is_one() for g in M.mingens):
-            continue
-        H1 = hilbert_series_monomial(M, pivot_strategy="most-shared")
-        H2 = hilbert_series_monomial(M, pivot_strategy="first-shared")
-        assert H1 == H2
 
 
 def test_krull_dim():

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from initalg.orders import (
-    BlockOrder,
     DegLex,
+    EliminationOrder,
     ExtendedOrder,
     Lex,
     RevLex,
@@ -88,7 +88,7 @@ def test_extended_order_restricts_to_weight_order():
 
 def test_block_order_eliminates_first_block():
     # anything containing a first-block variable beats anything that does not
-    ord_ = BlockOrder(1, DegLex(), RevLex())
+    ord_ = EliminationOrder((0,), (1, 2), DegLex(), RevLex())
     m_x = Monomial((1, 0, 0))
     m_big = Monomial((0, 7, 7))
     assert ord_.compare(m_x, m_big) == 1
@@ -103,7 +103,7 @@ def test_order_axioms_random():
         Lex(perm=(2, 0, 1)),
         RevLex(perm=(1, 2, 0)),
         WeightOrder(WeightVector((4, 1, 2)), RevLex()),
-        BlockOrder(1, Lex(), RevLex()),
+        EliminationOrder((0,), (1, 2), Lex(), RevLex()),
     ]
     one = Monomial((0, 0, 0))
     for order in orders:
