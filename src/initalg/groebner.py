@@ -3,8 +3,12 @@ elimination, and kernels of polynomial or monomial algebra maps."""
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import operator
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -17,7 +21,6 @@ from initalg.orders import (
     leading_coeff,
     leading_monomial,
     leading_term,
-    monic,
 )
 from initalg.poly import (
     Monomial,
@@ -40,6 +43,8 @@ class StepLimitExceeded(RuntimeError):
 
 def _step_limit(explicit: int | None) -> int | None:
     if explicit is not None:
+        if not isinstance(explicit, int) or explicit < 0:
+            raise ValueError(f"step_limit must be a nonnegative integer, got {explicit!r}")
         return explicit
     raw = os.environ.get(STEP_LIMIT_ENV)
     if not raw:
@@ -88,9 +93,109 @@ def divide(
     return tuple(quotients), Polynomial.from_dict(ring, remainder)
 
 
+class _Descending:
+    """Heap entry that pops the largest order key first."""
+
+    __slots__ = ("key", "exps")
+
+    def __init__(self, key, exps: tuple[int, ...]):
+        self.key = key
+        self.exps = exps
+
+    def __lt__(self, other: _Descending) -> bool:
+        return other.key < self.key
+
+
+class _Reducer(list):
+    """Monic divisors prepared for repeated reduction under one order.
+
+    The list holds the monic polynomials in insertion order.  `table` holds
+    (lead key, index, lead exponents, monic tail) sorted by lead key then
+    index, so the first entry whose lead divides a monomial is the divisor
+    `divide` would pick.  Order keys are cached by exponent tuple in
+    `key_cache`, which reducers of one run may share; pass a reducer as `G`
+    to `normal_form` to reuse its table and cache.
+    """
+
+    def __init__(
+        self,
+        order: MonomialOrder,
+        polys: Iterable[Polynomial] = (),
+        key_cache: dict[tuple[int, ...], object] | None = None,
+    ):
+        super().__init__()
+        self.order = order
+        self.ring: PolyRing | None = None
+        self.table: list[tuple] = []
+        self.leads: list[tuple[int, ...]] = []
+        self.key_cache = {} if key_cache is None else key_cache
+        for p in polys:
+            self.add(p)
+
+    def key(self, exps: tuple[int, ...]):
+        k = self.key_cache.get(exps)
+        if k is None:
+            k = self.key_cache[exps] = self.order.key(Monomial(exps))
+        return k
+
+    def add(self, p: Polynomial) -> None:
+        """Append p made monic and extend the divisor table."""
+        if p.is_zero():
+            raise ZeroPolynomialError("zero divisor in division")
+        if self.ring is None:
+            self.ring = p.ring
+        elif p.ring != self.ring:
+            raise RingMismatchError("divisors from different rings")
+        key = self.key
+        lead = max(p.terms, key=lambda t: key(t.mono.exponents))
+        lc, lexps = lead.coeff, lead.mono.exponents
+        monic_p = p if lc == 1 else p.map_coeffs(lambda c: c / lc)
+        tail = tuple((t.mono.exponents, t.coeff) for t in monic_p.terms if t.mono.exponents != lexps)
+        bisect.insort(self.table, (key(lexps), len(self), lexps, tail))
+        self.leads.append(lexps)
+        self.append(monic_p)
+
+    def reduce(self, f: Polynomial) -> Polynomial:
+        """Remainder of f by `divide`'s rule, computed on exponent-tuple dicts."""
+        if self.ring is not None and f.ring != self.ring:
+            raise RingMismatchError("polynomials from different rings")
+        key, table = self.key, self.table
+        work = {t.mono.exponents: t.coeff for t in f.terms}
+        heap = [_Descending(key(e), e) for e in work]  # max-heap on the order
+        heapq.heapify(heap)
+        remainder: dict[Monomial, Fraction] = {}
+        while heap:
+            t = heapq.heappop(heap).exps
+            c = work.pop(t, None)
+            if c is None:  # cancelled after it was pushed
+                continue
+            for _, _, lead, tail in table:
+                if all(map(operator.le, lead, t)):
+                    shift = tuple(map(operator.sub, t, lead))
+                    for e, a in tail:
+                        m = tuple(map(operator.add, e, shift))
+                        old = work.get(m)
+                        if old is None:
+                            work[m] = -c * a
+                            heapq.heappush(heap, _Descending(key(m), m))
+                        elif v := old - c * a:
+                            work[m] = v
+                        else:
+                            del work[m]
+                    break
+            else:
+                remainder[Monomial(t)] = c
+        return Polynomial.from_dict(f.ring, remainder)
+
+
 def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
-    """Remainder of f under full tail reduction modulo G."""
-    return divide(f, G, order)[1]
+    """Remainder of f under full tail reduction modulo G.
+
+    Equals ``divide(f, G, order)[1]``: among applicable divisors the one with
+    the smallest leading monomial is used, then the smallest index.
+    """
+    reducer = G if isinstance(G, _Reducer) and G.order == order else _Reducer(order, G)
+    return reducer.reduce(f)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -157,7 +262,11 @@ class ReducedGroebnerBasis:
     def normal_form(self, f: Polynomial) -> Polynomial:
         if not self.elements:
             return f
-        return normal_form(f, self.elements, self.order)
+        return normal_form(f, self._reducer, self.order)
+
+    @cached_property
+    def _reducer(self) -> _Reducer:
+        return _Reducer(self.order, self.elements)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -169,27 +278,28 @@ class ReducedGroebnerBasis:
         return MonomialIdeal.from_monomials(self.ring, self.leading_monomials())
 
 
-def _interreduce(polys: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
+def _interreduce(basis: _Reducer) -> list[Polynomial]:
+    order, key = basis.order, basis.key
     # drop elements whose leading monomial is divisible by another's
-    polys = sorted((p for p in polys if not p.is_zero()), key=lambda p: order.key(leading_monomial(p, order)))
+    ranked = sorted(zip(basis.leads, basis), key=lambda lp: key(lp[0]))
     minimal: list[Polynomial] = []
-    leads: list[Monomial] = []
-    for p in polys:
-        lm = leading_monomial(p, order)
-        if not any(l.divides(lm) for l in leads):
+    leads: list[tuple[int, ...]] = []
+    for lead, p in ranked:
+        if not any(all(map(operator.le, l, lead)) for l in leads):
             minimal.append(p)
-            leads.append(lm)
-    # tail-reduce each against the others until stable
+            leads.append(lead)
+    # tail-reduce each against the others until stable; each p is monic and
+    # no other lead divides its lead, so remainders stay monic and keep the
+    # ascending order of leads
     changed = True
     while changed:
         changed = False
         for i, p in enumerate(minimal):
             others = minimal[:i] + minimal[i + 1 :]
-            q = monic(normal_form(p, others, order) if others else p, order)
-            if q != minimal[i]:
+            q = normal_form(p, _Reducer(order, others, basis.key_cache), order) if others else p
+            if q != p:
                 minimal[i] = q
                 changed = True
-    minimal.sort(key=lambda p: order.key(leading_monomial(p, order)))
     return minimal
 
 
@@ -199,34 +309,42 @@ def buchberger(
     """Reduced Gröbner basis of the ideal generated by `gens` under `order`.
 
     Pairs are processed by ascending lcm degree, then the order on lcms, then
-    generator indices; the coprimality and chain criteria prune pairs.  The
-    step budget (argument or the INITALG_STEP_LIMIT environment variable)
-    bounds the number of S-polynomial reductions.
+    generator indices; each pair's key is computed once, when the pair is
+    created, and pending pairs wait in a heap.  The coprimality and chain
+    criteria prune pairs.  S-polynomials are reduced on exponent-tuple dicts
+    against a divisor table that grows with the basis, by the same rule as
+    `divide`.  The step budget (argument or the INITALG_STEP_LIMIT
+    environment variable) bounds the number of S-polynomial reductions.
     """
     ring = _check_gens(gens)
     limit = _step_limit(step_limit)
-    basis = [monic(g, order) for g in gens if not g.is_zero()]
+    basis = _Reducer(order, (g for g in gens if not g.is_zero()))
     if not basis:
         return ReducedGroebnerBasis(ring, order, ())
-    leads = [leading_monomial(g, order) for g in basis]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    leads = basis.leads
+    queue: list[tuple] = []  # (lcm degree, order key of lcm, (i, j))
+    pending: set[tuple[int, int]] = set()
+
+    def add_pairs(new: int) -> None:
+        for k in range(new):
+            L = tuple(map(max, leads[k], leads[new]))
+            heapq.heappush(queue, (sum(L), basis.key(L), (k, new)))
+            pending.add((k, new))
+
+    for new in range(1, len(basis)):
+        add_pairs(new)
     steps = 0
-
-    def pair_key(p):
-        L = leads[p[0]].lcm(leads[p[1]])
-        return (L.degree(), order.key(L), p)
-
-    while pairs:
-        i, j = min(pairs, key=pair_key)
-        pairs.remove((i, j))
-        L = leads[i].lcm(leads[j])
-        if leads[i].coprime(leads[j]):
+    while queue:
+        i, j = heapq.heappop(queue)[2]
+        pending.remove((i, j))
+        if not any(map(min, leads[i], leads[j])):  # coprime leading monomials
             continue
+        L = tuple(map(max, leads[i], leads[j]))
         if any(
             k != i and k != j
-            and leads[k].divides(L)
-            and (min(i, k), max(i, k)) not in pairs
-            and (min(j, k), max(j, k)) not in pairs
+            and all(map(operator.le, leads[k], L))
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
             for k in range(len(basis))
         ):
             continue
@@ -235,11 +353,9 @@ def buchberger(
             raise StepLimitExceeded(f"exceeded {limit} S-polynomial reductions")
         r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
         if not r.is_zero():
-            basis.append(monic(r, order))
-            leads.append(leading_monomial(r, order))
-            new = len(basis) - 1
-            pairs.update((k, new) for k in range(new))
-    return ReducedGroebnerBasis(ring, order, tuple(_interreduce(basis, order)))
+            basis.add(r)
+            add_pairs(len(basis) - 1)
+    return ReducedGroebnerBasis(ring, order, tuple(_interreduce(basis)))
 
 
 def initial_ideal(gens: Sequence[Polynomial] | ReducedGroebnerBasis, order: MonomialOrder) -> MonomialIdeal:

@@ -208,7 +208,8 @@ def _parse_order_prefix(text: str, ring: PolyRing):
 
 
 def _take_paren(text: str):
-    assert text.startswith("(")
+    if not text.startswith("("):
+        raise RuntimeError(f"_take_paren needs text starting with '(', got {text!r}")
     depth = 0
     for i, ch in enumerate(text):
         if ch == "(":

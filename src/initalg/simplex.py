@@ -24,7 +24,8 @@ class LPResult:
     x: tuple[Fraction, ...] | None
 
     def objective(self, c: Sequence[Fraction]) -> Fraction:
-        assert self.x is not None
+        if self.x is None:
+            raise RuntimeError(f"{self.status} LP result has no solution")
         return sum((ci * xi for ci, xi in zip(c, self.x)), Fraction(0))
 
 
@@ -95,7 +96,8 @@ def linear_program(
                 for j in range(width + 1):
                     obj[j] -= T[i][j]
         status = _pivot_loop(T, obj, basis, width)
-        assert status == OPTIMAL  # phase 1 is always bounded
+        if status != OPTIMAL:
+            raise RuntimeError(f"phase 1 is always bounded, but the pivot loop returned {status}")
         if -obj[width] != 0:
             return LPResult(INFEASIBLE, None)
         # drive remaining artificials out of the basis

@@ -61,7 +61,8 @@ def find_weight(
     first = linear_program(ones, base)
     if first.status == INFEASIBLE:
         raise InfeasibleComparisons(pairs, _farkas_certificate(diffs))
-    assert first.status == OPTIMAL
+    if first.status != OPTIMAL:
+        raise RuntimeError(f"minimal-sum LP must be optimal, got {first.status}")
     total = first.objective(ones)
 
     # fix the minimal sum, then minimize the entries left to right
@@ -71,7 +72,8 @@ def find_weight(
         c = [Fraction(0)] * n_vars
         c[j] = Fraction(1)
         res = linear_program(c, base + fixed)
-        assert res.status == OPTIMAL
+        if res.status != OPTIMAL:
+            raise RuntimeError(f"entry-minimizing LP must be optimal, got {res.status}")
         vj = res.x[j]
         values.append(vj)
         unit = [Fraction(0)] * n_vars
@@ -95,7 +97,8 @@ def _farkas_certificate(diffs: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
         c = [Fraction(0)] * m
         c[j] = Fraction(1)
         res = linear_program(c, cons + fixed)
-        assert res.status == OPTIMAL, "alternative system must be feasible by Farkas"
+        if res.status != OPTIMAL:
+            raise RuntimeError("alternative system must be feasible by Farkas")
         vj = res.x[j]
         values.append(vj)
         unit = [Fraction(0)] * m

@@ -20,7 +20,7 @@ from initalg.groebner import (
     toric_kernel,
 )
 from initalg.orders import DegLex, Lex, RevLex, WeightOrder, leading_monomial, monic
-from initalg.poly import Monomial, PolyRing, WeightVector, substitute
+from initalg.poly import Monomial, PolyRing, Polynomial, WeightVector, ZeroPolynomialError, substitute
 
 R = PolyRing(("x", "y", "z"))
 x, y, z = R.gens()
@@ -35,6 +35,8 @@ def test_normal_form_basic():
     assert normal_form(x**2, [x], DegLex()).is_zero()
     assert normal_form(x**2 + y, [x**2 - y], DegLex()) == 2 * y
     assert normal_form(y, [x], Lex()) == y
+    with pytest.raises(ZeroPolynomialError):
+        normal_form(x, [y, R.zero()], DegLex())
 
 
 def test_divide_identity_random():
@@ -48,6 +50,7 @@ def test_divide_identity_random():
             continue
         qs, r = divide(f, divisors, order)
         assert sum((q * d for q, d in zip(qs, divisors)), R.zero()) + r == f
+        assert normal_form(f, divisors, order) == r
         leads = [leading_monomial(d, order) for d in divisors]
         for t in r.terms:
             assert not any(lm.divides(t.mono) for lm in leads)
@@ -253,3 +256,68 @@ def test_step_limit():
     # generous budget succeeds
     gb = buchberger([x**2 - y, x * y - z], Lex(), step_limit=100)
     assert len(gb) == 4
+    with pytest.raises(ValueError, match="step_limit must be a nonnegative integer, got -2"):
+        buchberger([x**2 - y, x * y - z], Lex(), step_limit=-2)
+
+
+@pytest.mark.parametrize(
+    "names, gens, order, reductions",
+    [
+        (
+            "x0 x1 x2 x3",
+            ["x0 + x1 + x2 + x3", "x0*x1 + x1*x2 + x2*x3 + x3*x0",
+             "x0*x1*x2 + x1*x2*x3 + x2*x3*x0 + x3*x0*x1", "x0*x1*x2*x3 - 1"],
+            Lex(),
+            14,
+        ),
+        (
+            "u0 u1 u2 u3",
+            ["u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0", "2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1",
+             "2*u0*u2 + u1^2 + 2*u1*u3 - u2", "u0 + 2*u1 + 2*u2 + 2*u3 - 1"],
+            DegLex(),
+            19,
+        ),
+    ],
+    ids=["cyclic4-lex", "katsura4-deglex"],
+)
+def test_s_polynomial_reduction_count(names, gens, order, reductions):
+    # pair selection and both criteria fix how many S-polynomials get reduced
+    ring = PolyRing(tuple(names.split()))
+    polys = [ring.poly(g) for g in gens]
+    with pytest.raises(StepLimitExceeded):
+        buchberger(polys, order, step_limit=reductions - 1)
+    buchberger(polys, order, step_limit=reductions)
+
+
+def test_buchberger_matches_sympy_on_random_ideals():
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(R.names)
+    orders = ((Lex(), "lex"), (DegLex(), "grlex"), (RevLex(), "grevlex"))
+    budget = 16  # S-polynomial reductions: a count, not a clock, so the run is deterministic
+    rng = random.Random(61)
+    cut = compared = 0
+    for k in range(90):
+        order, name = orders[k % 3]
+        gens = [random_poly(rng, R, max_terms=3, max_exp=3) for _ in range(2)]
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            continue
+        try:
+            gb = buchberger(gens, order, step_limit=budget)
+        except StepLimitExceeded:
+            cut += 1
+            continue
+        exprs = [
+            sum(sympy.Rational(t.coeff.numerator, t.coeff.denominator)
+                * sympy.prod(v**e for v, e in zip(syms, t.mono.exponents)) for t in g.terms)
+            for g in gens
+        ]
+        ref = []
+        for e in sympy.groebner(exprs, *syms, order=name, domain="QQ").exprs:
+            terms = sympy.Poly(e, *syms, domain="QQ").terms()
+            p = Polynomial.from_dict(R, {Monomial(m): Fraction(int(c.p), int(c.q)) for m, c in terms})
+            ref.append(monic(p, order))
+        ref.sort(key=lambda p: order.key(leading_monomial(p, order)))
+        assert tuple(ref) == gb.elements, (name, gens)
+        compared += 1
+    assert cut <= 0.05 * (cut + compared), f"{cut} of {cut + compared} ideals hit the budget of {budget}"
