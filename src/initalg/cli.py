@@ -3,14 +3,16 @@
 Reports are line oriented and byte-deterministic: polynomial payloads appear
 as bare lines that re-parse under the polynomial grammar, scalar results use
 ``name: value`` lines, and purely decorative context is prefixed with ``#``.
-Exit codes: 0 success, 1 certified mathematical infeasibility or an exceeded
-step budget, 2 malformed input.
+Exit codes: 0 success, 1 a mathematical verdict (certified infeasibility, a
+unit ideal) or an exceeded step budget, 2 malformed input.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -30,6 +32,7 @@ from initalg.groebner import (
     toric_kernel,
 )
 from initalg.hilbert import (
+    UnitIdealError,
     compare_hilbert,
     gorenstein_symmetry_check,
     hilbert_series_monomial,
@@ -548,8 +551,6 @@ def _scenario_symmetry() -> list[str]:
 def _scenario_determinism() -> list[str]:
     text = "ring x, y, z\norder lex\nideal\nx^2 - y\nx*y - z\nend\n"
     permuted = "ring x, y, z\norder lex\nideal\nx*y - z\nx^2 - y\nend\n"
-    import tempfile
-
     outputs = []
     for content in (text, text, permuted):
         with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False) as fh:
@@ -599,7 +600,9 @@ def cmd_verify(args, out: list[str]) -> int:
 # argument parsing and dispatch
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use; `parse_args` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="initalg",
         description="Exact Gröbner/Sagbi computations, initial objects, and invariants.",
@@ -651,7 +654,7 @@ def run(argv: Sequence[str]) -> int:
         if exc.certificate is not None:
             out.append("certificate: " + " ".join(str(c) for c in exc.certificate))
         code = EXIT_MATH
-    except (StepLimitExceeded, BettiInconsistencyError) as exc:
+    except (StepLimitExceeded, BettiInconsistencyError, UnitIdealError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_MATH
     except (CLIInputError, ParseError, RingMismatchError, ValueError) as exc:

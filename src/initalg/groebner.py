@@ -199,11 +199,20 @@ def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) ->
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+    """(L / lt(f)) f - (L / lt(g)) g, L = lcm of the leads, built from the tails alone."""
+    if f.ring != g.ring:
+        raise RingMismatchError("polynomials from different rings")
     lf, lg = leading_term(f, order), leading_term(g, order)
-    L = lf.mono.lcm(lg.mono)
-    mf = Polynomial(f.ring, (Term(1 / lf.coeff, L.divide(lf.mono)),))
-    mg = Polynomial(g.ring, (Term(1 / lg.coeff, L.divide(lg.mono)),))
-    return mf * f - mg * g
+    L = tuple(map(max, lf.mono.exponents, lg.mono.exponents))
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for p, lead, sign in ((f, lf, 1), (g, lg, -1)):
+        scale = sign / lead.coeff
+        shift = tuple(map(operator.sub, L, lead.mono.exponents))
+        for t in p.terms:
+            if t is not lead:
+                m = tuple(map(operator.add, t.mono.exponents, shift))
+                acc[m] = acc.get(m, 0) + scale * t.coeff
+    return Polynomial.from_dict(f.ring, {Monomial(e): c for e, c in acc.items()})
 
 
 @dataclass(frozen=True)

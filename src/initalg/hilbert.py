@@ -198,10 +198,14 @@ def brute_force_hilbert_function(
     )
 
 
+class UnitIdealError(ValueError):
+    """The ideal is the whole ring, so the quotient is the zero ring."""
+
+
 def krull_dim_monomial(M: MonomialIdeal) -> int:
     """Largest size of a variable set containing no minimal generator's support."""
     if any(g.is_one() for g in M.mingens):
-        raise ValueError("unit ideal: the quotient is the zero ring")
+        raise UnitIdealError("unit ideal: the quotient is the zero ring")
     n = M.ring.n
     supports = [set(g.support()) for g in M.mingens]
     for size in range(n, -1, -1):

@@ -3,6 +3,14 @@
 Small and entirely exact: every entry is a `fractions.Fraction`, so there are
 no tolerance knobs.  Intended for the small feasibility/canonicalization
 problems of the weight oracle, not for large-scale optimization.
+
+`linear_program(c, constraints, then=objectives)` minimizes c, then each
+objective of `then` in turn over the optimal face so far, after one phase 1.
+At an optimal basis the objective is its optimum plus sum d_j x_j over the
+nonbasic columns, all reduced costs d_j >= 0, so the optimal face is where
+each column with d_j > 0 is zero.  Later stages bar those columns from
+entering and price their objective from the current basis: the same optimum
+as fixing each stage's value by an equality row and solving from scratch.
 """
 
 from __future__ import annotations
@@ -23,19 +31,18 @@ class LPResult:
     status: str
     x: tuple[Fraction, ...] | None
 
-    def objective(self, c: Sequence[Fraction]) -> Fraction:
-        if self.x is None:
-            raise RuntimeError(f"{self.status} LP result has no solution")
-        return sum((ci * xi for ci, xi in zip(c, self.x)), Fraction(0))
-
 
 def linear_program(
     c: Sequence[Fraction | int],
     constraints: Sequence[tuple[Sequence[Fraction | int], str, Fraction | int]],
+    then: Sequence[Sequence[Fraction | int]] = (),
 ) -> LPResult:
-    """Minimize c.x subject to the given (coeffs, sense, rhs) rows and x >= 0."""
+    """Minimize c.x subject to the given (coeffs, sense, rhs) rows and x >= 0,
+    then each objective of `then` in turn; UNBOUNDED if any stage is unbounded."""
     n = len(c)
-    c = [Fraction(v) for v in c]
+    objectives = [[Fraction(v) for v in obj] for obj in (c, *then)]
+    if any(len(obj) != n for obj in objectives):
+        raise ValueError("objective arity mismatch")
     rows: list[list[Fraction]] = []
     senses: list[str] = []
     rhs: list[Fraction] = []
@@ -95,7 +102,7 @@ def linear_program(
             if basis[i] in artificial:
                 for j in range(width + 1):
                     obj[j] -= T[i][j]
-        status = _pivot_loop(T, obj, basis, width)
+        status = _pivot_loop(T, obj, basis, range(width))
         if status != OPTIMAL:
             raise RuntimeError(f"phase 1 is always bounded, but the pivot loop returned {status}")
         if -obj[width] != 0:
@@ -116,17 +123,18 @@ def linear_program(
             for j in artificial:
                 row[j] = Fraction(0)
 
-    # phase 2: reduced costs of the real objective
-    obj = [Fraction(0)] * (width + 1)
-    obj[: n] = c
-    for i in range(m):
-        coef = obj[basis[i]]
-        if coef != 0:
-            for j in range(width + 1):
-                obj[j] -= coef * T[i][j]
-    status = _pivot_loop(T, obj, basis, width)
-    if status == UNBOUNDED:
-        return LPResult(UNBOUNDED, None)
+    # phase 2: one stage per objective, each on the optimal face of the last
+    allowed = [j for j in range(width) if j not in artificial]
+    for c in objectives:
+        obj = c + [Fraction(0)] * (width + 1 - n)
+        for i in range(m):
+            coef = obj[basis[i]]
+            if coef != 0:
+                for j in range(width + 1):
+                    obj[j] -= coef * T[i][j]
+        if _pivot_loop(T, obj, basis, allowed) == UNBOUNDED:
+            return LPResult(UNBOUNDED, None)
+        allowed = [j for j in allowed if obj[j] == 0]
     x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
@@ -134,16 +142,17 @@ def linear_program(
     return LPResult(OPTIMAL, tuple(x))
 
 
-def _pivot_loop(T, obj, basis, width) -> str:
+def _pivot_loop(T, obj, basis, allowed) -> str:
+    """Pivot until no column of `allowed` (ascending) has a negative reduced cost."""
     while True:
-        enter = next((j for j in range(width) if obj[j] < 0), None)  # Bland: first index
+        enter = next((j for j in allowed if obj[j] < 0), None)  # Bland: first index
         if enter is None:
             return OPTIMAL
         best_i = None
         best_ratio = None
         for i in range(len(T)):
             if T[i][enter] > 0:
-                ratio = T[i][width] / T[i][enter]
+                ratio = T[i][-1] / T[i][enter]
                 if (
                     best_ratio is None
                     or ratio < best_ratio

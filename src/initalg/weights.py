@@ -55,56 +55,31 @@ def find_weight(
             raise ValueError("comparison pair with equal monomials")
         diffs.append(tuple(a - b for a, b in zip(m.exponents, n.exponents)))
 
-    # substitute a = 1 + x with x >= 0: gamma.x >= 1 - gamma.1
+    # substitute a = 1 + x with x >= 0: gamma.x >= 1 - gamma.1; minimize the
+    # entry sum, then the entries left to right
     base = [(g, GE, 1 - sum(g)) for g in diffs]
-    ones = [Fraction(1)] * n_vars
-    first = linear_program(ones, base)
-    if first.status == INFEASIBLE:
+    res = linear_program([1] * n_vars, base, then=_units(n_vars))
+    if res.status == INFEASIBLE:
         raise InfeasibleComparisons(pairs, _farkas_certificate(diffs))
-    if first.status != OPTIMAL:
-        raise RuntimeError(f"minimal-sum LP must be optimal, got {first.status}")
-    total = first.objective(ones)
+    if res.status != OPTIMAL:
+        raise RuntimeError(f"weight LP must be optimal, got {res.status}")
+    return WeightVector(_integerize([1 + v for v in res.x]))
 
-    # fix the minimal sum, then minimize the entries left to right
-    fixed: list[tuple[list[Fraction], str, Fraction]] = [(ones, EQ, total)]
-    values: list[Fraction] = []
-    for j in range(n_vars):
-        c = [Fraction(0)] * n_vars
-        c[j] = Fraction(1)
-        res = linear_program(c, base + fixed)
-        if res.status != OPTIMAL:
-            raise RuntimeError(f"entry-minimizing LP must be optimal, got {res.status}")
-        vj = res.x[j]
-        values.append(vj)
-        unit = [Fraction(0)] * n_vars
-        unit[j] = Fraction(1)
-        fixed.append((unit, EQ, vj))
-    entries = _integerize([1 + v for v in values])
-    return WeightVector(entries)
+
+def _units(n: int) -> list[list[int]]:
+    return [[int(i == j) for i in range(n)] for j in range(n)]
 
 
 def _farkas_certificate(diffs: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    """Nonnegative multipliers c, summing to a nonpositive vector, normalized to integers."""
+    """Lexicographically least c >= 0 with entry sum 1 and sum c_i gamma_i <= 0, integerized."""
     m = len(diffs)
-    n = len(diffs[0])
-    cons: list[tuple[list[Fraction], str, Fraction]] = []
-    for j in range(n):  # (Gamma^T c)_j <= 0
-        cons.append(([Fraction(d[j]) for d in diffs], LE, Fraction(0)))
-    cons.append(([Fraction(1)] * m, EQ, Fraction(1)))
-    values: list[Fraction] = []
-    fixed: list[tuple[list[Fraction], str, Fraction]] = []
-    for j in range(m):  # lexicographically smallest certificate
-        c = [Fraction(0)] * m
-        c[j] = Fraction(1)
-        res = linear_program(c, cons + fixed)
-        if res.status != OPTIMAL:
-            raise RuntimeError("alternative system must be feasible by Farkas")
-        vj = res.x[j]
-        values.append(vj)
-        unit = [Fraction(0)] * m
-        unit[j] = Fraction(1)
-        fixed.append((unit, EQ, vj))
-    return _integerize(values)
+    cons = [([d[j] for d in diffs], LE, 0) for j in range(len(diffs[0]))]  # Gamma^T c <= 0
+    cons.append(([1] * m, EQ, 1))
+    first, *rest = _units(m)
+    res = linear_program(first, cons, then=rest)
+    if res.status != OPTIMAL:
+        raise RuntimeError("alternative system must be feasible by Farkas")
+    return _integerize(res.x)
 
 
 def verify_weight(a: WeightVector, pairs: Sequence[tuple[Monomial, Monomial]]) -> bool:

@@ -10,6 +10,7 @@ from initalg.cli import (
     EXIT_OK,
     CLIInputError,
     SCENARIOS,
+    _build_parser,
     parse_problem,
     run,
 )
@@ -157,6 +158,14 @@ def test_dim_and_betti(tmp_path, capsys):
     assert "projective dimension: 2" in out and "regularity: 1" in out
 
 
+def test_dim_of_unit_ideal_is_a_verdict(tmp_path, capsys):
+    path = write(tmp_path, "ring x, y\nideal\nx*y - 1\nx\nend\n")
+    assert run(["dim", path]) == EXIT_MATH
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unit ideal: the quotient is the zero ring\n"
+
+
 def test_betti_truncated_flagged(tmp_path, capsys):
     path = write(tmp_path, "ring x, y\nideal\nx^2\nx*y\nend\n")
     assert run(["betti", path, "--jmax", "1"]) == EXIT_OK
@@ -199,6 +208,19 @@ def test_bad_step_limit_exits_two(tmp_path, capsys, monkeypatch, value):
     assert capsys.readouterr().err == (
         f"error: INITALG_STEP_LIMIT must be a nonnegative integer, got {value!r}\n"
     )
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+    path = write(tmp_path, LEX_IDEAL)
+    assert run(["gb", path]) == EXIT_OK
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as ei:
+        run(["gb"])
+    assert ei.value.code == 2
+    capsys.readouterr()
+    assert run(["gb", path]) == EXIT_OK
+    assert capsys.readouterr().out == first
 
 
 def test_unknown_scenario_exits_two(capsys):

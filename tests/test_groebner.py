@@ -19,8 +19,17 @@ from initalg.groebner import (
     s_polynomial,
     toric_kernel,
 )
-from initalg.orders import DegLex, Lex, RevLex, WeightOrder, leading_monomial, monic
-from initalg.poly import Monomial, PolyRing, Polynomial, WeightVector, ZeroPolynomialError, substitute
+from initalg.orders import DegLex, Lex, RevLex, WeightOrder, leading_monomial, leading_term, monic
+from initalg.poly import (
+    Monomial,
+    PolyRing,
+    Polynomial,
+    RingMismatchError,
+    Term,
+    WeightVector,
+    ZeroPolynomialError,
+    substitute,
+)
 
 R = PolyRing(("x", "y", "z"))
 x, y, z = R.gens()
@@ -29,6 +38,27 @@ R2 = PolyRing(("x", "y"))
 
 def mono(*exps):
     return Monomial(exps)
+
+
+def test_s_polynomial_matches_products():
+    rng = random.Random(97)
+    cancelled = 0
+    for trial in range(200):
+        order = rng.choice(sample_orders(3))
+        f = random_poly(rng, R)
+        g = f * rng.randint(-3, 3) if trial % 10 == 0 else random_poly(rng, R)
+        if f.is_zero() or g.is_zero():
+            continue
+        lf, lg = leading_term(f, order), leading_term(g, order)
+        L = lf.mono.lcm(lg.mono)
+        mf = Polynomial(R, (Term(1 / lf.coeff, L.divide(lf.mono)),))
+        mg = Polynomial(R, (Term(1 / lg.coeff, L.divide(lg.mono)),))
+        s = s_polynomial(f, g, order)
+        assert s == mf * f - mg * g
+        cancelled += s.is_zero()
+    assert cancelled >= 15
+    with pytest.raises(RingMismatchError):
+        s_polynomial(x, R2.gens()[0], Lex())
 
 
 def test_normal_form_basic():

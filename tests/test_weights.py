@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -58,6 +59,50 @@ def test_lp_solution_feasibility_random():
                 val = sum(q * v for q, v in zip(coeffs, res.x))
                 assert (sense == LE and val <= b) or (sense == GE and val >= b) or (sense == EQ and val == b)
             assert all(v >= 0 for v in res.x)
+
+
+def _lex_reference(c, cons, then):
+    """Each stage solved from a cold start, with earlier optima fixed by EQ rows."""
+    cons = list(cons)
+    for obj in (c, *then):
+        res = linear_program(obj, cons)
+        if res.status != OPTIMAL:
+            return res.status, None
+        cons.append((obj, EQ, sum(q * v for q, v in zip(obj, res.x))))
+    return OPTIMAL, [row[2] for row in cons[len(cons) - 1 - len(then):]]
+
+
+def test_lp_lexicographic_tail_matches_fixed_rows():
+    rng = random.Random(83)
+    statuses = set()
+    for trial in range(300):
+        n = rng.randint(1, 4)
+        cons = [
+            ([rng.randint(-3, 3) for _ in range(n)], rng.choice([LE, GE, EQ]), rng.randint(-4, 4))
+            for _ in range(rng.randint(1, 5))
+        ]
+        c = [rng.randint(0, 2) for _ in range(n)]
+        if trial % 2:  # every coordinate fixed: the optimum is a single point
+            then = [[int(i == j) for i in range(n)] for j in rng.sample(range(n), n)]
+        else:
+            then = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        res = linear_program(c, cons, then=then)
+        status, values = _lex_reference(c, cons, then)
+        statuses.add(status)
+        assert res.status == status
+        if status != OPTIMAL:
+            assert res.x is None
+            continue
+        assert [sum(q * v for q, v in zip(obj, res.x)) for obj in (c, *then)] == values
+        for coeffs, sense, b in cons:
+            val = sum(q * v for q, v in zip(coeffs, res.x))
+            assert {LE: val <= b, GE: val >= b, EQ: val == b}[sense]
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def test_lp_rejects_objective_arity_mismatch():
+    with pytest.raises(ValueError, match="objective arity"):
+        linear_program([1, 1], [([1, 1], GE, 1)], then=[[1]])
 
 
 # --- weight oracle --------------------------------------------------------
@@ -135,6 +180,61 @@ def test_find_weight_deterministic_and_scalable():
         assert find_weight(pairs) == a  # deterministic
         doubled = WeightVector(tuple(2 * e for e in a.entries))
         assert verify_weight(doubled, pairs)  # scaling validator property
+
+
+def _weight_chain(diffs, n):
+    """find_weight as n + 1 cold LPs: minimal sum, then each entry with the earlier fixed."""
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    base = [(g, GE, 1 - sum(g)) for g in diffs]
+    first = linear_program([1] * n, base)
+    if first.status == INFEASIBLE:
+        return None
+    fixed = [([1] * n, EQ, sum(first.x))]
+    for j in range(n):
+        fixed.append((units[j], EQ, linear_program(units[j], base + fixed).x[j]))
+    return [1 + row[2] for row in fixed[1:]]
+
+
+def _farkas_chain(diffs):
+    """The certificate as m cold LPs, each entry minimized with the earlier fixed."""
+    m = len(diffs)
+    cons = [([d[j] for d in diffs], LE, 0) for j in range(len(diffs[0]))]
+    cons.append(([1] * m, EQ, 1))
+    for j in range(m):
+        unit = [int(i == j) for i in range(m)]
+        cons.append((unit, EQ, linear_program(unit, cons).x[j]))
+    return [row[2] for row in cons[-m:]]
+
+
+def _integral(values):
+    values = [Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in values))
+    ints = [int(v * scale) for v in values]
+    return tuple(v // math.gcd(*ints) for v in ints)
+
+
+def test_find_weight_matches_lp_chain():
+    rng = random.Random(89)
+    outcomes = set()
+    for _ in range(120):
+        n = rng.randint(1, 4)
+        pairs = []
+        for _ in range(rng.randint(1, 6)):
+            p, q = random_monomial(rng, n), random_monomial(rng, n)
+            if p != q:
+                pairs.append((p, q))
+        if not pairs:
+            continue
+        diffs = [tuple(a - b for a, b in zip(p.exponents, q.exponents)) for p, q in pairs]
+        expected = _weight_chain(diffs, n)
+        outcomes.add(expected is None)
+        if expected is None:
+            with pytest.raises(InfeasibleComparisons) as ei:
+                find_weight(pairs)
+            assert ei.value.certificate == _integral(_farkas_chain(diffs))
+        else:
+            assert find_weight(pairs).entries == _integral(expected)
+    assert outcomes == {True, False}
 
 
 def test_represent_order_by_weight_lex_round_trip():
