@@ -12,11 +12,10 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from initalg.betti import (
     BettiInconsistencyError,
@@ -165,21 +164,17 @@ def parse_problem(text: str) -> Problem:
                 problem.ring = PolyRing(tuple(names))
             except ValueError as exc:
                 raise CLIInputError(f"line {line_no}: {exc}")
-        elif keyword == "order":
+        elif keyword in ("order", "weight", "grading"):
             if problem.ring is None:
-                raise CLIInputError(f"line {line_no}: ring must precede order")
+                raise CLIInputError(f"line {line_no}: ring must precede {keyword}")
+            if getattr(problem, keyword) is not None:
+                raise CLIInputError(f"line {line_no}: duplicate {keyword} declaration")
             try:
-                problem.order = parse_order(rest, problem.ring)
+                value = (parse_order(rest, problem.ring) if keyword == "order"
+                         else _parse_weight_line(rest, problem.ring, f"line {line_no}"))
             except ParseError as exc:
                 raise CLIInputError(f"line {line_no}: {exc}")
-        elif keyword == "weight":
-            if problem.ring is None:
-                raise CLIInputError(f"line {line_no}: ring must precede weight")
-            problem.weight = _parse_weight_line(rest, problem.ring, f"line {line_no}")
-        elif keyword == "grading":
-            if problem.ring is None:
-                raise CLIInputError(f"line {line_no}: ring must precede grading")
-            problem.grading = _parse_weight_line(rest, problem.ring, f"line {line_no}")
+            setattr(problem, keyword, value)
         elif keyword in ("ideal", "algebra"):
             if problem.block is not None:
                 raise CLIInputError(f"line {line_no}: only one generator block is allowed")
@@ -238,8 +233,7 @@ def _poly_lines(polys, order: MonomialOrder | None = None) -> list[str]:
 # commands
 
 
-def cmd_gb(args, out: list[str]) -> int:
-    problem = _load(args)
+def cmd_gb(problem: Problem, args, out: list[str]) -> int:
     gens = _require_gens(problem, "ideal")
     order = _active_order(problem)
     gb = buchberger(gens, order)
@@ -249,8 +243,7 @@ def cmd_gb(args, out: list[str]) -> int:
     return EXIT_OK
 
 
-def cmd_ini(args, out: list[str]) -> int:
-    problem = _load(args)
+def cmd_ini(problem: Problem, args, out: list[str]) -> int:
     gens = _require_gens(problem)
     order = _active_order(problem)
     if problem.block == "algebra":
@@ -283,8 +276,7 @@ def cmd_ini(args, out: list[str]) -> int:
     return EXIT_OK
 
 
-def cmd_sagbi(args, out: list[str]) -> int:
-    problem = _load(args)
+def cmd_sagbi(problem: Problem, args, out: list[str]) -> int:
     gens = _require_gens(problem, "algebra")
     order = _active_order(problem)
     if args.cap is not None:
@@ -307,8 +299,7 @@ def cmd_sagbi(args, out: list[str]) -> int:
     return EXIT_OK
 
 
-def cmd_weight(args, out: list[str]) -> int:
-    problem = _load(args)
+def cmd_weight(problem: Problem, args, out: list[str]) -> int:
     if problem.has_pairs or problem.block is None:
         a = find_weight(problem.pairs, n_vars=problem.ring.n)
     elif problem.block == "ideal":
@@ -319,8 +310,7 @@ def cmd_weight(args, out: list[str]) -> int:
     return EXIT_OK
 
 
-def cmd_family(args, out: list[str]) -> int:
-    problem = _load(args)
+def cmd_family(problem: Problem, args, out: list[str]) -> int:
     gens = _require_gens(problem, "ideal")
     if problem.weight is None:
         raise CLIInputError("family needs a weight (file declaration or --weight)")
@@ -345,8 +335,7 @@ def cmd_family(args, out: list[str]) -> int:
     return EXIT_OK
 
 
-def cmd_hilbert(args, out: list[str]) -> int:
-    problem = _load(args)
+def cmd_hilbert(problem: Problem, args, out: list[str]) -> int:
     gens = _require_gens(problem)
     order = _active_order(problem)
     d_max = args.dmax
@@ -368,16 +357,14 @@ def cmd_hilbert(args, out: list[str]) -> int:
     return EXIT_OK
 
 
-def cmd_dim(args, out: list[str]) -> int:
-    problem = _load(args)
+def cmd_dim(problem: Problem, args, out: list[str]) -> int:
     gens = _require_gens(problem, "ideal")
     gb = buchberger(gens, _active_order(problem))
     out.append(f"dimension: {krull_dim_monomial(gb.initial_ideal())}")
     return EXIT_OK
 
 
-def cmd_betti(args, out: list[str]) -> int:
-    problem = _load(args)
+def cmd_betti(problem: Problem, args, out: list[str]) -> int:
     gens = _require_gens(problem, "ideal")
     order = _active_order(problem)
     table = graded_betti(gens, j_max=args.jmax, order=order)
@@ -392,109 +379,100 @@ def cmd_betti(args, out: list[str]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# built-in verification scenarios (content-named, deterministic, fast)
+# built-in verification scenarios (content-named, deterministic, fast); each
+# yields (ok, detail) pairs and cmd_verify prints them as PASS/FAIL lines
+
+Checks = Iterator[tuple[bool, str]]
 
 
-def _scenario_lead_terms() -> list[str]:
+def _scenario_lead_terms() -> Checks:
     ring = PolyRing(("X1", "X2", "X3", "X4"))
     f = parse_poly(ring, "X1 + X2*X4 + X3^2")
     got = [
         format_monomial(ring, leading_monomial(f, o))
         for o in (Lex(), DegLex(), RevLex())
     ]
-    ok = got == ["X1", "X2*X4", "X3^2"]
-    return [f"{'PASS' if ok else 'FAIL'} lead-terms: lex/deglex/revlex -> {', '.join(got)}"]
+    yield got == ["X1", "X2*X4", "X3^2"], f"lex/deglex/revlex -> {', '.join(got)}"
 
 
-def _scenario_infinite_sagbi() -> list[str]:
+def _scenario_infinite_sagbi() -> Checks:
     ring = PolyRing(("x", "y"))
     gens = [parse_poly(ring, s) for s in ("x + y", "x*y", "x*y^2")]
-    lines = []
     for cap in (4, 6):
         state = sagbi_complete(gens, DegLex(), cap)
         monos = initial_algebra_gens(state)
         expect = [ring.monomial((1, k)) for k in range(cap)]
-        ok = state.truncated_at == cap and list(monos) == expect
         hf = hilbert_series_subalgebra(state, d_max=cap - 1)
-        ok = ok and hf == tuple([1] + list(range(1, cap)))
-        lines.append(
-            f"{'PASS' if ok else 'FAIL'} infinite-sagbi: cap {cap} truncates with "
-            f"{len(monos)} initial monomials, values {','.join(map(str, hf))}"
-        )
-    return lines
+        ok = (state.truncated_at == cap and list(monos) == expect
+              and hf == tuple([1] + list(range(1, cap))))
+        yield ok, (f"cap {cap} truncates with {len(monos)} initial monomials, "
+                   f"values {','.join(map(str, hf))}")
 
 
-def _scenario_kernel_fixture() -> list[str]:
+_KERNEL_NAMES = ("T", "U", "V", "W")
+
+
+def _scenario_kernel_fixture() -> Checks:
     ring = PolyRing(("x", "y", "z"))
     images = [parse_poly(ring, s) for s in ("x^2 - z^2", "x*y", "y^2", "y*z")]
-    kernel = presentation_kernel(images, names=("T", "U", "V", "W"))
-    got = [format_poly(g, key=RevLex().key) for g in kernel.gens]
-    ok = got == ["U^2 - T*V - W^2"]
-    lines = [f"{'PASS' if ok else 'FAIL'} kernel-fixture: presentation kernel = ({', '.join(got)})"]
-    toric = toric_kernel(ring, [m.terms[0].mono for m in
-                                (parse_poly(ring, s) for s in ("x^2", "x*y", "y^2", "y*z"))],
-                         names=("T", "U", "V", "W"))
-    got2 = [format_poly(g, key=RevLex().key) for g in toric.gens]
-    ok2 = got2 == ["U^2 - T*V"]
-    lines.append(f"{'PASS' if ok2 else 'FAIL'} kernel-fixture: toric kernel = ({', '.join(got2)})")
-    return lines
+    kernel = presentation_kernel(images, names=_KERNEL_NAMES)
+    got = ", ".join(format_poly(g, key=RevLex().key) for g in kernel.gens)
+    ok = kernel.gens == (parse_poly(kernel.ring, "U^2 - T*V - W^2"),)
+    yield ok, f"presentation kernel = ({got})"
+    monos = [parse_poly(ring, s).terms[0].mono for s in ("x^2", "x*y", "y^2", "y*z")]
+    toric = toric_kernel(ring, monos, names=_KERNEL_NAMES)
+    got = ", ".join(format_poly(g, key=RevLex().key) for g in toric.gens)
+    yield toric.gens == (parse_poly(toric.ring, "U^2 - T*V"),), f"toric kernel = ({got})"
 
 
-def _scenario_kernel_initial() -> list[str]:
+def _scenario_kernel_initial() -> Checks:
     ring = PolyRing(("x", "y", "z"))
     gens = [parse_poly(ring, s) for s in ("x^2 - z^2", "x*y", "y^2", "y*z")]
-    report = kernel_initial_check(gens, WeightVector((3, 2, 1)), names=("T", "U", "V", "W"))
+    report = kernel_initial_check(gens, WeightVector((3, 2, 1)), names=_KERNEL_NAMES)
+    ok = (report.ok and report.image_weights.entries == (6, 5, 4, 3)
+          and report.kernel_initial_forms == (parse_poly(report.kernel.ring, "U^2 - T*V"),))
     b = " ".join(str(e) for e in report.image_weights.entries)
-    ok = report.ok and report.image_weights.entries == (6, 5, 4, 3)
-    return [f"{'PASS' if ok else 'FAIL'} kernel-initial: induced weights {b}, ideals agree"]
+    yield ok, f"induced weights {b}, ideals agree"
 
 
-def _scenario_order_by_weight() -> list[str]:
+def _scenario_order_by_weight() -> Checks:
     ring = PolyRing(("x", "y", "z"))
     gens = [parse_poly(ring, s) for s in ("x^2 - y", "x*y - z")]
     a = represent_order_by_weight(gens, Lex())
     regenerated = buchberger(gens, WeightOrder(a, Lex())).initial_ideal()
     want = {ring.monomial((2, 0, 0)), ring.monomial((1, 1, 0)),
             ring.monomial((1, 0, 1)), ring.monomial((0, 3, 0))}
-    ok = set(regenerated.mingens) == want
-    lines = [
-        f"{'PASS' if ok else 'FAIL'} order-by-weight: weight "
-        f"{' '.join(map(str, a.entries))} regenerates the lex initial ideal"
-    ]
+    yield (set(regenerated.mingens) == want,
+           f"weight {' '.join(map(str, a.entries))} regenerates the lex initial ideal")
     x, y = ring.monomial((1, 0, 0)), ring.monomial((0, 1, 0))
     try:
         find_weight([(x, y), (y, x)])
-        lines.append("FAIL order-by-weight: contradictory pair set accepted")
+        yield False, "contradictory pair set accepted"
     except InfeasibleComparisons as exc:
         cert = exc.certificate
-        ok2 = cert is not None and any(cert) and all(c >= 0 for c in cert)
-        lines.append(
-            f"{'PASS' if ok2 else 'FAIL'} order-by-weight: infeasibility certificate "
-            f"{' '.join(map(str, cert))}"
-        )
-    return lines
+        # the certified nonnegative combination sum c_i (m_i - n_i) is <= 0 componentwise
+        combo = [sum(c * (m.exponents[i] - n.exponents[i]) for c, (m, n) in zip(cert, exc.pairs))
+                 for i in range(ring.n)]
+        ok = any(cert) and all(c >= 0 for c in cert) and all(v <= 0 for v in combo)
+        yield ok, f"infeasibility certificate {' '.join(map(str, cert))}"
 
 
-def _scenario_flat_family() -> list[str]:
+def _scenario_flat_family() -> Checks:
     ring = PolyRing(("x", "y", "z"))
     gens = [parse_poly(ring, s) for s in ("x^2 - y", "x*y - z")]
     a = WeightVector((2, 3, 4))
     fam = homogenize_ideal(gens, a)
     at_one = buchberger(list(fiber(fam, 1)), fam.base_gb.order)
-    ok = at_one.elements == fam.base_gb.elements
-    ini_forms = tuple(initial_form(g, a) for g in fam.base_gb)
-    ok = ok and fiber(fam, 0) == ini_forms
-    a_ext = a.extend()
-    ok = ok and all(is_weight_homogeneous(g, a_ext) for g in fam.total)
     report = freeness_basis_check(fam)
-    ok = ok and report.ok
-    return [
-        f"{'PASS' if ok else 'FAIL'} flat-family: fibers at 1 and 0 match, "
-        f"total generators homogeneous, free up to degree {report.bound}"
-    ]
+    ok = (at_one.elements == fam.base_gb.elements
+          and fiber(fam, 0) == tuple(initial_form(g, a) for g in fam.base_gb)
+          and all(is_weight_homogeneous(g, a.extend()) for g in fam.total)
+          and report.ok)
+    yield ok, (f"fibers at 1 and 0 match, total generators homogeneous, "
+               f"free up to degree {report.bound}")
 
 
-def _scenario_hilbert_transfer() -> list[str]:
+def _scenario_hilbert_transfer() -> Checks:
     ring = PolyRing(("x", "y", "z"))
     gens = [parse_poly(ring, s) for s in ("x^2 - y*z", "x*y - z^2")]
     cmp = compare_hilbert(gens, Lex(), RevLex(), d_max=10)
@@ -502,14 +480,11 @@ def _scenario_hilbert_transfer() -> list[str]:
         krull_dim_monomial(buchberger(gens, o).initial_ideal())
         for o in (Lex(), DegLex(), RevLex())
     }
-    ok = cmp.ok and len(dims) == 1
-    return [
-        f"{'PASS' if ok else 'FAIL'} hilbert-transfer: functions agree to degree "
-        f"{cmp.d_max}, dimension {dims.pop()} for all orders"
-    ]
+    yield (cmp.ok and len(dims) == 1,
+           f"functions agree to degree {cmp.d_max}, dimension {dims.pop()} for all orders")
 
 
-def _scenario_betti_bound() -> list[str]:
+def _scenario_betti_bound() -> Checks:
     ring2 = PolyRing(("x", "y"))
     ring3 = PolyRing(("x", "y", "z"))
     fixtures = [
@@ -518,20 +493,21 @@ def _scenario_betti_bound() -> list[str]:
         (ring2, ("x^2 - y^2",)),
         (ring3, ("x^2 - y*z", "x*y")),
     ]
-    for ring, texts in fixtures:
-        betti_comparison([parse_poly(ring, s) for s in texts], DegLex())  # raises on violation
+    # betti_comparison raises on any violated inequality
+    cmps = [betti_comparison([parse_poly(ring, s) for s in texts], DegLex())
+            for ring, texts in fixtures]
+    monomial = cmps[1]  # a monomial ideal is its own initial ideal
     diag = graded_betti([parse_poly(ring2, "x"), parse_poly(ring2, "y")])
-    ok = diag.entries == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
-    return [
-        f"{'PASS' if ok else 'FAIL'} betti-bound: quotient tables never exceed "
-        "initial tables; variable ideal gives 1,2,1 on the diagonal"
-    ]
+    ok = (diag.entries == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
+          and monomial.quotient.entries == monomial.initial.entries)
+    yield ok, ("quotient tables never exceed initial tables; "
+               "variable ideal gives 1,2,1 on the diagonal")
 
 
-def _scenario_symmetry() -> list[str]:
+def _scenario_symmetry() -> Checks:
     ring = PolyRing(("x", "y", "z"))
     images = [parse_poly(ring, s) for s in ("x^2 - z^2", "x*y", "y^2", "y*z")]
-    kernel = presentation_kernel(images, names=("T", "U", "V", "W"))
+    kernel = presentation_kernel(images, names=_KERNEL_NAMES)
     # grade each presentation variable in degree 1 so the series is normalized
     gb = buchberger(list(kernel.gens), DegLex())
     series = hilbert_series_monomial(gb.initial_ideal()).reduced()
@@ -540,34 +516,22 @@ def _scenario_symmetry() -> list[str]:
         buchberger([parse_poly(PolyRing(("x", "y")), s) for s in ("x^2", "x*y")],
                    DegLex()).initial_ideal()
     )
-    asym = gorenstein_symmetry_check(counter)
-    ok = sym and not asym
-    return [
-        f"{'PASS' if ok else 'FAIL'} symmetry: normalized series {series} "
-        "palindromic, counterexample rejected"
-    ]
+    yield (sym and not gorenstein_symmetry_check(counter),
+           f"normalized series {series} palindromic, counterexample rejected")
 
 
-def _scenario_determinism() -> list[str]:
+def _scenario_determinism() -> Checks:
     text = "ring x, y, z\norder lex\nideal\nx^2 - y\nx*y - z\nend\n"
     permuted = "ring x, y, z\norder lex\nideal\nx*y - z\nx^2 - y\nend\n"
     outputs = []
     for content in (text, text, permuted):
-        with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False) as fh:
-            fh.write(content)
-            path = fh.name
         buf: list[str] = []
-        code = cmd_gb(argparse.Namespace(file=path, order=None, weight=None), buf)
-        outputs.append((code, "\n".join(buf)))
-        Path(path).unlink()
+        outputs.append((cmd_gb(parse_problem(content), None, buf), buf))
     ok = outputs[0] == outputs[1] == outputs[2] and outputs[0][0] == EXIT_OK
-    return [
-        f"{'PASS' if ok else 'FAIL'} determinism: identical bytes across reruns "
-        "and generator permutations"
-    ]
+    yield ok, "identical bytes across reruns and generator permutations"
 
 
-SCENARIOS: dict[str, Callable[[], list[str]]] = {
+SCENARIOS: dict[str, Callable[[], Checks]] = {
     "lead-terms": _scenario_lead_terms,
     "infinite-sagbi": _scenario_infinite_sagbi,
     "kernel-fixture": _scenario_kernel_fixture,
@@ -590,9 +554,9 @@ def cmd_verify(args, out: list[str]) -> int:
         )
     failed = False
     for name in names:
-        lines = SCENARIOS[name]()
-        out.extend(lines)
-        failed = failed or any(line.startswith("FAIL") for line in lines)
+        for ok, detail in SCENARIOS[name]():
+            out.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+            failed = failed or not ok
     return EXIT_MATH if failed else EXIT_OK
 
 
@@ -624,7 +588,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--fiber", help="also print the fiber at t = p/q")
             p.add_argument("--freeness-bound", type=int,
                            help="also certify freeness up to this degree")
-        p.set_defaults(func=func)
+        p.set_defaults(func=lambda args, out: func(_load(args), args, out))
         return p
 
     add("gb", cmd_gb, "reduced Gröbner basis of the ideal block")

@@ -215,7 +215,8 @@ class Polynomial:
     def from_dict(ring: PolyRing, coeffs: Mapping[Monomial, Scalar]) -> Polynomial:
         terms = []
         for mono, c in coeffs.items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c == 0:
                 continue
             if len(mono.exponents) != ring.n:
@@ -382,12 +383,18 @@ def substitute(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
         raise RingMismatchError("images from different rings")
     acc = target.zero()
     for t in f.terms:
-        p = target.const(t.coeff)
-        for g, e in zip(images, t.mono.exponents):
-            if e:
-                p = p * g**e
-        acc = acc + p
+        acc = acc + t.coeff * power_product(target, images, t.mono.exponents)
     return acc
+
+
+def power_product(ring: PolyRing, factors: Sequence[Polynomial],
+                  exponents: Sequence[int]) -> Polynomial:
+    """The product of g**e over the factors and their exponents, in `ring`."""
+    p = ring.one()
+    for g, e in zip(factors, exponents):
+        if e:
+            p = p * g**e
+    return p
 
 
 def specialize_t(f: Polynomial, c: Scalar) -> Polynomial:

@@ -10,6 +10,7 @@ algebra need not be finitely generated), so a degree cap is mandatory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -29,6 +30,7 @@ from initalg.poly import (
     RingMismatchError,
     WeightVector,
     initial_form,
+    power_product,
     weighted_degree,
 )
 
@@ -51,11 +53,7 @@ class SubductionResult:
         ring = self.remainder.ring
         acc = self.remainder
         for step in self.steps:
-            p = ring.const(step.coeff)
-            for g, e in zip(gens, step.exponents):
-                if e:
-                    p = p * g**e
-            acc = acc + p
+            acc = acc + step.coeff * power_product(ring, gens, step.exponents)
         return acc
 
 
@@ -144,12 +142,8 @@ def subduct_with_certificate(
         lead_coeff = t.coeff
         for it, e in zip(inis, c):
             lead_coeff /= it.coeff**e
-        product = ring.one()
-        for g, e in zip(gens, c):
-            if e:
-                product = product * g**e
         steps.append(SubductionStep(lead_coeff, c))
-        work = work - lead_coeff * product
+        work = work - lead_coeff * power_product(ring, gens, c)
     return SubductionResult(work, tuple(steps))
 
 
@@ -168,13 +162,8 @@ def _lifted_relations(gens: Sequence[Polynomial], order: MonomialOrder) -> list[
             raise RuntimeError(f"toric kernel generator is not a binomial: {rel!r}")
         parts = []
         for t in rel.terms:
-            prod = ring.one()
-            scale = Fraction(1)
-            for g, it, e in zip(gens, inis, t.mono.exponents):
-                if e:
-                    prod = prod * g**e
-                    scale *= it.coeff**e
-            parts.append((t.coeff / scale) * prod)
+            scale = math.prod(it.coeff**e for it, e in zip(inis, t.mono.exponents))
+            parts.append((t.coeff / scale) * power_product(ring, gens, t.mono.exponents))
         lifts.append(parts[0] + parts[1])
     return lifts
 

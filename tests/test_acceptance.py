@@ -1,12 +1,17 @@
 """End-to-end acceptance checks; each prints one PASS/FAIL line when run.
 
-The ten checks cover, in order: leading monomials under the three classical
-orders, truncated subduction bases of an infinitely generated initial algebra,
-the exact presentation/toric kernel fixtures, the induced-weight kernel check,
-weight representation of orders with a Farkas counterexample, the
-homogenization flat family, Hilbert-function and dimension transfer, Betti
-number bounds, Hilbert-series symmetry certificates, and byte-determinism of
-the command-line surface.
+Each check runs one `initalg verify` scenario from `initalg.cli.SCENARIOS`,
+where its fixed fixture and expected values are written, and is labelled
+with the scenario's name. The checks add what the scenario leaves out: a
+higher Sagbi cap and the mirrored generators, seeded random sweeps, and a
+subprocess sweep over every command. The ten scenarios cover, in order:
+leading monomials under the three classical orders, truncated subduction
+bases of an infinitely generated initial algebra, the exact
+presentation/toric kernel fixtures, the induced-weight kernel check, weight
+representation of orders with a Farkas counterexample, the homogenization
+flat family, Hilbert-function and dimension transfer, Betti number bounds,
+Hilbert-series symmetry certificates, and byte-determinism of the
+command-line surface.
 """
 
 from __future__ import annotations
@@ -18,24 +23,17 @@ import sys
 
 import pytest
 
-from initalg.betti import betti_comparison, graded_betti
+from initalg.betti import betti_comparison
+from initalg.cli import SCENARIOS
 from initalg.family import fiber, freeness_basis_check, homogenize_ideal
-from initalg.groebner import (
-    MonomialIdeal,
-    buchberger,
-    initial_ideal_weight,
-    presentation_kernel,
-    toric_kernel,
-)
+from initalg.groebner import MonomialIdeal, buchberger, initial_ideal_weight
 from initalg.hilbert import (
     HilbertSeries,
     compare_hilbert,
-    gorenstein_symmetry_check,
-    hilbert_series_monomial,
     hilbert_series_subalgebra,
     krull_dim_monomial,
 )
-from initalg.orders import DegLex, Lex, RevLex, WeightOrder, leading_monomial, leading_term
+from initalg.orders import DegLex, leading_monomial, leading_term
 from initalg.poly import (
     Polynomial,
     PolyRing,
@@ -45,8 +43,8 @@ from initalg.poly import (
     parse_poly,
     weighted_degree,
 )
-from initalg.sagbi import initial_algebra_gens, kernel_initial_check, sagbi_complete
-from initalg.weights import InfeasibleComparisons, find_weight, represent_order_by_weight
+from initalg.sagbi import initial_algebra_gens, sagbi_complete
+from initalg.weights import represent_order_by_weight
 
 from conftest import (
     ACCEPTANCE_DETAILS,
@@ -70,79 +68,62 @@ def acceptance(label):
     return deco
 
 
-def _monic_term_poly(ring, term):
-    return Polynomial.from_dict(ring, {term.mono: term.coeff})
+def scenario(name):
+    """Run one `initalg verify` scenario, asserting each of its checks; returns the details."""
+    details = []
+    for ok, detail in SCENARIOS[name]():
+        assert ok, f"{name}: {detail}"
+        details.append(detail)
+    return "; ".join(details)
 
 
 # 1 ------------------------------------------------------------------------
 
 
-@acceptance("leading-monomials")
+@acceptance("lead-terms")
 def test_leading_monomials_of_three_term_example():
-    ring = PolyRing(("X1", "X2", "X3", "X4"))
-    f = parse_poly(ring, "X1 + X2*X4 + X3^2")
-    assert leading_monomial(f, Lex()) == ring.monomial((1, 0, 0, 0))
-    assert leading_monomial(f, DegLex()) == ring.monomial((0, 1, 0, 1))
-    assert leading_monomial(f, RevLex()) == ring.monomial((0, 0, 2, 0))
-    return "lex X1, deglex X2*X4, revlex X3^2"
+    return scenario("lead-terms")
 
 
 # 2 ------------------------------------------------------------------------
 
 
-@acceptance("infinite-sagbi-truncation")
+@acceptance("infinite-sagbi")
 def test_truncated_subduction_basis_and_hilbert_values():
+    scenario("infinite-sagbi")
     ring = PolyRing(("x", "y"))
-    gens = [parse_poly(ring, s) for s in ("x + y", "x*y", "x*y^2")]
     reference = HilbertSeries((1, -1, 1), (1, 1))
-    for cap in (4, 6, 8):
-        state = sagbi_complete(gens, DegLex(), cap)
-        assert state.truncated_at == cap
-        monos = initial_algebra_gens(state)
-        assert list(monos) == [ring.monomial((1, k)) for k in range(cap)]
-        values = hilbert_series_subalgebra(state, d_max=cap - 1)
-        assert values == tuple([1] + list(range(1, cap)))
-        assert values == reference.expand(cap - 1)
-    # the mirrored generator set under the order preferring y behaves the same
-    mirrored = [parse_poly(ring, s) for s in ("x + y", "x*y", "x^2*y")]
-    order = DegLex(perm=(1, 0))
-    for cap in (4, 6, 8):
-        state = sagbi_complete(mirrored, order, cap)
-        assert state.truncated_at == cap
-        monos = initial_algebra_gens(state)
-        assert sorted(m.exponents for m in monos) == [(k, 1) for k in range(cap)]
-        values = hilbert_series_subalgebra(state, d_max=cap - 1)
-        assert values == reference.expand(cap - 1)
+    # cap 8, and the mirrored generator set under the order preferring y
+    cases = [
+        (("x + y", "x*y", "x*y^2"), DegLex(), (8,), lambda k: (1, k)),
+        (("x + y", "x*y", "x^2*y"), DegLex(perm=(1, 0)), (4, 6, 8), lambda k: (k, 1)),
+    ]
+    for texts, order, caps, expect in cases:
+        gens = [parse_poly(ring, s) for s in texts]
+        for cap in caps:
+            state = sagbi_complete(gens, order, cap)
+            assert state.truncated_at == cap
+            monos = initial_algebra_gens(state)
+            assert [m.exponents for m in monos] == [expect(k) for k in range(cap)]
+            values = hilbert_series_subalgebra(state, d_max=cap - 1)
+            assert values == reference.expand(cap - 1)
     return "caps 4, 6, 8 truncate as predicted in both variable roles"
 
 
 # 3 ------------------------------------------------------------------------
 
 
-@acceptance("kernel-fixtures")
+@acceptance("kernel-fixture")
 def test_presentation_and_toric_kernels_exact():
-    ring = PolyRing(("x", "y", "z"))
-    images = [parse_poly(ring, s) for s in ("x^2 - z^2", "x*y", "y^2", "y*z")]
-    kernel = presentation_kernel(images, names=("T", "U", "V", "W"))
-    assert kernel.gens == (parse_poly(kernel.ring, "U^2 - T*V - W^2"),)
-    monos = [parse_poly(ring, s).terms[0].mono for s in ("x^2", "x*y", "y^2", "y*z")]
-    toric = toric_kernel(ring, monos, names=("T", "U", "V", "W"))
-    assert toric.gens == (parse_poly(toric.ring, "U^2 - T*V"),)
-    return "U^2 - T*V - W^2 and U^2 - T*V, exactly"
+    return scenario("kernel-fixture")
 
 
 # 4 ------------------------------------------------------------------------
 
 
-@acceptance("kernel-initial-check")
+@acceptance("kernel-initial")
 def test_induced_weight_kernel_agreement():
-    ring = PolyRing(("x", "y", "z"))
-    gens = [parse_poly(ring, s) for s in ("x^2 - z^2", "x*y", "y^2", "y*z")]
-    report = kernel_initial_check(gens, WeightVector((3, 2, 1)), names=("T", "U", "V", "W"))
-    assert report.ok
-    assert report.image_weights.entries == (6, 5, 4, 3)
-    assert report.kernel_initial_forms == (parse_poly(report.kernel.ring, "U^2 - T*V"),)
-    return "induced weights (6,5,4,3); initial form of the relation is U^2 - T*V"
+    return scenario("kernel-initial")
 
 
 # 5 ------------------------------------------------------------------------
@@ -153,7 +134,7 @@ def _weight_round_trip_closes(gens, order):
     a = represent_order_by_weight(gens, order)
     for g in gb.elements:
         lt = leading_term(g, order)
-        assert initial_form(g, a) == _monic_term_poly(g.ring, lt)
+        assert initial_form(g, a) == Polynomial.from_dict(g.ring, {lt.mono: lt.coeff})
     forms = initial_ideal_weight(gens, a, tiebreak=order)
     regenerated = MonomialIdeal.from_monomials(
         gens[0].ring, [leading_monomial(f, order) for f in forms]
@@ -162,50 +143,27 @@ def _weight_round_trip_closes(gens, order):
     assert regenerated.mingens == gb.initial_ideal().mingens
 
 
-@acceptance("order-by-weight-round-trip")
+@acceptance("order-by-weight")
 def test_weight_representation_round_trip_and_farkas():
+    scenario("order-by-weight")
     ring = PolyRing(("x", "y", "z"))
-    gens = [parse_poly(ring, s) for s in ("x^2 - y", "x*y - z")]
-    a = represent_order_by_weight(gens, Lex())
-    regenerated = buchberger(gens, WeightOrder(a, Lex())).initial_ideal()
-    assert set(regenerated.mingens) == {
-        ring.monomial((2, 0, 0)),
-        ring.monomial((1, 1, 0)),
-        ring.monomial((1, 0, 1)),
-        ring.monomial((0, 3, 0)),
-    }
-    x, y = ring.monomial((1, 0, 0)), ring.monomial((0, 1, 0))
-    try:
-        find_weight([(x, y), (y, x)])
-        raise AssertionError("contradictory comparisons accepted")
-    except InfeasibleComparisons as exc:
-        cert = exc.certificate
-        assert cert is not None and any(cert) and all(c >= 0 for c in cert)
-        # the certified nonnegative combination of the differences is <= 0
-        combo = [0, 0, 0]
-        for c, (m, n) in zip(cert, exc.pairs):
-            for i in range(3):
-                combo[i] += c * (m.exponents[i] - n.exponents[i])
-        assert all(v <= 0 for v in combo)
     rng = random.Random(50501)
-    runs = 0
-    while runs < 50:
+    for _ in range(50):
         gens = [
             random_homogeneous_poly(rng, ring, rng.randint(1, 3))
             for _ in range(rng.randint(1, 3))
         ]
-        orders = rng.sample(sample_orders(3), 2)
-        for order in orders:
+        for order in rng.sample(sample_orders(3), 2):
             _weight_round_trip_closes(gens, order)
-        runs += 1
     return "lex fixture regenerated; Farkas certificate valid; 50 random ideals close"
 
 
 # 6 ------------------------------------------------------------------------
 
 
-@acceptance("flat-family-fibers")
+@acceptance("flat-family")
 def test_family_interpolates_and_is_free():
+    scenario("flat-family")
     rng = random.Random(60601)
     ring = PolyRing(("x", "y", "z"))
     for _ in range(50):
@@ -223,14 +181,15 @@ def test_family_interpolates_and_is_free():
         maxdeg = max((weighted_degree(g, a) for g in fam.base_gb), default=1)
         report = freeness_basis_check(fam, 2 * maxdeg)
         assert report.ok
-    return "50 random ideals: fibers at 1 and 0 correct, free through twice the top degree"
+    return "fixture and 50 random ideals: fibers correct, free through twice the top degree"
 
 
 # 7 ------------------------------------------------------------------------
 
 
-@acceptance("hilbert-dimension-transfer")
+@acceptance("hilbert-transfer")
 def test_hilbert_function_and_dimension_are_order_independent():
+    scenario("hilbert-transfer")
     rng = random.Random(70701)
     ring = PolyRing(("x", "y", "z"))
     for _ in range(50):
@@ -250,30 +209,16 @@ def test_hilbert_function_and_dimension_are_order_independent():
             for o in (first, second, DegLex())
         }
         assert len(dims) == 1
-    return "50 random graded ideals: values equal through degree 12, dimension stable"
+    return "fixture and 50 random graded ideals: values equal through degree 12, dimension stable"
 
 
 # 8 ------------------------------------------------------------------------
 
 
-@acceptance("betti-number-bounds")
+@acceptance("betti-bound")
 def test_betti_tables_bounded_by_initial_tables():
-    ring2 = PolyRing(("x", "y"))
+    scenario("betti-bound")
     ring3 = PolyRing(("x", "y", "z"))
-    fixtures = [
-        (ring2, ("x", "y")),
-        (ring2, ("x^2", "x*y")),
-        (ring2, ("x^2 - y^2",)),
-        (ring3, ("x^2 - y*z", "x*y")),
-    ]
-    for ring, texts in fixtures:
-        cmp = betti_comparison([parse_poly(ring, s) for s in texts], DegLex())
-        assert cmp.projdim[0] <= cmp.projdim[1]
-        assert cmp.regularity[0] <= cmp.regularity[1]
-    koszul = graded_betti([parse_poly(ring2, "x"), parse_poly(ring2, "y")])
-    assert koszul.entries == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
-    monomial_cmp = betti_comparison([parse_poly(ring2, s) for s in ("x^2", "x*y")], DegLex())
-    assert monomial_cmp.quotient.entries == monomial_cmp.initial.entries
     rng = random.Random(80801)
     for _ in range(20):
         gens = [
@@ -287,22 +232,9 @@ def test_betti_tables_bounded_by_initial_tables():
 # 9 ------------------------------------------------------------------------
 
 
-@acceptance("series-symmetry-certificate")
+@acceptance("symmetry")
 def test_palindromic_series_certificates():
-    ring = PolyRing(("x", "y", "z"))
-    images = [parse_poly(ring, s) for s in ("x^2 - z^2", "x*y", "y^2", "y*z")]
-    kernel = presentation_kernel(images, names=("T", "U", "V", "W"))
-    gb = buchberger(list(kernel.gens), DegLex())
-    series = hilbert_series_monomial(gb.initial_ideal()).reduced()
-    assert series.numerator == (1, 1)
-    assert series.denominator_degrees == (1, 1, 1)
-    assert gorenstein_symmetry_check(series)
-    ring2 = PolyRing(("x", "y"))
-    counter = hilbert_series_monomial(
-        buchberger([parse_poly(ring2, s) for s in ("x^2", "x*y")], DegLex()).initial_ideal()
-    )
-    assert not gorenstein_symmetry_check(counter)
-    return "(1 + t)/(1-t)^3 certified symmetric; (x^2, x*y) quotient rejected"
+    return scenario("symmetry")
 
 
 # 10 -----------------------------------------------------------------------
@@ -317,8 +249,9 @@ def _cli(args):
     return proc.returncode, proc.stdout
 
 
-@acceptance("cli-byte-determinism")
+@acceptance("determinism")
 def test_every_command_is_byte_deterministic(tmp_path):
+    scenario("determinism")
     ideal = "ring x, y, z\norder lex\nweight 2, 1, 1\nideal\nx^2 - y\nx*y - z\nend\n"
     ideal_perm = "ring x, y, z\norder lex\nweight 2, 1, 1\nideal\nx*y - z\nx^2 - y\nend\n"
     homog = "ring x, y\nideal\nx^2\nx*y\nend\n"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from initalg.cli import (
@@ -24,6 +26,8 @@ x^2 - y
 x*y - z
 end
 """
+
+VERIFY_OUT = Path(__file__).resolve().parent / "verify.out"  # the stdout of `initalg verify`
 
 ALGEBRA = """\
 ring x, y
@@ -68,6 +72,9 @@ def test_parse_problem_errors():
         "ring x\nweight 1, 2\n",  # arity mismatch
         "ring x, y\npairs\nx + y > x\nend\n",  # pair side not a monomial
         "ring x, y\nideal\nx\nend\nalgebra\ny\nend\n",  # two blocks
+        "ring x, y\norder lex\norder revlex\n",  # duplicate order
+        "ring x, y\nweight 1, 2\nweight 2, 1\n",  # duplicate weight
+        "ring x, y\ngrading 1, 1\ngrading 1, 2\n",  # duplicate grading
     ):
         with pytest.raises(CLIInputError):
             parse_problem(text)
@@ -228,27 +235,26 @@ def test_unknown_scenario_exits_two(capsys):
     capsys.readouterr()
 
 
-def test_byte_determinism_across_runs_and_permutations(tmp_path, capsys):
-    path = write(tmp_path, LEX_IDEAL)
-    permuted = write(
-        tmp_path,
-        "ring x, y, z\norder lex\nideal\nx*y - z\nx^2 - y\nend\n",
-        "permuted.txt",
-    )
-    outputs = []
-    for p in (path, path, permuted):
-        assert run(["gb", p]) == EXIT_OK
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1] == outputs[2]
+def test_duplicate_order_exits_two(tmp_path, capsys):
+    path = write(tmp_path, "ring x, y\norder lex\norder revlex\nideal\nx - y\nend\n")
+    assert run(["gb", path]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 3: duplicate order declaration\n"
 
 
 def test_verify_all_scenarios_pass(capsys):
     assert run(["verify"]) == EXIT_OK
-    out = capsys.readouterr().out
-    lines = out.splitlines()
-    assert all(line.startswith("PASS ") for line in lines)
-    for name in SCENARIOS:
-        assert any(f" {name}:" in line for line in lines)
+    assert capsys.readouterr().out == VERIFY_OUT.read_text()
+
+
+def test_verify_failure_exits_one(capsys, monkeypatch):
+    monkeypatch.setitem(SCENARIOS, "forced", lambda: iter([(False, "forced failure")]))
+    assert run(["verify", "forced", "lead-terms"]) == EXIT_MATH
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL forced: forced failure"
+    assert lines[1].startswith("PASS lead-terms: ")
+    assert len(lines) == 2
 
 
 def test_verify_single_scenario(capsys):
