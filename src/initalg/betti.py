@@ -15,7 +15,7 @@ from math import comb
 from typing import Sequence
 
 from initalg.groebner import MonomialIdeal, buchberger
-from initalg.hilbert import hilbert_series_monomial
+from initalg.hilbert import UnitIdealError, hilbert_series_monomial
 from initalg.linalg import exact_rank_sparse
 from initalg.orders import MonomialOrder, RevLex
 from initalg.poly import (
@@ -94,7 +94,9 @@ def graded_betti(
 
     The default bound is the Taylor bound of the initial ideal, which covers
     every nonzero entry; a smaller explicit bound may leave the table
-    incomplete (flagged, and refused by projdim/regularity).
+    incomplete (flagged, and refused by projdim/regularity).  The unit ideal
+    raises `UnitIdealError`: R/(1) is the zero module, which has no
+    projective dimension or regularity to report.
     """
     if not gens:
         raise ValueError("need generators (possibly the zero polynomial)")
@@ -105,6 +107,8 @@ def graded_betti(
     n = ring.n
     gb = buchberger(gens, order)
     ini = gb.initial_ideal()
+    if any(m.is_one() for m in ini.mingens):
+        raise UnitIdealError("unit ideal: the quotient is the zero ring")
     if j_max is None:
         j_max = default_internal_degree_bound(ini)
     if j_max < 0:

@@ -106,6 +106,10 @@ class _Descending:
         return other.key < self.key
 
 
+def _tail(p: Polynomial, lexps: tuple[int, ...]) -> tuple:
+    return tuple((t.mono.exponents, t.coeff) for t in p.terms if t.mono.exponents != lexps)
+
+
 class _Reducer(list):
     """Monic divisors prepared for repeated reduction under one order.
 
@@ -114,7 +118,8 @@ class _Reducer(list):
     index, so the first entry whose lead divides a monomial is the divisor
     `divide` would pick.  Order keys are cached by exponent tuple in
     `key_cache`, which reducers of one run may share; pass a reducer as `G`
-    to `normal_form` to reuse its table and cache.
+    to `normal_form` to reuse its table and cache.  While `skip` holds an
+    index, that element is left out of the divisors.
     """
 
     def __init__(
@@ -129,6 +134,7 @@ class _Reducer(list):
         self.table: list[tuple] = []
         self.leads: list[tuple[int, ...]] = []
         self.key_cache = {} if key_cache is None else key_cache
+        self.skip: int | None = None
         for p in polys:
             self.add(p)
 
@@ -150,16 +156,23 @@ class _Reducer(list):
         lead = max(p.terms, key=lambda t: key(t.mono.exponents))
         lc, lexps = lead.coeff, lead.mono.exponents
         monic_p = p if lc == 1 else p.map_coeffs(lambda c: c / lc)
-        tail = tuple((t.mono.exponents, t.coeff) for t in monic_p.terms if t.mono.exponents != lexps)
-        bisect.insort(self.table, (key(lexps), len(self), lexps, tail))
+        bisect.insort(self.table, (key(lexps), len(self), lexps, _tail(monic_p, lexps)))
         self.leads.append(lexps)
         self.append(monic_p)
+
+    def replace(self, i: int, p: Polynomial) -> None:
+        """Put monic p, whose lead is that of element i, in place of element i."""
+        lexps = self.leads[i]
+        k = self.key(lexps)
+        pos = bisect.bisect_left(self.table, (k, i))
+        self.table[pos] = (k, i, lexps, _tail(p, lexps))
+        self[i] = p
 
     def reduce(self, f: Polynomial) -> Polynomial:
         """Remainder of f by `divide`'s rule, computed on exponent-tuple dicts."""
         if self.ring is not None and f.ring != self.ring:
             raise RingMismatchError("polynomials from different rings")
-        key, table = self.key, self.table
+        key, table, skip = self.key, self.table, self.skip
         work = {t.mono.exponents: t.coeff for t in f.terms}
         heap = [_Descending(key(e), e) for e in work]  # max-heap on the order
         heapq.heapify(heap)
@@ -169,8 +182,8 @@ class _Reducer(list):
             c = work.pop(t, None)
             if c is None:  # cancelled after it was pushed
                 continue
-            for _, _, lead, tail in table:
-                if all(map(operator.le, lead, t)):
+            for _, i, lead, tail in table:
+                if all(map(operator.le, lead, t)) and i != skip:
                     shift = tuple(map(operator.sub, t, lead))
                     for e, a in tail:
                         m = tuple(map(operator.add, e, shift))
@@ -288,28 +301,27 @@ class ReducedGroebnerBasis:
 
 
 def _interreduce(basis: _Reducer) -> list[Polynomial]:
-    order, key = basis.order, basis.key
+    key = basis.key
     # drop elements whose leading monomial is divisible by another's
     ranked = sorted(zip(basis.leads, basis), key=lambda lp: key(lp[0]))
-    minimal: list[Polynomial] = []
-    leads: list[tuple[int, ...]] = []
+    minimal = _Reducer(basis.order, key_cache=basis.key_cache)
     for lead, p in ranked:
-        if not any(all(map(operator.le, l, lead)) for l in leads):
-            minimal.append(p)
-            leads.append(lead)
+        if not any(all(map(operator.le, l, lead)) for l in minimal.leads):
+            minimal.add(p)
     # tail-reduce each against the others until stable; each p is monic and
-    # no other lead divides its lead, so remainders stay monic and keep the
-    # ascending order of leads
-    changed = True
+    # no other lead divides its lead, so remainders stay monic, keep their
+    # lead and the ascending order of leads.  The leads are distinct, so one
+    # table that skips p picks the divisors a table of the others would.
+    changed = len(minimal) > 1
     while changed:
         changed = False
         for i, p in enumerate(minimal):
-            others = minimal[:i] + minimal[i + 1 :]
-            q = normal_form(p, _Reducer(order, others, basis.key_cache), order) if others else p
+            minimal.skip = i
+            q = normal_form(p, minimal, minimal.order)
             if q != p:
-                minimal[i] = q
+                minimal.replace(i, q)
                 changed = True
-    return minimal
+    return list(minimal)
 
 
 def buchberger(
@@ -317,13 +329,16 @@ def buchberger(
 ) -> ReducedGroebnerBasis:
     """Reduced Gröbner basis of the ideal generated by `gens` under `order`.
 
-    Pairs are processed by ascending lcm degree, then the order on lcms, then
-    generator indices; each pair's key is computed once, when the pair is
-    created, and pending pairs wait in a heap.  The coprimality and chain
-    criteria prune pairs.  S-polynomials are reduced on exponent-tuple dicts
-    against a divisor table that grows with the basis, by the same rule as
-    `divide`.  The step budget (argument or the INITALG_STEP_LIMIT
-    environment variable) bounds the number of S-polynomial reductions.
+    Pairs are processed by the normal strategy: ascending order on lcms,
+    then generator indices.  Graded and weight orders compare the (weighted)
+    degree first, so for them this is by degree; under lex it avoids the
+    coefficient swell of degree-first selection.  Each pair's key is
+    computed once, when the pair is created, and pending pairs wait in a
+    heap.  The coprimality and chain criteria prune pairs.  S-polynomials
+    are reduced on exponent-tuple dicts against a divisor table that grows
+    with the basis, by the same rule as `divide`.  The step budget (argument
+    or the INITALG_STEP_LIMIT environment variable) bounds the number of
+    S-polynomial reductions.
     """
     ring = _check_gens(gens)
     limit = _step_limit(step_limit)
@@ -331,20 +346,20 @@ def buchberger(
     if not basis:
         return ReducedGroebnerBasis(ring, order, ())
     leads = basis.leads
-    queue: list[tuple] = []  # (lcm degree, order key of lcm, (i, j))
+    queue: list[tuple] = []  # (order key of lcm, (i, j))
     pending: set[tuple[int, int]] = set()
 
     def add_pairs(new: int) -> None:
         for k in range(new):
             L = tuple(map(max, leads[k], leads[new]))
-            heapq.heappush(queue, (sum(L), basis.key(L), (k, new)))
+            heapq.heappush(queue, (basis.key(L), (k, new)))
             pending.add((k, new))
 
     for new in range(1, len(basis)):
         add_pairs(new)
     steps = 0
     while queue:
-        i, j = heapq.heappop(queue)[2]
+        i, j = heapq.heappop(queue)[1]
         pending.remove((i, j))
         if not any(map(min, leads[i], leads[j])):  # coprime leading monomials
             continue
@@ -452,6 +467,14 @@ def presentation_kernel(
     Computed by eliminating the original variables from (Y_i - f_i); the
     result is the reduced Gröbner basis of the kernel under `kernel_order`
     (revlex by default) in a fresh ring.
+
+    When every f_i is homogeneous of positive degree (every toric kernel),
+    Buchberger runs under the elimination order refined by the grading w
+    with w(x) = 1 and w(Y_i) = deg f_i, so pairs are taken degree by
+    degree.  Each Y_i - f_i is w-homogeneous, so the ideal is, and on
+    w-homogeneous polynomials both orders pick the same leading terms:
+    the reduced bases are equal, and the kept elements are sorted back by
+    the elimination order.
     """
     source = _check_gens(images)
     if any(g.is_zero() for g in images):
@@ -469,7 +492,19 @@ def presentation_kernel(
         )
 
     gens = [big.var(n + i) - lift(images[i]) for i in range(k)]
-    kept = eliminate(gens, keep=tuple(range(n, n + k)), keep_order=kernel_order)
+    keep = tuple(range(n, n + k))
+    degrees = [f.total_degree() for f in images]
+    ones = WeightVector.ones(n)
+    if all(d > 0 and is_weight_homogeneous(f, ones) for f, d in zip(images, degrees)):
+        order = EliminationOrder(tuple(range(n)), keep, DegLex(), kernel_order)
+        w = WeightVector((1,) * n + tuple(degrees))
+        gb = buchberger(gens, WeightOrder(w, order))
+        kept = sorted(
+            (g for g in gb if not any(any(t.mono.exponents[:n]) for t in g.terms)),
+            key=lambda g: order.key(leading_monomial(g, order)),
+        )
+    else:
+        kept = eliminate(gens, keep=keep, keep_order=kernel_order)
     target = PolyRing(fresh)
     projected = tuple(
         Polynomial.from_dict(target, {Monomial(t.mono.exponents[n:]): t.coeff for t in g.terms})

@@ -16,7 +16,7 @@ from initalg.betti import (
     graded_betti,
 )
 from initalg.groebner import buchberger
-from initalg.hilbert import hilbert_series_monomial
+from initalg.hilbert import UnitIdealError, hilbert_series_monomial
 from initalg.orders import DegLex, Lex, RevLex
 from initalg.poly import PolyRing, parse_poly
 
@@ -48,6 +48,13 @@ def test_zero_ideal():
     assert T.entries == {(0, 0): 1}
     assert T.complete
     assert (T.projective_dimension(), T.regularity()) == (0, 0)
+
+
+def test_unit_ideal_has_no_table():
+    R = PolyRing(("x", "y"))
+    for texts in (("1",), ("x", "3")):
+        with pytest.raises(UnitIdealError, match="unit ideal"):
+            graded_betti(_polys(R, *texts))
 
 
 def test_principal_binomial_matches_its_initial_ideal():

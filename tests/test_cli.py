@@ -173,6 +173,23 @@ def test_dim_of_unit_ideal_is_a_verdict(tmp_path, capsys):
     assert captured.err == "error: unit ideal: the quotient is the zero ring\n"
 
 
+def test_betti_of_unit_ideal_is_a_verdict(tmp_path, capsys):
+    path = write(tmp_path, "ring x, y\nideal\n1\nend\n")
+    assert run(["betti", path]) == EXIT_MATH
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unit ideal: the quotient is the zero ring\n"
+
+
+def test_hilbert_of_unit_ideal_is_the_zero_series(tmp_path, capsys):
+    # the zero module has Hilbert series 0, so this is a report, not an error
+    path = write(tmp_path, "ring x, y\nideal\n1\nend\n")
+    assert run(["hilbert", path, "--dmax", "3"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == "series: (0) / (1-t)^2\nreduced: (0) / (1-t)^2\nvalues: 0,0,0,0\n"
+    assert captured.err == ""
+
+
 def test_betti_truncated_flagged(tmp_path, capsys):
     path = write(tmp_path, "ring x, y\nideal\nx^2\nx*y\nend\n")
     assert run(["betti", path, "--jmax", "1"]) == EXIT_OK

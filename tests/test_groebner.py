@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_poly, sample_orders
+from conftest import random_homogeneous_poly, random_monomial, random_poly, sample_orders
+from initalg import groebner
 from initalg.groebner import (
     MonomialIdeal,
     ReducedGroebnerBasis,
@@ -19,7 +20,16 @@ from initalg.groebner import (
     s_polynomial,
     toric_kernel,
 )
-from initalg.orders import DegLex, Lex, RevLex, WeightOrder, leading_monomial, leading_term, monic
+from initalg.orders import (
+    DegLex,
+    EliminationOrder,
+    Lex,
+    RevLex,
+    WeightOrder,
+    leading_monomial,
+    leading_term,
+    monic,
+)
 from initalg.poly import (
     Monomial,
     PolyRing,
@@ -34,6 +44,11 @@ from initalg.poly import (
 R = PolyRing(("x", "y", "z"))
 x, y, z = R.gens()
 R2 = PolyRing(("x", "y"))
+
+
+# lex blow-up: under degree-first pair selection its coefficients reach
+# 132,932 bits by the 13th reduction; the basis has 3 elements of degree <= 16
+BLOWUP = ["x^2*y*z - 4*x*y^2*z - 3*x^2*z + y^2", "4*x*y^2 - 3*y^2 + 4", "-5*x^2*y^2 - 4*y^2*z^2"]
 
 
 def mono(*exps):
@@ -67,6 +82,18 @@ def test_normal_form_basic():
     assert normal_form(y, [x], Lex()) == y
     with pytest.raises(ZeroPolynomialError):
         normal_form(x, [y, R.zero()], DegLex())
+
+
+def test_reducer_replace_and_skip():
+    # interreduction replaces an element by its remainder (same lead) and
+    # reduces each element with itself skipped, in one shared table
+    reducer = groebner._Reducer(Lex(), [x - y, y - z])
+    reducer.replace(0, x - z**2)
+    assert list(reducer) == [x - z**2, y - z]
+    assert reducer.reduce(x + y) == z**2 + z
+    reducer.skip = 0
+    assert reducer.reduce(x + y) == x + z
+    assert normal_form(x + y, reducer, Lex()) == x + z
 
 
 def test_divide_identity_random():
@@ -270,6 +297,74 @@ def test_kernel_substitution_random():
             assert substitute(g, list(ker.images)).is_zero()
 
 
+def eliminated_kernel(images, kernel_order):
+    """Kernel of Y_i -> images[i] by plain elimination, projected to the Y ring."""
+    source = images[0].ring
+    n, k = source.n, len(images)
+    big = PolyRing(source.names + tuple(f"Y{i + 1}" for i in range(k)))
+    gens = [
+        big.var(n + i) - Polynomial.from_dict(big, {Monomial(t.mono.exponents + (0,) * k): t.coeff for t in f.terms})
+        for i, f in enumerate(images)
+    ]
+    target = PolyRing(big.names[n:])
+    return tuple(
+        Polynomial.from_dict(target, {Monomial(t.mono.exponents[n:]): t.coeff for t in g.terms})
+        for g in eliminate(gens, keep=tuple(range(n, n + k)), keep_order=kernel_order)
+    )
+
+
+@pytest.fixture
+def kernel_orders(monkeypatch):
+    """Orders `buchberger` is called with, recorded through the module global."""
+    seen = []
+    real = groebner.buchberger
+
+    def recording(gens, order, step_limit=None):
+        seen.append(order)
+        return real(gens, order, step_limit)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    return seen
+
+
+def test_graded_kernel_equals_elimination(kernel_orders):
+    # homogeneous images of positive degree are eliminated under their grading;
+    # the reduced basis and its element order must be the elimination's
+    rng = random.Random(71)
+    for trial in range(36):
+        kernel_order = (RevLex(), DegLex(), Lex())[trial % 3]
+        kernel_orders.clear()
+        if trial < 24:  # monomial sets in two and three variables
+            ring = (R2, R)[trial // 3 % 2]
+            monos, count = [], rng.randint(3, 5)
+            while len(monos) < count:
+                m = random_monomial(rng, ring.n, max_exp=2)
+                if m.degree() > 0:
+                    monos.append(m)
+            ker = toric_kernel(ring, monos, kernel_order=kernel_order)
+        else:
+            images = [random_homogeneous_poly(rng, R2, rng.randint(1, 2)) for _ in range(rng.randint(3, 4))]
+            ker = presentation_kernel(images, kernel_order=kernel_order)
+        assert [type(o) for o in kernel_orders] == [WeightOrder]
+        assert ker.gens == eliminated_kernel(ker.images, kernel_order), (trial, ker.images)
+
+
+def test_ungraded_kernel_route(kernel_orders):
+    # a non-homogeneous image or a constant one (its weight would be 0, which
+    # WeightVector rejects) keeps the plain elimination order
+    with pytest.raises(ValueError):
+        WeightVector((1, 0))
+    ker = presentation_kernel([R2.poly("x^2 + y"), R2.poly("x*y"), R2.poly("y")])
+    assert [type(o) for o in kernel_orders] == [EliminationOrder]
+    assert ker.gens == eliminated_kernel(ker.images, RevLex())
+    assert ker.gens
+    kernel_orders.clear()
+    ker = toric_kernel(R2, [Monomial((0, 0)), Monomial((1, 0)), Monomial((1, 1))], kernel_order=Lex())
+    assert [type(o) for o in kernel_orders] == [EliminationOrder]
+    assert ker.gens == eliminated_kernel(ker.images, Lex())
+    assert ker.gens == (ker.ring.poly("Y1 - 1"),)
+
+
 def test_quadratic_initial_certificate():
     assert quadratic_initial_certificate([x**2 - y * z], DegLex()) is True
     assert quadratic_initial_certificate([x * y, y * z], Lex()) is True
@@ -298,7 +393,7 @@ def test_step_limit():
             ["x0 + x1 + x2 + x3", "x0*x1 + x1*x2 + x2*x3 + x3*x0",
              "x0*x1*x2 + x1*x2*x3 + x2*x3*x0 + x3*x0*x1", "x0*x1*x2*x3 - 1"],
             Lex(),
-            14,
+            20,
         ),
         (
             "u0 u1 u2 u3",
@@ -307,8 +402,9 @@ def test_step_limit():
             DegLex(),
             19,
         ),
+        ("x y z", BLOWUP, Lex(), 29),
     ],
-    ids=["cyclic4-lex", "katsura4-deglex"],
+    ids=["cyclic4-lex", "katsura4-deglex", "blowup-lex"],
 )
 def test_s_polynomial_reduction_count(names, gens, order, reductions):
     # pair selection and both criteria fix how many S-polynomials get reduced
@@ -319,11 +415,28 @@ def test_s_polynomial_reduction_count(names, gens, order, reductions):
     buchberger(polys, order, step_limit=reductions)
 
 
+def sympy_groebner(sympy, gens, order, name):
+    """sympy's reduced basis of `gens`, monic and sorted as `buchberger` returns it."""
+    ring = gens[0].ring
+    syms = sympy.symbols(ring.names)
+    exprs = [
+        sum(sympy.Rational(t.coeff.numerator, t.coeff.denominator)
+            * sympy.prod(v**e for v, e in zip(syms, t.mono.exponents)) for t in g.terms)
+        for g in gens
+    ]
+    ref = []
+    for e in sympy.groebner(exprs, *syms, order=name, domain="QQ").exprs:
+        terms = sympy.Poly(e, *syms, domain="QQ").terms()
+        p = Polynomial.from_dict(ring, {Monomial(m): Fraction(int(c.p), int(c.q)) for m, c in terms})
+        ref.append(monic(p, order))
+    ref.sort(key=lambda p: order.key(leading_monomial(p, order)))
+    return tuple(ref)
+
+
 def test_buchberger_matches_sympy_on_random_ideals():
     sympy = pytest.importorskip("sympy")
-    syms = sympy.symbols(R.names)
     orders = ((Lex(), "lex"), (DegLex(), "grlex"), (RevLex(), "grevlex"))
-    budget = 16  # S-polynomial reductions: a count, not a clock, so the run is deterministic
+    budget = 40  # S-polynomial reductions: a count, not a clock, so the run is deterministic
     rng = random.Random(61)
     cut = compared = 0
     for k in range(90):
@@ -337,17 +450,22 @@ def test_buchberger_matches_sympy_on_random_ideals():
         except StepLimitExceeded:
             cut += 1
             continue
-        exprs = [
-            sum(sympy.Rational(t.coeff.numerator, t.coeff.denominator)
-                * sympy.prod(v**e for v, e in zip(syms, t.mono.exponents)) for t in g.terms)
-            for g in gens
-        ]
-        ref = []
-        for e in sympy.groebner(exprs, *syms, order=name, domain="QQ").exprs:
-            terms = sympy.Poly(e, *syms, domain="QQ").terms()
-            p = Polynomial.from_dict(R, {Monomial(m): Fraction(int(c.p), int(c.q)) for m, c in terms})
-            ref.append(monic(p, order))
-        ref.sort(key=lambda p: order.key(leading_monomial(p, order)))
-        assert tuple(ref) == gb.elements, (name, gens)
+        assert sympy_groebner(sympy, gens, order, name) == gb.elements, (name, gens)
         compared += 1
     assert cut <= 0.05 * (cut + compared), f"{cut} of {cut + compared} ideals hit the budget of {budget}"
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        BLOWUP,
+        ["4*x^3*y^2*z^3 + 2*y^2*z^3 - 4*x*y", "-2*x^3*y^3*z^3 + 2*x*y^3*z^3 - 4*x*y^3"],
+    ],
+    ids=["blowup", "swell"],
+)
+def test_buchberger_matches_sympy_on_lex_swell_cases(gens):
+    # ideals whose rational coefficients swell under degree-first pair selection
+    sympy = pytest.importorskip("sympy")
+    polys = [R.poly(g) for g in gens]
+    gb = buchberger(polys, Lex(), step_limit=40)
+    assert sympy_groebner(sympy, polys, Lex(), "lex") == gb.elements
