@@ -24,7 +24,6 @@ from initalg.poly import (
     Polynomial,
     WeightVector,
     is_weight_homogeneous,
-    monomials_of_weight,
 )
 
 
@@ -64,15 +63,6 @@ def _check_standard_graded(gens: Sequence[Polynomial]):
     ones = WeightVector.ones(gens[0].ring.n)
     if not all(is_weight_homogeneous(g, ones) for g in gens):
         raise ValueError("generators must be homogeneous for the standard grading")
-
-
-def _standard_monomials(ini: MonomialIdeal, degree: int) -> list[Monomial]:
-    n = ini.ring.n
-    return [
-        m
-        for m in monomials_of_weight(n, WeightVector.ones(n), degree)
-        if not ini.contains(m)
-    ]
 
 
 def default_internal_degree_bound(ini: MonomialIdeal) -> int:
@@ -118,7 +108,7 @@ def graded_betti(
     hf = series.expand(j_max)
     numerator = series.numerator  # = H(t) * (1-t)^n for the standard grading
 
-    std: dict[int, list[Monomial]] = {d: _standard_monomials(ini, d) for d in range(j_max + 1)}
+    std = {d: ini.standard_monomials(WeightVector.ones(n), d) for d in range(j_max + 1)}
     std_index: dict[int, dict[Monomial, int]] = {
         d: {m: i for i, m in enumerate(ms)} for d, ms in std.items()
     }

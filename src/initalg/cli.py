@@ -4,7 +4,9 @@ Reports are line oriented and byte-deterministic: polynomial payloads appear
 as bare lines that re-parse under the polynomial grammar, scalar results use
 ``name: value`` lines, and purely decorative context is prefixed with ``#``.
 Exit codes: 0 success, 1 a mathematical verdict (certified infeasibility, a
-unit ideal) or an exceeded step budget, 2 malformed input.
+unit ideal) or an exceeded step budget, 2 malformed input.  A command that
+stops with an ``error:`` line on stderr leaves stdout empty; the infeasible
+verdict prints its certificate.
 """
 
 from __future__ import annotations
@@ -620,9 +622,11 @@ def run(argv: Sequence[str]) -> int:
         code = EXIT_MATH
     except (StepLimitExceeded, BettiInconsistencyError, UnitIdealError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        out.clear()
         code = EXIT_MATH
     except (CLIInputError, ParseError, RingMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        out.clear()
         code = EXIT_INPUT
     if out:
         sys.stdout.write("\n".join(out) + "\n")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from initalg.groebner import MonomialIdeal, ReducedGroebnerBasis, buchberger
+from initalg.groebner import ReducedGroebnerBasis, buchberger
 from initalg.linalg import exact_rank_sparse
 from initalg.orders import ExtendedOrder, MonomialOrder, RevLex, WeightOrder, leading_monomial
 from initalg.poly import (
@@ -95,7 +95,6 @@ def freeness_basis_check(family: HomogenizedFamily, degree_bound: int | None = N
     exact codimension of the total ideal's graded piece.
     """
     a = family.weight
-    ring = family.ring
     ring_t = family.extended_ring
     if degree_bound is None:
         top = max((weighted_degree(g, a) for g in family.base_gb), default=1)
@@ -109,9 +108,7 @@ def freeness_basis_check(family: HomogenizedFamily, degree_bound: int | None = N
     ok = True
     standard = 0
     for d in range(degree_bound + 1):
-        standard += sum(
-            1 for mono in monomials_of_weight(ring.n, a, d) if not ini.contains(mono)
-        )
+        standard += len(ini.standard_monomials(a, d))
         # columns sorted by the extended order keep the rows near-echelon
         ambient = sorted(monomials_of_weight(ring_t.n, a_ext, d), key=order_key)
         index = {mono: i for i, mono in enumerate(ambient)}

@@ -32,6 +32,7 @@ from initalg.poly import (
     ZeroPolynomialError,
     initial_form,
     is_weight_homogeneous,
+    monomials_of_weight,
 )
 
 STEP_LIMIT_ENV = "INITALG_STEP_LIMIT"
@@ -118,8 +119,7 @@ class _Reducer(list):
     index, so the first entry whose lead divides a monomial is the divisor
     `divide` would pick.  Order keys are cached by exponent tuple in
     `key_cache`, which reducers of one run may share; pass a reducer as `G`
-    to `normal_form` to reuse its table and cache.  While `skip` holds an
-    index, that element is left out of the divisors.
+    to `normal_form` to reuse its table and cache.
     """
 
     def __init__(
@@ -134,7 +134,6 @@ class _Reducer(list):
         self.table: list[tuple] = []
         self.leads: list[tuple[int, ...]] = []
         self.key_cache = {} if key_cache is None else key_cache
-        self.skip: int | None = None
         for p in polys:
             self.add(p)
 
@@ -160,19 +159,11 @@ class _Reducer(list):
         self.leads.append(lexps)
         self.append(monic_p)
 
-    def replace(self, i: int, p: Polynomial) -> None:
-        """Put monic p, whose lead is that of element i, in place of element i."""
-        lexps = self.leads[i]
-        k = self.key(lexps)
-        pos = bisect.bisect_left(self.table, (k, i))
-        self.table[pos] = (k, i, lexps, _tail(p, lexps))
-        self[i] = p
-
     def reduce(self, f: Polynomial) -> Polynomial:
         """Remainder of f by `divide`'s rule, computed on exponent-tuple dicts."""
         if self.ring is not None and f.ring != self.ring:
             raise RingMismatchError("polynomials from different rings")
-        key, table, skip = self.key, self.table, self.skip
+        key, table = self.key, self.table
         work = {t.mono.exponents: t.coeff for t in f.terms}
         heap = [_Descending(key(e), e) for e in work]  # max-heap on the order
         heapq.heapify(heap)
@@ -182,8 +173,8 @@ class _Reducer(list):
             c = work.pop(t, None)
             if c is None:  # cancelled after it was pushed
                 continue
-            for _, i, lead, tail in table:
-                if all(map(operator.le, lead, t)) and i != skip:
+            for _, _, lead, tail in table:
+                if all(map(operator.le, lead, t)):
                     shift = tuple(map(operator.sub, t, lead))
                     for e, a in tail:
                         m = tuple(map(operator.add, e, shift))
@@ -247,6 +238,10 @@ class MonomialIdeal:
     def contains(self, mono: Monomial) -> bool:
         return any(g.divides(mono) for g in self.mingens)
 
+    def standard_monomials(self, weight: WeightVector, degree: int) -> list[Monomial]:
+        """Monomials of weighted degree `degree` outside the ideal, ascending by exponents."""
+        return [m for m in monomials_of_weight(self.ring.n, weight, degree) if not self.contains(m)]
+
     def is_zero(self) -> bool:
         return not self.mingens
 
@@ -278,12 +273,7 @@ class ReducedGroebnerBasis:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def is_zero_ideal(self) -> bool:
-        return not self.elements
-
     def normal_form(self, f: Polynomial) -> Polynomial:
-        if not self.elements:
-            return f
         return normal_form(f, self._reducer, self.order)
 
     @cached_property
@@ -301,27 +291,15 @@ class ReducedGroebnerBasis:
 
 
 def _interreduce(basis: _Reducer) -> list[Polynomial]:
+    # one pass ascending by lead, dropping p when a kept lead divides its lead;
+    # a lead dividing a monomial of p is at most that monomial, so reducing p
+    # once by the reduced prefix is final and keeps p's monic lead
     key = basis.key
-    # drop elements whose leading monomial is divisible by another's
-    ranked = sorted(zip(basis.leads, basis), key=lambda lp: key(lp[0]))
-    minimal = _Reducer(basis.order, key_cache=basis.key_cache)
-    for lead, p in ranked:
-        if not any(all(map(operator.le, l, lead)) for l in minimal.leads):
-            minimal.add(p)
-    # tail-reduce each against the others until stable; each p is monic and
-    # no other lead divides its lead, so remainders stay monic, keep their
-    # lead and the ascending order of leads.  The leads are distinct, so one
-    # table that skips p picks the divisors a table of the others would.
-    changed = len(minimal) > 1
-    while changed:
-        changed = False
-        for i, p in enumerate(minimal):
-            minimal.skip = i
-            q = normal_form(p, minimal, minimal.order)
-            if q != p:
-                minimal.replace(i, q)
-                changed = True
-    return list(minimal)
+    reduced = _Reducer(basis.order, key_cache=basis.key_cache)
+    for lead, p in sorted(zip(basis.leads, basis), key=lambda lp: key(lp[0])):
+        if not any(all(map(operator.le, l, lead)) for l in reduced.leads):
+            reduced.add(normal_form(p, reduced, reduced.order))
+    return list(reduced)
 
 
 def buchberger(
@@ -382,10 +360,9 @@ def buchberger(
     return ReducedGroebnerBasis(ring, order, tuple(_interreduce(basis)))
 
 
-def initial_ideal(gens: Sequence[Polynomial] | ReducedGroebnerBasis, order: MonomialOrder) -> MonomialIdeal:
+def initial_ideal(gens: Sequence[Polynomial], order: MonomialOrder) -> MonomialIdeal:
     """Minimal monomial generators of the initial ideal under `order`."""
-    gb = gens if isinstance(gens, ReducedGroebnerBasis) else buchberger(gens, order)
-    return gb.initial_ideal()
+    return buchberger(gens, order).initial_ideal()
 
 
 def initial_ideal_weight(
@@ -420,9 +397,6 @@ def eliminate(
     if any(i < 0 or i >= ring.n for i in keep_idx):
         raise ValueError("kept variable out of range")
     elim_idx = tuple(i for i in range(ring.n) if i not in keep_idx)
-    if not elim_idx:
-        gb = buchberger(gens, keep_order)
-        return tuple(gb.elements)
     order = EliminationOrder(elim_idx, keep_idx, DegLex(), keep_order)
     gb = buchberger(gens, order)
     kept = []
@@ -464,17 +438,17 @@ def presentation_kernel(
 ) -> AlgebraKernel:
     """All polynomial relations among `images`: Ker(K[Y] -> R, Y_i -> f_i).
 
-    Computed by eliminating the original variables from (Y_i - f_i); the
-    result is the reduced Gröbner basis of the kernel under `kernel_order`
-    (revlex by default) in a fresh ring.
+    One Buchberger run on (Y_i - f_i) eliminates the original variables:
+    its elements free of them, projected to a fresh ring and sorted by the
+    elimination order, are the reduced Gröbner basis of the kernel under
+    `kernel_order` (revlex by default).  `eliminate` computes the same.
 
     When every f_i is homogeneous of positive degree (every toric kernel),
-    Buchberger runs under the elimination order refined by the grading w
-    with w(x) = 1 and w(Y_i) = deg f_i, so pairs are taken degree by
-    degree.  Each Y_i - f_i is w-homogeneous, so the ideal is, and on
-    w-homogeneous polynomials both orders pick the same leading terms:
-    the reduced bases are equal, and the kept elements are sorted back by
-    the elimination order.
+    the run uses the elimination order refined by the grading w with
+    w(x) = 1 and w(Y_i) = deg f_i, so pairs are taken degree by degree.
+    Each Y_i - f_i is w-homogeneous, so the ideal is, and on w-homogeneous
+    polynomials both orders pick the same leading terms: the reduced bases
+    are equal.  Otherwise the run uses the elimination order itself.
     """
     source = _check_gens(images)
     if any(g.is_zero() for g in images):
@@ -492,19 +466,15 @@ def presentation_kernel(
         )
 
     gens = [big.var(n + i) - lift(images[i]) for i in range(k)]
-    keep = tuple(range(n, n + k))
+    elim = EliminationOrder(tuple(range(n)), tuple(range(n, n + k)), DegLex(), kernel_order)
     degrees = [f.total_degree() for f in images]
     ones = WeightVector.ones(n)
-    if all(d > 0 and is_weight_homogeneous(f, ones) for f, d in zip(images, degrees)):
-        order = EliminationOrder(tuple(range(n)), keep, DegLex(), kernel_order)
-        w = WeightVector((1,) * n + tuple(degrees))
-        gb = buchberger(gens, WeightOrder(w, order))
-        kept = sorted(
-            (g for g in gb if not any(any(t.mono.exponents[:n]) for t in g.terms)),
-            key=lambda g: order.key(leading_monomial(g, order)),
-        )
-    else:
-        kept = eliminate(gens, keep=keep, keep_order=kernel_order)
+    graded = all(d > 0 and is_weight_homogeneous(f, ones) for f, d in zip(images, degrees))
+    order = WeightOrder(WeightVector((1,) * n + tuple(degrees)), elim) if graded else elim
+    kept = sorted(
+        (g for g in buchberger(gens, order) if not any(any(t.mono.exponents[:n]) for t in g.terms)),
+        key=lambda g: elim.key(leading_monomial(g, elim)),
+    )
     target = PolyRing(fresh)
     projected = tuple(
         Polynomial.from_dict(target, {Monomial(t.mono.exponents[n:]): t.coeff for t in g.terms})
@@ -534,8 +504,5 @@ def quadratic_initial_certificate(gens: Sequence[Polynomial], order: MonomialOrd
     ones = WeightVector.ones(ring.n)
     if not all(is_weight_homogeneous(g, ones) for g in gens):
         raise ValueError("generators must be homogeneous for the standard grading")
-    nonzero = [g for g in gens if not g.is_zero()]
-    if not nonzero:
-        return True  # zero ideal: vacuously generated in degree 2, R itself is Koszul
-    M = initial_ideal(nonzero, order)
-    return all(m.degree() == 2 for m in M.mingens)
+    # the zero ideal has no generators, so it is vacuously generated in degree 2
+    return all(m.degree() == 2 for m in initial_ideal(gens, order).mingens)

@@ -22,9 +22,8 @@ from initalg.poly import (
     WeightVector,
     format_poly,
     is_weight_homogeneous,
-    monomials_of_weight,
 )
-from initalg.sagbi import SagbiState
+from initalg.sagbi import SagbiState, sagbi_test
 
 
 def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -189,13 +188,9 @@ def brute_force_hilbert_function(
     M: MonomialIdeal, d_max: int, weight: WeightVector | None = None
 ) -> tuple[int, ...]:
     """Independent oracle: count standard monomials degree by degree."""
-    n = M.ring.n
     if weight is None:
-        weight = WeightVector.ones(n)
-    return tuple(
-        sum(1 for m in monomials_of_weight(n, weight, d) if not M.contains(m))
-        for d in range(d_max + 1)
-    )
+        weight = WeightVector.ones(M.ring.n)
+    return tuple(len(M.standard_monomials(weight, d)) for d in range(d_max + 1))
 
 
 class UnitIdealError(ValueError):
@@ -243,9 +238,11 @@ def hilbert_series_subalgebra(
 ) -> tuple[int, ...]:
     """Hilbert function of a graded subalgebra, via its initial algebra's semigroup.
 
-    Accepts either plain generators with an order, or a SagbiState; for a
+    Accepts either a SagbiState or bare generators with an order.  For a
     truncated state the values are only certified up to the truncation degree
-    and larger requests are refused.
+    and larger requests are refused.  Bare generators must pass `sagbi_test`,
+    since the leading monomials of anything less do not span the initial
+    algebra; complete them with `sagbi_complete` first.
     """
     if isinstance(gens, SagbiState):
         state = gens
@@ -268,6 +265,8 @@ def hilbert_series_subalgebra(
     for f in polys:
         if not is_weight_homogeneous(f, grading):
             raise ValueError("generators must be homogeneous for the grading")
+    if not isinstance(gens, SagbiState) and not sagbi_test(polys, order)[0]:
+        raise ValueError("generators are not a Sagbi basis under this order; use sagbi_complete")
     inis = [leading_term(f, order).mono for f in polys]
     degs = [grading.degree(m) for m in inis]
     return semigroup_counts(inis, degs, d_max)

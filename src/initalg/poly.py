@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -142,9 +142,6 @@ class Monomial:
     def lcm(self, other: Monomial) -> Monomial:
         return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
 
-    def coprime(self, other: Monomial) -> bool:
-        return all(a == 0 or b == 0 for a, b in zip(self.exponents, other.exponents))
-
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, e in enumerate(self.exponents) if e > 0)
 
@@ -231,15 +228,6 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def monomials(self) -> tuple[Monomial, ...]:
-        return tuple(t.mono for t in self.terms)
-
-    def coeff(self, mono: Monomial) -> Fraction:
-        for t in self.terms:
-            if t.mono == mono:
-                return t.coeff
-        return Fraction(0)
-
     def total_degree(self) -> int:
         if not self.terms:
             raise ZeroPolynomialError("zero polynomial has no degree")
@@ -254,6 +242,8 @@ class Polynomial:
 
     def __add__(self, other) -> Polynomial:
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         self._check_ring(other)
         acc: dict[Monomial, Fraction] = {t.mono: t.coeff for t in self.terms}
         for t in other.terms:
@@ -267,13 +257,16 @@ class Polynomial:
         return Polynomial(self.ring, tuple(Term(-t.coeff, t.mono) for t in self.terms))
 
     def __sub__(self, other) -> Polynomial:
-        return self.__add__(-self._coerce(other))
+        other = self._coerce(other)
+        return other if other is NotImplemented else self.__add__(-other)
 
     def __rsub__(self, other) -> Polynomial:
         return (-self).__add__(other)
 
     def __mul__(self, other) -> Polynomial:
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         self._check_ring(other)
         acc: dict[Monomial, Fraction] = {}
         for s in self.terms:

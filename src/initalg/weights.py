@@ -14,7 +14,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from initalg.groebner import buchberger
-from initalg.orders import MonomialOrder, leading_monomial, sorted_terms
+from initalg.orders import MonomialOrder, sorted_terms
 from initalg.poly import Monomial, Polynomial, WeightVector
 from initalg.sagbi import sagbi_test
 from initalg.simplex import EQ, GE, INFEASIBLE, LE, OPTIMAL, linear_program
@@ -103,21 +103,12 @@ def represent_order_by_weight(
 ) -> WeightVector:
     """A weight a with ini_a = ini_order on the reduced GB of (gens), hence on the ideal."""
     gb = buchberger(gens, order)
-    pairs = comparison_pairs(gb.elements, order)
-    if not pairs:
-        return WeightVector.ones(gens[0].ring.n)
-    return find_weight(pairs)
+    return find_weight(comparison_pairs(gb.elements, order), n_vars=gb.ring.n)
 
 
-def represent_sagbi_by_weight(
-    gens: Sequence[Polynomial], order: MonomialOrder, check_basis: bool = True
-) -> WeightVector:
+def represent_sagbi_by_weight(gens: Sequence[Polynomial], order: MonomialOrder) -> WeightVector:
     """A weight a with ini_a(f) = leading term of f for every Sagbi generator f."""
-    if check_basis:
-        ok, witnesses = sagbi_test(gens, order)
-        if not ok:
-            raise ValueError("generators are not a Sagbi basis under this order")
+    if not sagbi_test(gens, order)[0]:
+        raise ValueError("generators are not a Sagbi basis under this order")
     pairs = comparison_pairs([g for g in gens if not g.is_zero()], order)
-    if not pairs:
-        return WeightVector.ones(gens[0].ring.n)
-    return find_weight(pairs)
+    return find_weight(pairs, n_vars=gens[0].ring.n)

@@ -234,6 +234,27 @@ def test_bad_step_limit_exits_two(tmp_path, capsys, monkeypatch, value):
     )
 
 
+FAMILY_IDEAL = "ring x, y, z\nweight 2, 1, 1\nideal\nx^2 - y\nx*y - z\nend\n"
+
+
+@pytest.mark.parametrize(
+    "text, args, err",
+    [
+        (LEX_IDEAL, ["hilbert", "--dmax", "-3"], "error: d_max must be nonnegative\n"),
+        (FAMILY_IDEAL, ["family", "--fiber", "abc"], "error: --fiber: not a rational number: 'abc'\n"),
+        (FAMILY_IDEAL, ["family", "--freeness-bound", "-2"], "error: degree bound must be nonnegative\n"),
+    ],
+    ids=["hilbert-dmax", "family-fiber", "family-freeness-bound"],
+)
+def test_failed_command_leaves_stdout_empty(tmp_path, capsys, text, args, err):
+    # these fail after part of the report is built; none of it may be printed
+    path = write(tmp_path, text)
+    assert run([args[0], path, *args[1:]]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 def test_parser_is_built_once_and_reused(tmp_path, capsys):
     assert _build_parser() is _build_parser()
     path = write(tmp_path, LEX_IDEAL)

@@ -49,6 +49,8 @@ R2 = PolyRing(("x", "y"))
 # lex blow-up: under degree-first pair selection its coefficients reach
 # 132,932 bits by the 13th reduction; the basis has 3 elements of degree <= 16
 BLOWUP = ["x^2*y*z - 4*x*y^2*z - 3*x^2*z + y^2", "4*x*y^2 - 3*y^2 + 4", "-5*x^2*y^2 - 4*y^2*z^2"]
+KATSURA4 = ["u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0", "2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1",
+            "2*u0*u2 + u1^2 + 2*u1*u3 - u2", "u0 + 2*u1 + 2*u2 + 2*u3 - 1"]
 
 
 def mono(*exps):
@@ -84,16 +86,30 @@ def test_normal_form_basic():
         normal_form(x, [y, R.zero()], DegLex())
 
 
-def test_reducer_replace_and_skip():
-    # interreduction replaces an element by its remainder (same lead) and
-    # reduces each element with itself skipped, in one shared table
-    reducer = groebner._Reducer(Lex(), [x - y, y - z])
-    reducer.replace(0, x - z**2)
-    assert list(reducer) == [x - z**2, y - z]
-    assert reducer.reduce(x + y) == z**2 + z
-    reducer.skip = 0
-    assert reducer.reduce(x + y) == x + z
-    assert normal_form(x + y, reducer, Lex()) == x + z
+def test_interreduce_reduces_each_element_once(monkeypatch):
+    # one ascending pass: each minimal element is reduced once, by the
+    # already-reduced elements with smaller leads, through the module global
+    ring = PolyRing(("u0", "u1", "u2", "u3"))
+    polys = [ring.poly(g) for g in KATSURA4]
+    prefix_sizes, sizes = [], []
+    real_normal_form, real_interreduce = groebner.normal_form, groebner._interreduce
+
+    def counting(f, G, order):
+        if sizes:
+            prefix_sizes.append(len(G))
+        return real_normal_form(f, G, order)
+
+    def interreduce(basis):
+        sizes.append(len(basis))
+        return real_interreduce(basis)
+
+    monkeypatch.setattr(groebner, "normal_form", counting)
+    monkeypatch.setattr(groebner, "_interreduce", interreduce)
+    gb = buchberger(polys, DegLex())
+    assert sizes == [11] and len(gb) == 8  # three elements are not minimal
+    assert prefix_sizes == list(range(len(gb)))
+    monkeypatch.undo()
+    assert gb == buchberger(list(gb), DegLex())
 
 
 def test_divide_identity_random():
@@ -397,8 +413,7 @@ def test_step_limit():
         ),
         (
             "u0 u1 u2 u3",
-            ["u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0", "2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1",
-             "2*u0*u2 + u1^2 + 2*u1*u3 - u2", "u0 + 2*u1 + 2*u2 + 2*u3 - 1"],
+            KATSURA4,
             DegLex(),
             19,
         ),

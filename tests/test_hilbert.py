@@ -131,6 +131,16 @@ def test_subalgebra_function_full_ring_and_quadrics():
     assert values[:5] == (1, 0, 4, 0, 9)
 
 
+def test_subalgebra_function_rejects_bare_non_sagbi_generators():
+    # the leads x, x*y, x*y^2 miss x*y^3, ... of the initial algebra, so
+    # counting their semigroup undercounts from degree 4 on
+    gens = [x + y, x * y, x * y**2]
+    with pytest.raises(ValueError, match="not a Sagbi basis.*sagbi_complete"):
+        hilbert_series_subalgebra(gens, DegLex(), d_max=6)
+    state = sagbi_complete(gens, DegLex(), 7)
+    assert hilbert_series_subalgebra(state, d_max=6) == (1, 1, 2, 3, 4, 5, 6)
+
+
 def test_subalgebra_function_rejects_inhomogeneous():
     with pytest.raises(ValueError):
         hilbert_series_subalgebra([x + x * y], DegLex(), d_max=3)

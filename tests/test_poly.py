@@ -66,6 +66,23 @@ def test_ring_mismatch():
         x + S.gens()[0]
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda: x + "a",
+        lambda: "a" + x,
+        lambda: x - None,
+        lambda: None - x,
+        lambda: x * 1.5,
+        lambda: 1.5 * x,
+    ],
+    ids=["add", "radd", "sub", "rsub", "mul", "rmul"],
+)
+def test_unsupported_operand_raises_type_error(op):
+    with pytest.raises(TypeError):
+        op()
+
+
 def test_weighted_degree_and_initial_form():
     a = WeightVector((3, 2, 1))
     f = x**2 - z**2
