@@ -55,7 +55,6 @@ from initalg.poly import (
     ParseError,
     Polynomial,
     PolyRing,
-    RingMismatchError,
     WeightVector,
     format_monomial,
     format_poly,
@@ -64,6 +63,7 @@ from initalg.poly import (
     parse_poly,
 )
 from initalg.sagbi import (
+    SagbiState,
     initial_algebra_gens,
     kernel_initial_check,
     sagbi_complete,
@@ -249,18 +249,17 @@ def cmd_ini(problem: Problem, args, out: list[str]) -> int:
     gens = _require_gens(problem)
     order = _active_order(problem)
     if problem.block == "algebra":
-        ok, _witnesses = sagbi_test(gens, order)
-        if not ok:
-            if args.cap is None:
-                raise CLIInputError(
-                    "generators are not a subduction basis; pass --cap N to complete first"
-                )
+        if args.cap is not None:  # the first completion round is the Sagbi test
             state = sagbi_complete(gens, order, args.cap)
             if state.truncated_at is not None:
                 out.append(f"# completion truncated at degree {state.truncated_at}")
-            monos = initial_algebra_gens(state)
+        elif sagbi_test(gens, order)[0]:
+            state = SagbiState(tuple(gens), order)
         else:
-            monos = initial_algebra_gens(gens, order)
+            raise CLIInputError(
+                "generators are not a subduction basis; pass --cap N to complete first"
+            )
+        monos = initial_algebra_gens(state)
         out.append(f"# initial algebra generators: {len(monos)}")
         out.extend(format_monomial(problem.ring, m) for m in monos)
         return EXIT_OK
@@ -327,7 +326,7 @@ def cmd_family(problem: Problem, args, out: list[str]) -> int:
             c = Fraction(args.fiber)
         except (ValueError, ZeroDivisionError):
             raise CLIInputError(f"--fiber: not a rational number: {args.fiber!r}")
-        out.append(f"# fiber at t = {c}")
+        out.append(f"# fiber at {fam.extended_ring.homvar} = {c}")
         out.extend(_poly_lines(fiber(fam, c), fam.base_gb.order))
     if args.freeness_bound is not None:
         report = freeness_basis_check(fam, args.freeness_bound)
@@ -575,11 +574,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_, *, cap=False, dmax=False, jmax=False, family=False):
+    def add(name, func, help_, *, weight=False, cap=False, dmax=False, jmax=False, family=False):
         p = sub.add_parser(name, help=help_)
         p.add_argument("file", help="problem file (ring/order/weight + generator block)")
         p.add_argument("--order", help="override the order declaration, e.g. 'deglex'")
-        p.add_argument("--weight", help="override the weight declaration, e.g. '3,2,1'")
+        if weight:
+            p.add_argument("--weight", help="override the weight declaration, e.g. '3,2,1'")
         if cap:
             p.add_argument("--cap", type=int, help="degree cap for subduction completion")
         if dmax:
@@ -587,18 +587,19 @@ def _build_parser() -> argparse.ArgumentParser:
         if jmax:
             p.add_argument("--jmax", type=int, help="largest internal degree of the table")
         if family:
-            p.add_argument("--fiber", help="also print the fiber at t = p/q")
+            p.add_argument("--fiber", help="also print the fiber at p/q of the extra variable")
             p.add_argument("--freeness-bound", type=int,
                            help="also certify freeness up to this degree")
         p.set_defaults(func=lambda args, out: func(_load(args), args, out))
         return p
 
     add("gb", cmd_gb, "reduced Gröbner basis of the ideal block")
-    add("ini", cmd_ini, "initial ideal (order or weight) or initial algebra", cap=True)
+    add("ini", cmd_ini, "initial ideal (order or weight) or initial algebra", weight=True, cap=True)
     add("sagbi", cmd_sagbi, "subduction basis test, or completion with --cap", cap=True)
     add("weight", cmd_weight, "find or represent a weight vector")
-    add("family", cmd_family, "homogenized flat family over the weight", family=True)
-    add("hilbert", cmd_hilbert, "Hilbert series and function values", cap=True, dmax=True)
+    add("family", cmd_family, "homogenized flat family over the weight", weight=True, family=True)
+    add("hilbert", cmd_hilbert, "Hilbert series and function values",
+        weight=True, cap=True, dmax=True)
     add("dim", cmd_dim, "Krull dimension of the quotient")
     add("betti", cmd_betti, "graded Betti numbers of the quotient", jmax=True)
 
@@ -624,7 +625,7 @@ def run(argv: Sequence[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         out.clear()
         code = EXIT_MATH
-    except (CLIInputError, ParseError, RingMismatchError, ValueError) as exc:
+    except (CLIInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         out.clear()
         code = EXIT_INPUT

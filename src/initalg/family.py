@@ -33,7 +33,6 @@ class HomogenizedFamily:
     """Total ideal over K[t] interpolating between I (t=1) and its initial forms (t=0)."""
 
     weight: WeightVector
-    tiebreak: MonomialOrder
     base_gb: ReducedGroebnerBasis  # reduced GB of I under the weight-refined order
     total: ReducedGroebnerBasis  # reduced GB of the homogenized ideal in R[t]
 
@@ -53,7 +52,6 @@ def homogenize_ideal(
     gens: Sequence[Polynomial],
     weight: WeightVector,
     tiebreak: MonomialOrder | None = None,
-    homvar: str = "t",
 ) -> HomogenizedFamily:
     """Build the family: homogenize the reduced weight-order GB of (gens).
 
@@ -65,12 +63,12 @@ def homogenize_ideal(
         tiebreak = RevLex()
     order = WeightOrder(weight, tiebreak)
     gb = buchberger(gens, order)
-    ring_t = gb.ring.extend(homvar)
+    ring_t = gb.ring.extend()
     ext_order = ExtendedOrder(weight, tiebreak)
     lifted = tuple(homogenize(g, weight, ring_t) for g in gb)
     lifted = tuple(sorted(lifted, key=lambda g: ext_order.key(leading_monomial(g, ext_order))))
     total = ReducedGroebnerBasis(ring_t, ext_order, lifted)
-    return HomogenizedFamily(weight, tiebreak, gb, total)
+    return HomogenizedFamily(weight, gb, total)
 
 
 def fiber(family: HomogenizedFamily, c: Scalar) -> tuple[Polynomial, ...]:

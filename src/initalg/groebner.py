@@ -242,9 +242,6 @@ class MonomialIdeal:
         """Monomials of weighted degree `degree` outside the ideal, ascending by exponents."""
         return [m for m in monomials_of_weight(self.ring.n, weight, degree) if not self.contains(m)]
 
-    def is_zero(self) -> bool:
-        return not self.mingens
-
     def polynomials(self) -> tuple[Polynomial, ...]:
         return tuple(Polynomial(self.ring, (Term(Fraction(1), m),)) for m in self.mingens)
 
@@ -413,9 +410,6 @@ class AlgebraKernel:
     ring: PolyRing  # fresh ring in the Y variables
     images: tuple[Polynomial, ...]
     gens: tuple[Polynomial, ...]  # reduced GB of the kernel in `ring`
-
-    def is_zero(self) -> bool:
-        return not self.gens
 
 
 def _fresh_names(k: int, source: PolyRing, names: Sequence[str] | None) -> tuple[str, ...]:

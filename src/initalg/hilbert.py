@@ -23,7 +23,7 @@ from initalg.poly import (
     format_poly,
     is_weight_homogeneous,
 )
-from initalg.sagbi import SagbiState, sagbi_test
+from initalg.sagbi import SagbiState
 
 
 def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -93,22 +93,21 @@ class HilbertSeries:
         return tuple(c)
 
     def reduced(self) -> HilbertSeries:
-        """Cancel whole (1 - t^e) factors shared with the numerator, smallest e first."""
+        """Cancel whole (1 - t^e) factors shared with the numerator, smallest e first.
+
+        One ascending pass: if (1 - t^a) does not divide N, it does not divide
+        N / (1 - t^b) either, so a failed divisor never succeeds later.
+        """
         if not any(self.numerator):
             return self
-        num = self.numerator
-        denoms = list(self.denominator_degrees)
-        changed = True
-        while changed and denoms:
-            changed = False
-            for e in sorted(denoms):
-                q = _divide_by_one_minus_power(num, e)
-                if q is not None and any(q):
-                    num = q
-                    denoms.remove(e)
-                    changed = True
-                    break
-        return HilbertSeries(num, tuple(denoms))
+        num, kept = self.numerator, []
+        for e in self.denominator_degrees:
+            q = _divide_by_one_minus_power(num, e)
+            if q is None:
+                kept.append(e)
+            else:
+                num = q
+        return HilbertSeries(num, tuple(kept))
 
     def pole_order_at_one(self) -> int:
         """Denominator factors minus the multiplicity of t=1 in the numerator."""
@@ -119,8 +118,6 @@ class HilbertSeries:
         while (q := _divide_by_one_minus_power(num, 1)) is not None:
             num = q
             mult += 1
-            if not any(num):
-                break
         return len(self.denominator_degrees) - mult
 
     def __str__(self) -> str:
@@ -231,43 +228,27 @@ def semigroup_counts(
 
 
 def hilbert_series_subalgebra(
-    gens: SagbiState | Sequence[Polynomial],
-    order: MonomialOrder | None = None,
-    d_max: int = 10,
-    grading: WeightVector | None = None,
+    state: SagbiState, d_max: int = 10, grading: WeightVector | None = None
 ) -> tuple[int, ...]:
     """Hilbert function of a graded subalgebra, via its initial algebra's semigroup.
 
-    Accepts either a SagbiState or bare generators with an order.  For a
-    truncated state the values are only certified up to the truncation degree
-    and larger requests are refused.  Bare generators must pass `sagbi_test`,
-    since the leading monomials of anything less do not span the initial
-    algebra; complete them with `sagbi_complete` first.
+    Takes the state from `sagbi_complete`: only the leading monomials of a
+    Sagbi basis span the initial algebra.  For a truncated state the values
+    are only certified up to the truncation degree; larger requests are refused.
     """
-    if isinstance(gens, SagbiState):
-        state = gens
-        order = state.order
-        polys = state.gens
-        if state.truncated_at is not None and d_max > state.truncated_at:
-            raise ValueError(
-                f"Sagbi state truncated at degree {state.truncated_at}: "
-                f"cannot certify values up to {d_max}"
-            )
-    else:
-        if order is None:
-            raise ValueError("order required when passing bare generators")
-        polys = tuple(gens)
-    if not polys:
-        raise ValueError("need at least one generator")
-    ring = polys[0].ring
+    if not isinstance(state, SagbiState):
+        raise TypeError("hilbert_series_subalgebra takes the SagbiState from sagbi_complete")
+    if state.truncated_at is not None and d_max > state.truncated_at:
+        raise ValueError(
+            f"Sagbi state truncated at degree {state.truncated_at}: "
+            f"cannot certify values up to {d_max}"
+        )
     if grading is None:
-        grading = WeightVector.ones(ring.n)
-    for f in polys:
+        grading = WeightVector.ones(state.gens[0].ring.n)
+    for f in state.gens:
         if not is_weight_homogeneous(f, grading):
             raise ValueError("generators must be homogeneous for the grading")
-    if not isinstance(gens, SagbiState) and not sagbi_test(polys, order)[0]:
-        raise ValueError("generators are not a Sagbi basis under this order; use sagbi_complete")
-    inis = [leading_term(f, order).mono for f in polys]
+    inis = [leading_term(f, state.order).mono for f in state.gens]
     degs = [grading.degree(m) for m in inis]
     return semigroup_counts(inis, degs, d_max)
 

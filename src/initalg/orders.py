@@ -45,11 +45,25 @@ def _check_perm(perm, exps):
         raise RingMismatchError("order permutation does not match monomial arity")
 
 
+def _require_permutation(indices: tuple[int, ...], what: str) -> None:
+    if sorted(indices) != list(range(len(indices))):
+        raise ValueError(f"{what} must be a permutation of 0..{len(indices) - 1}")
+
+
 @dataclass(frozen=True)
-class Lex(MonomialOrder):
-    """Pure lexicographic; `perm` lists variable indices by descending priority."""
+class _PermutedOrder(MonomialOrder):
+    """Base of the orders that take a variable priority permutation `perm`."""
 
     perm: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.perm is not None:
+            _require_permutation(self.perm, "order permutation")
+
+
+@dataclass(frozen=True)
+class Lex(_PermutedOrder):
+    """Pure lexicographic; `perm` lists variable indices by descending priority."""
 
     def key(self, mono: Monomial):
         _check_perm(self.perm, mono.exponents)
@@ -57,10 +71,8 @@ class Lex(MonomialOrder):
 
 
 @dataclass(frozen=True)
-class DegLex(MonomialOrder):
+class DegLex(_PermutedOrder):
     """Total degree first, then lexicographic."""
-
-    perm: tuple[int, ...] | None = None
 
     def key(self, mono: Monomial):
         _check_perm(self.perm, mono.exponents)
@@ -68,10 +80,8 @@ class DegLex(MonomialOrder):
 
 
 @dataclass(frozen=True)
-class RevLex(MonomialOrder):
+class RevLex(_PermutedOrder):
     """Degree reverse lexicographic: smaller power of the least variable wins ties."""
-
-    perm: tuple[int, ...] | None = None
 
     def key(self, mono: Monomial):
         _check_perm(self.perm, mono.exponents)
@@ -121,8 +131,13 @@ class EliminationOrder(MonomialOrder):
     elim_order: MonomialOrder = field(default_factory=DegLex)
     keep_order: MonomialOrder = field(default_factory=RevLex)
 
+    def __post_init__(self):
+        _require_permutation(self.elim + self.keep, "elim + keep")
+
     def key(self, mono: Monomial):
         e = mono.exponents
+        if len(e) != len(self.elim) + len(self.keep):
+            raise RingMismatchError("elimination blocks do not match monomial arity")
         head = Monomial(tuple(e[i] for i in self.elim))
         tail = Monomial(tuple(e[i] for i in self.keep))
         return (self.elim_order.key(head), self.keep_order.key(tail))

@@ -91,12 +91,16 @@ class PolyRing:
     def poly(self, text: str) -> Polynomial:
         return parse_poly(self, text)
 
-    def extend(self, homvar: str = "t") -> PolyRing:
-        """Adjoin the homogenizing variable as the new last variable."""
+    def extend(self) -> PolyRing:
+        """Adjoin the homogenizing variable as the new last variable.
+
+        It is named by the first of t, t0, t1, ... that is not a ring variable.
+        """
         if self.homvar is not None:
             raise ValueError("ring is already extended")
-        if homvar in self.names:
-            raise ValueError(f"variable {homvar!r} already present")
+        homvar, i = "t", 0
+        while homvar in self.names:
+            homvar, i = f"t{i}", i + 1
         return PolyRing(self.names + (homvar,), homvar)
 
     def base(self) -> PolyRing:

@@ -22,7 +22,7 @@ from initalg.groebner import (
     presentation_kernel,
     toric_kernel,
 )
-from initalg.orders import MonomialOrder, RevLex, WeightOrder, leading_term, monic
+from initalg.orders import MonomialOrder, RevLex, leading_term, monic
 from initalg.poly import (
     Monomial,
     PolyRing,
@@ -186,7 +186,7 @@ def sagbi_test(
         rem = subduct(lift, gens, order)
         if not rem.is_zero():
             witnesses.append(monic(rem, order))
-    witnesses = _sort_gens(set(witnesses), order) if witnesses else []
+    witnesses = _sort_gens(set(witnesses), order)
     return (not witnesses, tuple(witnesses))
 
 
@@ -216,31 +216,23 @@ def sagbi_complete(
 
 
 def minimalize_semigroup(monos: Sequence[Monomial]) -> tuple[Monomial, ...]:
-    """Drop monomials that are products of the others (semigroup redundancy)."""
-    unique = sorted(set(monos), key=lambda m: (m.degree(), m.exponents))
+    """Drop monomials that are products of the others (semigroup redundancy).
+
+    One pass by ascending degree tests each m against the kept prefix only: its
+    factors have smaller degree, and a dropped one is a product of kept ones.
+    """
     kept: list[Monomial] = []
-    for i, m in enumerate(unique):
-        others = [u for u in unique if u != m and not u.is_one()]
-        if m.is_one():
-            continue
-        if others and factor_over_monomials(m, others) is not None:
-            continue
-        kept.append(m)
+    for m in sorted(set(monos), key=lambda m: (m.degree(), m.exponents)):
+        if not m.is_one() and factor_over_monomials(m, kept) is None:
+            kept.append(m)
     return tuple(kept)
 
 
-def initial_algebra_gens(
-    state: SagbiState | Sequence[Polynomial], order: MonomialOrder | None = None
-) -> tuple[Monomial, ...]:
-    """Leading monomials of the (possibly truncated) Sagbi generators, minimalized."""
-    if isinstance(state, SagbiState):
-        gens, order = state.gens, state.order
-    else:
-        if order is None:
-            raise ValueError("order required when passing bare generators")
-        gens = tuple(state)
-    _check_subalgebra_gens(gens)
-    return minimalize_semigroup([leading_term(g, order).mono for g in gens])
+def initial_algebra_gens(state: SagbiState) -> tuple[Monomial, ...]:
+    """Minimalized leading monomials of a (possibly truncated) `sagbi_complete` state."""
+    if not isinstance(state, SagbiState):
+        raise TypeError("initial_algebra_gens takes the SagbiState from sagbi_complete")
+    return minimalize_semigroup([leading_term(g, state.order).mono for g in state.gens])
 
 
 @dataclass(frozen=True)
@@ -269,8 +261,6 @@ def kernel_initial_check(
     ring = _check_subalgebra_gens(gens)
     if weight.n != ring.n:
         raise RingMismatchError("weight arity does not match ring")
-    if tiebreak is None:
-        tiebreak = RevLex()
     image_weights = WeightVector(tuple(weighted_degree(f, weight) for f in gens))
     kernel = presentation_kernel(list(gens), names=names)
     forms = [initial_form(f, weight) for f in gens]
@@ -280,5 +270,6 @@ def kernel_initial_check(
     else:
         forms_of_kernel = ()
     lhs = buchberger(list(forms_of_kernel), RevLex()).elements if forms_of_kernel else ()
-    rhs = buchberger(list(initial_kernel.gens), RevLex()).elements if initial_kernel.gens else ()
-    return InitialKernelReport(lhs == rhs, image_weights, kernel, initial_kernel, forms_of_kernel)
+    # a presentation kernel is already its reduced revlex basis, ascending by lead
+    ok = lhs == initial_kernel.gens
+    return InitialKernelReport(ok, image_weights, kernel, initial_kernel, forms_of_kernel)

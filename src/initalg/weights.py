@@ -110,5 +110,4 @@ def represent_sagbi_by_weight(gens: Sequence[Polynomial], order: MonomialOrder) 
     """A weight a with ini_a(f) = leading term of f for every Sagbi generator f."""
     if not sagbi_test(gens, order)[0]:
         raise ValueError("generators are not a Sagbi basis under this order")
-    pairs = comparison_pairs([g for g in gens if not g.is_zero()], order)
-    return find_weight(pairs, n_vars=gens[0].ring.n)
+    return find_weight(comparison_pairs(gens, order), n_vars=gens[0].ring.n)

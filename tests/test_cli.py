@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from initalg import cli, sagbi
 from initalg.cli import (
     EXIT_INPUT,
     EXIT_MATH,
@@ -100,6 +101,68 @@ def test_ini_with_weight_flag(tmp_path, capsys):
     assert "initial forms under weight 2 1 1" in out
 
 
+SYMMETRIC = """\
+ring x, y, z
+order lex
+algebra
+x + y + z
+x*y + x*z + y*z
+x*y*z
+end
+"""
+
+REVLEX_ALGEBRA = "ring x, y\norder revlex\nalgebra\nx^2 + y^2\nx*y\nx^3\nend\n"
+NOT_A_BASIS = "error: generators are not a subduction basis; pass --cap N to complete first\n"
+
+
+@pytest.mark.parametrize(
+    "text, flags, code, out, err",
+    [
+        (SYMMETRIC, [], EXIT_OK, "# initial algebra generators: 3\nx\nx*y\nx*y*z\n", ""),
+        (ALGEBRA, [], EXIT_INPUT, "", NOT_A_BASIS),
+        (ALGEBRA, ["--cap", "5"], EXIT_OK,
+         "# completion truncated at degree 5\n# initial algebra generators: 5\n"
+         "x\nx*y\nx*y^2\nx*y^3\nx*y^4\n", ""),
+        (REVLEX_ALGEBRA, ["--cap", "8"], EXIT_OK,
+         "# initial algebra generators: 4\nx*y\nx^2\nx^3\ny^6\n", ""),
+    ],
+    ids=["basis", "not-a-basis", "truncated", "completes"],
+)
+def test_ini_on_algebra_blocks(tmp_path, capsys, text, flags, code, out, err):
+    path = write(tmp_path, text)
+    assert run(["ini", path, *flags]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_ini_cap_is_checked_on_a_basis(tmp_path, capsys):
+    # --cap is checked as `sagbi --cap` checks it, even when no round adds a generator
+    path = write(tmp_path, SYMMETRIC)
+    assert run(["ini", path, "--cap", "1"]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", "error: degree cap below a generator degree\n")
+    assert run(["ini", path, "--cap", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == "# initial algebra generators: 3\nx\nx*y\nx*y*z\n"
+
+
+def test_ini_runs_the_sagbi_test_once_per_round(tmp_path, capsys, monkeypatch):
+    # counted through the module globals: with --cap every test is a completion
+    # round, and without it a basis is tested once
+    calls = []
+    real = sagbi.sagbi_test
+
+    def counting(gens, order):
+        calls.append(len(gens))
+        return real(gens, order)
+
+    monkeypatch.setattr(sagbi, "sagbi_test", counting)
+    monkeypatch.setattr(cli, "sagbi_test", counting)
+    assert run(["ini", write(tmp_path, ALGEBRA), "--cap", "5"]) == EXIT_OK
+    assert calls == [3, 4, 5]
+    calls.clear()
+    assert run(["ini", write(tmp_path, SYMMETRIC, "sym.txt")]) == EXIT_OK
+    assert calls == [3]
+    capsys.readouterr()
+
+
 def test_sagbi_test_and_complete(tmp_path, capsys):
     path = write(tmp_path, ALGEBRA)
     assert run(["sagbi", path]) == EXIT_OK
@@ -138,6 +201,17 @@ def test_family_fiber_and_freeness(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "# fiber at t = 0" in out
     assert "freeness: ok (bound 6)" in out
+
+
+def test_family_on_a_ring_with_t(tmp_path, capsys):
+    # the homogenizing variable is the first of t, t0, t1, ... not in the ring
+    path = write(tmp_path, "ring x, t\nweight 2, 1\nideal\nx^2 - t\nend\n")
+    assert run(["family", path, "--fiber", "0"]) == EXIT_OK
+    assert capsys.readouterr() == (
+        "# homogenized family over weight 2 1: 1 generators in x, t, t0\n"
+        "x^2 - t*t0^3\n# fiber at t0 = 0\nx^2\n",
+        "",
+    )
 
 
 def test_hilbert_values_line(tmp_path, capsys):
@@ -222,6 +296,15 @@ def test_bad_weight_flag_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --weight: expected 3 weight entries, got 2\n"
     assert run(["ini", path, "--weight", "2,x,1"]) == EXIT_INPUT
     assert capsys.readouterr().err == "error: --weight: weights must be integers\n"
+
+
+@pytest.mark.parametrize("command", ["gb", "sagbi", "weight", "dim", "betti"])
+def test_weight_flag_only_on_commands_that_read_it(tmp_path, capsys, command):
+    path = write(tmp_path, LEX_IDEAL)
+    with pytest.raises(SystemExit) as ei:
+        run([command, path, "--weight", "5,7"])
+    assert ei.value.code == 2
+    assert "unrecognized arguments: --weight 5,7" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["abc", "-3"])

@@ -313,6 +313,27 @@ def test_kernel_substitution_random():
             assert substitute(g, list(ker.images)).is_zero()
 
 
+def test_presentation_kernel_is_its_own_revlex_basis():
+    # the kernel gens are already the reduced revlex basis, ascending by lead,
+    # so a second Buchberger run returns them unchanged (kernel_initial_check
+    # compares against them directly)
+    rng = random.Random(227)
+    nonempty = 0
+    for trial in range(60):
+        if trial % 2:
+            images = [random_homogeneous_poly(rng, R2, rng.randint(1, 2)) for _ in range(3)]
+        else:
+            images = [random_poly(rng, R2, max_terms=2, max_exp=2) for _ in range(3)]
+        images = [g for g in images if not g.is_zero()]
+        if not images:
+            continue
+        ker = presentation_kernel(images)
+        if ker.gens:
+            nonempty += 1
+            assert buchberger(list(ker.gens), RevLex()).elements == ker.gens
+    assert nonempty >= 40
+
+
 def eliminated_kernel(images, kernel_order):
     """Kernel of Y_i -> images[i] by plain elimination, projected to the Y ring."""
     source = images[0].ring

@@ -6,6 +6,7 @@ from conftest import random_homogeneous_poly, random_monomial
 from initalg.groebner import MonomialIdeal, initial_ideal
 from initalg.hilbert import (
     HilbertSeries,
+    _divide_by_one_minus_power,
     brute_force_hilbert_function,
     compare_hilbert,
     gorenstein_symmetry_check,
@@ -16,7 +17,7 @@ from initalg.hilbert import (
 )
 from initalg.orders import DegLex, Lex, RevLex
 from initalg.poly import Monomial, PolyRing, WeightVector
-from initalg.sagbi import sagbi_complete
+from initalg.sagbi import initial_algebra_gens, sagbi_complete
 
 R2 = PolyRing(("x", "y"))
 x, y = R2.gens()
@@ -118,11 +119,13 @@ def test_subalgebra_function_truncated_state():
 
 
 def test_subalgebra_function_full_ring_and_quadrics():
-    assert hilbert_series_subalgebra([x, y], DegLex(), d_max=5) == (1, 2, 3, 4, 5, 6)
-    # the four quadrics against the abstract presentation with degree-2 generators
-    values = hilbert_series_subalgebra(
-        [X**2 - Z**2, X * Y, Y**2, Y * Z], Lex(), d_max=6
-    )
+    full = sagbi_complete([x, y], DegLex(), 1)
+    assert hilbert_series_subalgebra(full, d_max=5) == (1, 2, 3, 4, 5, 6)
+    # the four quadrics against the abstract presentation with degree-2 generators;
+    # they are a Sagbi basis, so the state is confirmed and any d_max is certified
+    quadrics = sagbi_complete([X**2 - Z**2, X * Y, Y**2, Y * Z], Lex(), 2)
+    assert quadrics.confirmed
+    values = hilbert_series_subalgebra(quadrics, d_max=6)
     T = m(1, 0, 0, 0)
     H = hilbert_series_monomial(
         MonomialIdeal.from_monomials(R4, [Monomial((0, 2, 0, 0))]), WeightVector((2, 2, 2, 2))
@@ -132,18 +135,23 @@ def test_subalgebra_function_full_ring_and_quadrics():
 
 
 def test_subalgebra_function_rejects_bare_non_sagbi_generators():
-    # the leads x, x*y, x*y^2 miss x*y^3, ... of the initial algebra, so
-    # counting their semigroup undercounts from degree 4 on
+    # bare generators carry no Sagbi guarantee: the leads x, x*y, x*y^2 miss
+    # x*y^3, ... of the initial algebra, so counting their semigroup would
+    # undercount from degree 4 on; only a sagbi_complete state is accepted
     gens = [x + y, x * y, x * y**2]
-    with pytest.raises(ValueError, match="not a Sagbi basis.*sagbi_complete"):
-        hilbert_series_subalgebra(gens, DegLex(), d_max=6)
+    with pytest.raises(TypeError, match="sagbi_complete"):
+        hilbert_series_subalgebra(gens, d_max=6)
+    with pytest.raises(TypeError, match="sagbi_complete"):
+        initial_algebra_gens(gens)
     state = sagbi_complete(gens, DegLex(), 7)
     assert hilbert_series_subalgebra(state, d_max=6) == (1, 1, 2, 3, 4, 5, 6)
 
 
 def test_subalgebra_function_rejects_inhomogeneous():
-    with pytest.raises(ValueError):
-        hilbert_series_subalgebra([x + x * y], DegLex(), d_max=3)
+    state = sagbi_complete([x + x * y], DegLex(), 2)
+    assert state.confirmed  # one generator has no relations to lift
+    with pytest.raises(ValueError, match="homogeneous"):
+        hilbert_series_subalgebra(state, d_max=3)
 
 
 def test_compare_hilbert_principal():
@@ -182,6 +190,40 @@ def test_reduced_series():
     H2 = HilbertSeries((1, 0, 0, 0, 0, -1), (2, 3))  # (1-t^5)/((1-t^2)(1-t^3))
     assert H2.reduced() == H2  # no whole factor cancels
     assert HilbertSeries((0,), (1,)).reduced().numerator == (0,)
+
+
+def reduced_by_restarting(H):
+    """Reference: after each cancellation, retry every denominator from the smallest."""
+    if not any(H.numerator):
+        return H
+    num = H.numerator
+    denoms = list(H.denominator_degrees)
+    changed = True
+    while changed and denoms:
+        changed = False
+        for e in sorted(denoms):
+            q = _divide_by_one_minus_power(num, e)
+            if q is not None and any(q):
+                num = q
+                denoms.remove(e)
+                changed = True
+                break
+    return HilbertSeries(num, tuple(denoms))
+
+
+def test_reduced_matches_restarting_reference():
+    rng = random.Random(223)
+    cancelled = 0
+    for _ in range(1500):
+        num = [rng.randint(-2, 2) for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(0, 3)):  # plant factors (1 - t^e) in the numerator
+            e = rng.randint(1, 4)
+            num = [a - b for a, b in zip(num + [0] * e, [0] * e + num)]
+        H = HilbertSeries(tuple(num), tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 5))))
+        red = H.reduced()
+        assert red == reduced_by_restarting(H)
+        cancelled += len(H.denominator_degrees) - len(red.denominator_degrees)
+    assert cancelled > 500
 
 
 def test_gorenstein_symmetry():

@@ -18,7 +18,14 @@ from initalg.orders import (
     parse_order,
     sorted_terms,
 )
-from initalg.poly import Monomial, ParseError, PolyRing, WeightVector, ZeroPolynomialError
+from initalg.poly import (
+    Monomial,
+    ParseError,
+    PolyRing,
+    RingMismatchError,
+    WeightVector,
+    ZeroPolynomialError,
+)
 
 R = PolyRing(("x", "y", "z"))
 x, y, z = R.gens()
@@ -42,6 +49,22 @@ def test_permutation_changes_priority():
     assert leading_monomial(f, Lex()) == x.terms[0].mono
     assert leading_monomial(f, Lex(perm=(1, 0, 2))) == y.terms[0].mono
     assert leading_monomial(f, parse_order("lex(y,x,z)", R)) == y.terms[0].mono
+
+
+def test_orders_reject_non_permutations():
+    # a repeated or out-of-range index makes the order partial or fail late
+    for cls in (Lex, DegLex, RevLex):
+        for perm in [(0, 0, 2), (0, 1, 5), (1, 2)]:
+            with pytest.raises(ValueError, match="permutation"):
+                cls(perm)
+        assert cls((2, 0, 1)).perm == (2, 0, 1)
+    for elim, keep in [((0,), (2,)), ((0, 1), (1, 2)), ((), (0, 3))]:
+        with pytest.raises(ValueError, match="permutation"):
+            EliminationOrder(elim, keep)
+    with pytest.raises(RingMismatchError):
+        EliminationOrder((0,), (1, 2)).key(Monomial((1, 0)))
+    with pytest.raises(RingMismatchError):
+        EliminationOrder((0,), (1,)).key(Monomial((1, 0, 0)))
 
 
 def test_weight_order_degree_then_base():

@@ -179,6 +179,13 @@ def test_format_examples():
     assert format_poly(Fraction(-1, 2) * x * z) == "-1/2*x*z"
 
 
+def test_extend_derives_homogenizing_variable():
+    # the first of t, t0, t1, ... that is not already a ring variable
+    assert PolyRing(("x", "t")).extend().names == ("x", "t", "t0")
+    assert PolyRing(("t", "t0", "x")).extend().homvar == "t1"
+    assert PolyRing(("t0",)).extend().homvar == "t"
+
+
 def test_extend_base_roundtrip():
     Rt = R.extend()
     assert Rt.names == ("x", "y", "z", "t")

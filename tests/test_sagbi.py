@@ -131,19 +131,50 @@ def test_sagbi_complete_validates_cap():
 
 
 def test_initial_algebra_gens_quadrics():
-    assert initial_algebra_gens(list(F_QUAD), Lex()) == (
+    assert initial_algebra_gens(sagbi_complete(list(F_QUAD), Lex(), 2)) == (
         m(0, 1, 1),
         m(0, 2, 0),
         m(1, 1, 0),
         m(2, 0, 0),
     )
-    assert initial_algebra_gens([X, X * Y], DegLex()) == (m(1, 0, 0), m(1, 1, 0))
+    state = sagbi_complete([X, X * Y], DegLex(), 2)
+    assert initial_algebra_gens(state) == (m(1, 0, 0), m(1, 1, 0))
 
 
 def test_minimalize_semigroup():
     assert minimalize_semigroup([m(1, 0), m(2, 0), m(1, 1)]) == (m(1, 0), m(1, 1))
     assert minimalize_semigroup([m(2, 0), m(3, 0), m(5, 0)]) == (m(2, 0), m(3, 0))
     assert minimalize_semigroup([m(1, 2), m(1, 2)]) == (m(1, 2),)
+
+
+def minimalize_against_all_others(monos):
+    """Reference: test each monomial against every other distinct non-unit monomial."""
+    unique = sorted(set(monos), key=lambda mm: (mm.degree(), mm.exponents))
+    kept = []
+    for mm in unique:
+        others = [u for u in unique if u != mm and not u.is_one()]
+        if mm.is_one():
+            continue
+        if others and factor_over_monomials(mm, others) is not None:
+            continue
+        kept.append(mm)
+    return tuple(kept)
+
+
+def test_minimalize_semigroup_matches_all_others_reference():
+    rng = random.Random(211)
+    dropped = 0
+    for _ in range(600):
+        n = rng.randint(1, 3)
+        monos = [Monomial(tuple(rng.randint(0, 3) for _ in range(n)))
+                 for _ in range(rng.randint(1, 6))]
+        for _ in range(rng.randint(0, 2)):  # plant products of listed monomials
+            a, b = rng.choice(monos), rng.choice(monos)
+            monos.append(a.mul(b))
+        got = minimalize_semigroup(monos)
+        assert got == minimalize_against_all_others(monos)
+        dropped += len(set(monos)) - len(got)
+    assert dropped > 600  # the planted products make redundancy common
 
 
 def test_kernel_initial_check_quadrics():
