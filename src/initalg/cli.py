@@ -342,7 +342,7 @@ def cmd_hilbert(problem: Problem, args, out: list[str]) -> int:
     d_max = args.dmax
     if problem.block == "algebra":
         cap = args.cap if args.cap is not None else max(
-            d_max + 1, max(g.total_degree() for g in gens)
+            d_max, max(g.total_degree() for g in gens)
         )
         state = sagbi_complete(gens, order, cap)
         values = hilbert_series_subalgebra(state, d_max=d_max, grading=problem.grading)

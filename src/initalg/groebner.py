@@ -8,13 +8,14 @@ import heapq
 import operator
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from initalg.orders import (
     DegLex,
     EliminationOrder,
+    Lex,
     MonomialOrder,
     RevLex,
     WeightOrder,
@@ -299,41 +300,25 @@ def _interreduce(basis: _Reducer) -> list[Polynomial]:
     return list(reduced)
 
 
-def buchberger(
-    gens: Sequence[Polynomial], order: MonomialOrder, step_limit: int | None = None
-) -> ReducedGroebnerBasis:
-    """Reduced Gröbner basis of the ideal generated by `gens` under `order`.
+def _pairs(leads: list[tuple[int, ...]], key, start: int, limit: int | None) -> Iterator[tuple]:
+    """Yield the S-pairs (i, j, lcm) of `leads` with j >= start that survive the criteria.
 
-    Pairs are processed by the normal strategy: ascending order on lcms,
-    then generator indices.  Graded and weight orders compare the (weighted)
-    degree first, so for them this is by degree; under lex it avoids the
-    coefficient swell of degree-first selection.  Each pair's key is
-    computed once, when the pair is created, and pending pairs wait in a
-    heap.  The coprimality and chain criteria prune pairs.  S-polynomials
-    are reduced on exponent-tuple dicts against a divisor table that grows
-    with the basis, by the same rule as `divide`.  The step budget (argument
-    or the INITALG_STEP_LIMIT environment variable) bounds the number of
-    S-polynomial reductions.
+    Pairs wait in a heap keyed (order key of the lcm, (i, j)): Buchberger's
+    normal strategy.  Leads appended while iterating get their pairs before
+    the next pair is taken.  The coprimality and chain criteria prune pairs;
+    yielding more than `limit` pairs raises StepLimitExceeded.
     """
-    ring = _check_gens(gens)
-    limit = _step_limit(step_limit)
-    basis = _Reducer(order, (g for g in gens if not g.is_zero()))
-    if not basis:
-        return ReducedGroebnerBasis(ring, order, ())
-    leads = basis.leads
     queue: list[tuple] = []  # (order key of lcm, (i, j))
     pending: set[tuple[int, int]] = set()
-
-    def add_pairs(new: int) -> None:
-        for k in range(new):
-            L = tuple(map(max, leads[k], leads[new]))
-            heapq.heappush(queue, (basis.key(L), (k, new)))
-            pending.add((k, new))
-
-    for new in range(1, len(basis)):
-        add_pairs(new)
     steps = 0
-    while queue:
+    while True:
+        for new in range(start, len(leads)):
+            for k in range(new):
+                heapq.heappush(queue, (key(tuple(map(max, leads[k], leads[new]))), (k, new)))
+                pending.add((k, new))
+        start = max(start, len(leads))
+        if not queue:
+            return
         i, j = heapq.heappop(queue)[1]
         pending.remove((i, j))
         if not any(map(min, leads[i], leads[j])):  # coprime leading monomials
@@ -344,16 +329,35 @@ def buchberger(
             and all(map(operator.le, leads[k], L))
             and (min(i, k), max(i, k)) not in pending
             and (min(j, k), max(j, k)) not in pending
-            for k in range(len(basis))
+            for k in range(len(leads))
         ):
             continue
         steps += 1
         if limit is not None and steps > limit:
             raise StepLimitExceeded(f"exceeded {limit} S-polynomial reductions")
+        yield i, j, L
+
+
+def buchberger(
+    gens: Sequence[Polynomial], order: MonomialOrder, step_limit: int | None = None
+) -> ReducedGroebnerBasis:
+    """Reduced Gröbner basis of the ideal generated by `gens` under `order`.
+
+    Pairs come from `_pairs` by the normal strategy (under lex it avoids the
+    coefficient swell of degree-first selection).  S-polynomials are reduced
+    on exponent-tuple dicts against a divisor table that grows with the
+    basis, by the same rule as `divide`.  The step budget (argument or the
+    INITALG_STEP_LIMIT environment variable) bounds the number of reductions.
+    """
+    ring = _check_gens(gens)
+    limit = _step_limit(step_limit)
+    basis = _Reducer(order, (g for g in gens if not g.is_zero()))
+    if not basis:
+        return ReducedGroebnerBasis(ring, order, ())
+    for i, j, _ in _pairs(basis.leads, basis.key, 0, limit):
         r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
         if not r.is_zero():
             basis.add(r)
-            add_pairs(len(basis) - 1)
     return ReducedGroebnerBasis(ring, order, tuple(_interreduce(basis)))
 
 
@@ -437,12 +441,12 @@ def presentation_kernel(
     elimination order, are the reduced Gröbner basis of the kernel under
     `kernel_order` (revlex by default).  `eliminate` computes the same.
 
-    When every f_i is homogeneous of positive degree (every toric kernel),
-    the run uses the elimination order refined by the grading w with
-    w(x) = 1 and w(Y_i) = deg f_i, so pairs are taken degree by degree.
-    Each Y_i - f_i is w-homogeneous, so the ideal is, and on w-homogeneous
-    polynomials both orders pick the same leading terms: the reduced bases
-    are equal.  Otherwise the run uses the elimination order itself.
+    When every f_i is homogeneous of positive degree, the run uses the
+    elimination order refined by the grading w with w(x) = 1 and
+    w(Y_i) = deg f_i, so pairs are taken degree by degree.  Each Y_i - f_i
+    is w-homogeneous, so the ideal is, and on w-homogeneous polynomials both
+    orders pick the same leading terms: the reduced bases are equal.
+    Otherwise the run uses the elimination order itself.
     """
     source = _check_gens(images)
     if any(g.is_zero() for g in images):
@@ -477,15 +481,114 @@ def presentation_kernel(
     return AlgebraKernel(target, tuple(images), projected)
 
 
+def _binomial_normal_form(m: tuple[int, ...], basis: Sequence[tuple]) -> tuple[int, ...]:
+    # a reduction step by X^lead - X^tail replaces X^m by X^(m - lead + tail)
+    while True:
+        for lead, tail in basis:
+            if all(map(operator.le, lead, m)):
+                m = tuple(map(operator.add, map(operator.sub, m, lead), tail))
+                break
+        else:
+            return m
+
+
+class _ToricIdeal:
+    """Reduced Gröbner basis of J = (Y_i - x^{a_i}) in K[x, Y], on exponent pairs.
+
+    An element X^lead - X^tail (lead > tail) is stored as (lead, tail), exponent
+    tuples over the n x-variables, then the Y-variables.  The order is that of
+    `presentation_kernel` for graded images: weight w(x) = 1, w(Y_i) = deg a_i,
+    then DegLex on x, then `kernel_order` on Y.  J is w-homogeneous, so its
+    Y-only elements are the reduced basis of the toric kernel (Sturmfels 1996,
+    ch. 4).  S-pairs and reduction steps of binomials with coefficients +-1
+    are again such binomials, so Buchberger (`_pairs` and its budget) reduces
+    both monomials of an S-pair to normal form and keeps them when they
+    differ; one pass ascending by lead interreduces, as in `_interreduce`.
+    The constructor completes all generators at once: a permuted
+    `kernel_order` only accepts monomials of full arity.
+    """
+
+    def __init__(self, n: int, monomials: Sequence[tuple[int, ...]], kernel_order: MonomialOrder):
+        self.n, self.kernel_order = n, kernel_order
+        self.images = [tuple(a) for a in monomials]
+        self.basis: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self._complete(range(len(self.images)))
+
+    def insert(self, pos: int, exps: tuple[int, ...]) -> None:
+        """Adjoin Y at position `pos` with image x^exps and complete the basis again.
+
+        Only pairs with the new binomial are formed: the old basis stays a
+        Gröbner basis, as the order on monomials free of the new variable is
+        unchanged.  Its weight leaves their weighted degrees alone, and lex,
+        deglex and revlex compare them alike wherever it is placed, but a
+        permuted order does not, so it raises `ValueError`.
+        """
+        order = self.kernel_order
+        if type(order) not in (Lex, DegLex, RevLex) or order.perm is not None:
+            raise ValueError("insert needs lex, deglex or revlex without a variable permutation")
+        at = self.n + pos
+        self.basis = [(l[:at] + (0,) + l[at:], t[:at] + (0,) + t[at:]) for l, t in self.basis]
+        self.images.insert(pos, tuple(exps))
+        self._complete((pos,))
+
+    def _complete(self, fresh: Iterable[int]) -> None:
+        n, width, basis = self.n, len(self.images), self.basis
+        degrees = [sum(a) for a in self.images]
+
+        @cache
+        def key(e: tuple[int, ...]):
+            x, y = e[:n], e[n:]
+            wdeg = sum(x) + sum(map(operator.mul, degrees, y))
+            return (wdeg, sum(x), x, self.kernel_order.key(Monomial(y)))
+
+        leads = [lead for lead, _ in basis]
+
+        def add(m1: tuple[int, ...], m2: tuple[int, ...]) -> None:
+            m1, m2 = _binomial_normal_form(m1, basis), _binomial_normal_form(m2, basis)
+            if m1 != m2:
+                basis.append((m1, m2) if key(m1) > key(m2) else (m2, m1))
+                leads.append(basis[-1][0])
+
+        start = len(basis)  # the old basis is a Gröbner basis: its own pairs reduce to 0
+        for i in fresh:
+            add(self.images[i] + (0,) * width, (0,) * (n + i) + (1,) + (0,) * (width - i - 1))
+        for i, j, L in _pairs(leads, key, start, _step_limit(None)):
+            (li, ti), (lj, tj) = basis[i], basis[j]
+            add(tuple(a - b + c for a, b, c in zip(L, li, ti)),
+                tuple(a - b + c for a, b, c in zip(L, lj, tj)))
+        reduced: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        for lead, tail in sorted(basis, key=lambda p: key(p[0])):
+            if not any(all(map(operator.le, l, lead)) for l, _ in reduced):
+                reduced.append((lead, _binomial_normal_form(tail, reduced)))
+        self.basis = reduced
+
+    def kernel(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The Y-only elements as (lead, tail) exponent pairs, sorted by the kernel order."""
+        n, ykey = self.n, self.kernel_order.key
+        pairs = [(l[n:], t[n:]) for l, t in self.basis if not any(l[:n])]
+        return sorted(pairs, key=lambda p: ykey(Monomial(p[0])))
+
+
 def toric_kernel(
     ring: PolyRing,
     monomials: Sequence[Monomial],
     names: Sequence[str] | None = None,
     kernel_order: MonomialOrder | None = None,
 ) -> AlgebraKernel:
-    """Kernel of the monomial map Y_i -> m_i; its reduced GB consists of binomials."""
-    images = [Polynomial(ring, (Term(Fraction(1), m),)) for m in monomials]
-    return presentation_kernel(images, names=names, kernel_order=kernel_order)
+    """Kernel of the monomial map Y_i -> m_i: its reduced GB of binomials Y^u - Y^v.
+
+    Computed by `_ToricIdeal` on exponent pairs; `presentation_kernel` gives
+    the same kernel through Fraction polynomials, the route for other images.
+    """
+    images = [Polynomial.from_dict(ring, {m: 1}) for m in monomials]
+    _check_gens(images)
+    if kernel_order is None:
+        kernel_order = RevLex()
+    target = PolyRing(_fresh_names(len(images), ring, names))
+    ideal = _ToricIdeal(ring.n, [m.exponents for m in monomials], kernel_order)
+    gens = tuple(Polynomial.from_dict(target, {Monomial(u): 1, Monomial(v): -1})
+                 for u, v in ideal.kernel())
+    return AlgebraKernel(target, tuple(images), gens)
 
 
 def quadratic_initial_certificate(gens: Sequence[Polynomial], order: MonomialOrder) -> bool:

@@ -17,10 +17,10 @@ from typing import Sequence
 
 from initalg.groebner import (
     AlgebraKernel,
+    _ToricIdeal,
     buchberger,
     initial_ideal_weight,
     presentation_kernel,
-    toric_kernel,
 )
 from initalg.orders import MonomialOrder, RevLex, leading_term, monic
 from initalg.poly import (
@@ -151,21 +151,28 @@ def subduct(f: Polynomial, gens: Sequence[Polynomial], order: MonomialOrder) -> 
     return subduct_with_certificate(f, gens, order).remainder
 
 
-def _lifted_relations(gens: Sequence[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    """For each binomial syzygy Y^u - Y^v of the initial monomials, the scaled f^u - f^v."""
+def _sagbi_round(
+    gens: Sequence[Polynomial], order: MonomialOrder, ideal: _ToricIdeal
+) -> tuple[bool, tuple[Polynomial, ...]]:
+    """Sagbi test of sorted `gens`, `ideal` the toric ideal of their leading monomials.
+
+    A kernel pair (u, v) lifts to f^u / c^u - f^v / c^v, c the leading coefficients.
+    """
     ring = gens[0].ring
     inis = [leading_term(g, order) for g in gens]
-    kernel = toric_kernel(ring, [it.mono for it in inis])
-    lifts = []
-    for rel in kernel.gens:
-        if len(rel.terms) != 2:
-            raise RuntimeError(f"toric kernel generator is not a binomial: {rel!r}")
-        parts = []
-        for t in rel.terms:
-            scale = math.prod(it.coeff**e for it, e in zip(inis, t.mono.exponents))
-            parts.append((t.coeff / scale) * power_product(ring, gens, t.mono.exponents))
-        lifts.append(parts[0] + parts[1])
-    return lifts
+    witnesses = []
+    for u, v in ideal.kernel():
+        lift = ring.zero()
+        for exps, sign in ((u, 1), (v, -1)):
+            scale = math.prod(it.coeff**e for it, e in zip(inis, exps) if e)
+            lift = lift + (Fraction(sign) / scale) * power_product(ring, gens, exps)
+        if lift.is_zero():
+            continue
+        rem = subduct(lift, gens, order)
+        if not rem.is_zero():
+            witnesses.append(monic(rem, order))
+    witnesses = _sort_gens(set(witnesses), order)
+    return (not witnesses, tuple(witnesses))
 
 
 def sagbi_test(
@@ -179,15 +186,8 @@ def sagbi_test(
     """
     _check_subalgebra_gens(gens)
     gens = _sort_gens(gens, order)
-    witnesses = []
-    for lift in _lifted_relations(gens, order):
-        if lift.is_zero():
-            continue
-        rem = subduct(lift, gens, order)
-        if not rem.is_zero():
-            witnesses.append(monic(rem, order))
-    witnesses = _sort_gens(set(witnesses), order)
-    return (not witnesses, tuple(witnesses))
+    exps = [leading_term(g, order).mono.exponents for g in gens]
+    return _sagbi_round(gens, order, _ToricIdeal(gens[0].ring.n, exps, RevLex()))
 
 
 def sagbi_complete(
@@ -197,7 +197,10 @@ def sagbi_complete(
 
     Ends Confirmed when the test closes; ends TruncatedAtDegree(cap) when the
     only outstanding witnesses exceed the cap (the initial algebra may be
-    infinitely generated, so unbounded completion is not offered).
+    infinitely generated, so unbounded completion is not offered).  One
+    toric ideal of the leading monomials serves the whole completion: each
+    adjoined witness inserts its leading monomial into it.  Every lift is
+    subducted in every round, as more generators can change its remainder.
     """
     _check_subalgebra_gens(gens)
     if degree_cap < 1:
@@ -205,14 +208,18 @@ def sagbi_complete(
     if degree_cap < max(g.total_degree() for g in gens):
         raise ValueError("degree cap below a generator degree")
     current = _sort_gens(gens, order)
+    exps = [leading_term(g, order).mono.exponents for g in current]
+    ideal = _ToricIdeal(current[0].ring.n, exps, RevLex())
     while True:
-        ok, witnesses = sagbi_test(current, order)
+        ok, witnesses = _sagbi_round(current, order, ideal)
         if ok:
             return SagbiState(tuple(current), order, None)
         admissible = [w for w in witnesses if w.total_degree() <= degree_cap]
         if not admissible:
             return SagbiState(tuple(current), order, degree_cap)
-        current = _sort_gens(current + [admissible[0]], order)
+        w = admissible[0]
+        current = _sort_gens(current + [w], order)
+        ideal.insert(current.index(w), leading_term(w, order).mono.exponents)
 
 
 def minimalize_semigroup(monos: Sequence[Monomial]) -> tuple[Monomial, ...]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 from fractions import Fraction
@@ -33,6 +34,16 @@ def test_variables_give_koszul_diagonal():
     assert T.entries == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
     assert T.complete
     assert (T.projective_dimension(), T.regularity()) == (2, 0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_rational_normal_curve_matches_eagon_northcott(d):
+    # the 2x2 minors of the 2 x d catalecticant: beta_{i,i+1} = i * C(d, i+1)
+    R = PolyRing(tuple(f"x{i}" for i in range(d + 1)))
+    minors = [f"x{i}*x{j + 1} - x{j}*x{i + 1}" for i in range(d) for j in range(i + 1, d)]
+    T = graded_betti(_polys(R, *minors))
+    expected = {(i, i + 1): i * math.comb(d, i + 1) for i in range(1, d)}
+    assert T.complete and T.entries == {(0, 0): 1, **expected}
 
 
 def test_monomial_pair_fixture():

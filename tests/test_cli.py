@@ -144,23 +144,43 @@ def test_ini_cap_is_checked_on_a_basis(tmp_path, capsys):
 
 
 def test_ini_runs_the_sagbi_test_once_per_round(tmp_path, capsys, monkeypatch):
-    # counted through the module globals: with --cap every test is a completion
+    # counted through the module global: with --cap every test is a completion
     # round, and without it a basis is tested once
     calls = []
-    real = sagbi.sagbi_test
+    real = sagbi._sagbi_round
 
-    def counting(gens, order):
+    def counting(gens, order, ideal):
         calls.append(len(gens))
-        return real(gens, order)
+        return real(gens, order, ideal)
 
-    monkeypatch.setattr(sagbi, "sagbi_test", counting)
-    monkeypatch.setattr(cli, "sagbi_test", counting)
+    monkeypatch.setattr(sagbi, "_sagbi_round", counting)
     assert run(["ini", write(tmp_path, ALGEBRA), "--cap", "5"]) == EXIT_OK
     assert calls == [3, 4, 5]
     calls.clear()
     assert run(["ini", write(tmp_path, SYMMETRIC, "sym.txt")]) == EXIT_OK
     assert calls == [3]
     capsys.readouterr()
+
+
+def test_hilbert_of_an_algebra_completes_to_dmax(tmp_path, capsys, monkeypatch):
+    # without --cap the completion stops at max(dmax, top generator degree),
+    # the highest degree the values need
+    calls = []
+    real = sagbi._sagbi_round
+
+    def counting(gens, order, ideal):
+        calls.append(len(gens))
+        return real(gens, order, ideal)
+
+    monkeypatch.setattr(sagbi, "_sagbi_round", counting)
+    path = write(tmp_path, ALGEBRA.replace("ring x, y", "ring x, y\norder deglex"))
+    assert run(["hilbert", path, "--dmax", "7"]) == EXIT_OK
+    assert capsys.readouterr().out == "values: 1,1,2,3,4,5,6,7\n"
+    assert calls == [3, 4, 5, 6, 7]
+    calls.clear()
+    assert run(["hilbert", path, "--dmax", "1"]) == EXIT_OK
+    assert capsys.readouterr().out == "values: 1,1\n"
+    assert calls == [3]
 
 
 def test_sagbi_test_and_complete(tmp_path, capsys):

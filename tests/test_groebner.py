@@ -365,8 +365,9 @@ def kernel_orders(monkeypatch):
 
 
 def test_graded_kernel_equals_elimination(kernel_orders):
-    # homogeneous images of positive degree are eliminated under their grading;
-    # the reduced basis and its element order must be the elimination's
+    # homogeneous images of positive degree are eliminated under their grading,
+    # and toric kernels never reach `buchberger`; the reduced basis and its
+    # element order must be the elimination's
     rng = random.Random(71)
     for trial in range(36):
         kernel_order = (RevLex(), DegLex(), Lex())[trial % 3]
@@ -379,10 +380,11 @@ def test_graded_kernel_equals_elimination(kernel_orders):
                 if m.degree() > 0:
                     monos.append(m)
             ker = toric_kernel(ring, monos, kernel_order=kernel_order)
+            assert kernel_orders == []
         else:
             images = [random_homogeneous_poly(rng, R2, rng.randint(1, 2)) for _ in range(rng.randint(3, 4))]
             ker = presentation_kernel(images, kernel_order=kernel_order)
-        assert [type(o) for o in kernel_orders] == [WeightOrder]
+            assert [type(o) for o in kernel_orders] == [WeightOrder]
         assert ker.gens == eliminated_kernel(ker.images, kernel_order), (trial, ker.images)
 
 
@@ -397,9 +399,64 @@ def test_ungraded_kernel_route(kernel_orders):
     assert ker.gens
     kernel_orders.clear()
     ker = toric_kernel(R2, [Monomial((0, 0)), Monomial((1, 0)), Monomial((1, 1))], kernel_order=Lex())
-    assert [type(o) for o in kernel_orders] == [EliminationOrder]
+    assert kernel_orders == []
     assert ker.gens == eliminated_kernel(ker.images, Lex())
     assert ker.gens == (ker.ring.poly("Y1 - 1"),)
+
+
+def random_monomial_images(rng, ring, count):
+    """Monomials with exponents <= 2, some of them constant or repeated."""
+    monos = []
+    while len(monos) < count:
+        if monos and rng.random() < 0.15:
+            monos.append(rng.choice(monos))
+        elif rng.random() < 0.1:
+            monos.append(Monomial((0,) * ring.n))
+        else:
+            monos.append(random_monomial(rng, ring.n, max_exp=2))
+    return monos
+
+
+def test_toric_kernel_equals_presentation_kernel():
+    # the binomial route against the Fraction-polynomial route on the same images
+    rng = random.Random(131)
+    rings = [PolyRing(tuple(f"x{i}" for i in range(n))) for n in (1, 2, 3, 4)]
+    for trial in range(60):
+        ring = rings[trial % 4]
+        monos = random_monomial_images(rng, ring, rng.randint(1, 5))
+        images = [Polynomial.from_dict(ring, {m: 1}) for m in monos]
+        permuted = RevLex(tuple(reversed(range(len(monos)))))
+        for kernel_order in (RevLex(), DegLex(), Lex(), permuted):
+            ker = toric_kernel(ring, monos, kernel_order=kernel_order)
+            ref = presentation_kernel(images, kernel_order=kernel_order)
+            assert (ker.ring, ker.images, ker.gens) == (ref.ring, ref.images, ref.gens), (monos, kernel_order)
+
+
+def test_toric_ideal_insert_equals_fresh_build():
+    rng = random.Random(137)
+    for trial in range(40):
+        ring = (R2, R)[trial % 2]
+        monos = [m.exponents for m in random_monomial_images(rng, ring, rng.randint(2, 6))]
+        order = (RevLex(), DegLex(), Lex())[trial % 3]
+        adjoined = [rng.randrange(len(monos))]
+        ideal = groebner._ToricIdeal(ring.n, [monos[adjoined[0]]], order)
+        for i in rng.sample([i for i in range(len(monos)) if i != adjoined[0]], len(monos) - 1):
+            adjoined.append(i)
+            ideal.insert(sorted(adjoined).index(i), monos[i])
+        fresh = groebner._ToricIdeal(ring.n, monos, order)
+        assert ideal.basis == fresh.basis and ideal.kernel() == fresh.kernel(), monos
+    ideal = groebner._ToricIdeal(2, [(1, 0), (0, 1)], RevLex((1, 0)))
+    with pytest.raises(ValueError, match="without a variable permutation"):
+        ideal.insert(0, (1, 1))
+
+
+def test_toric_kernel_validation():
+    with pytest.raises(ValueError, match="need at least one generator"):
+        toric_kernel(R2, [])
+    with pytest.raises(RingMismatchError):
+        toric_kernel(R2, [Monomial((1, 0, 0))])
+    with pytest.raises(ValueError, match="collide"):
+        toric_kernel(R2, [Monomial((1, 0))], names=("x",))
 
 
 def test_quadratic_initial_certificate():

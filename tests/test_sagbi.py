@@ -1,10 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from initalg.orders import DegLex, Lex, RevLex, WeightOrder, leading_monomial
-from initalg.poly import Monomial, PolyRing, WeightVector
+from conftest import random_poly
+from initalg import groebner, sagbi
+from initalg.groebner import presentation_kernel
+from initalg.orders import DegLex, Lex, RevLex, WeightOrder, leading_monomial, leading_term, monic
+from initalg.poly import Monomial, PolyRing, Polynomial, WeightVector, power_product
 from initalg.sagbi import (
     SagbiState,
     factor_over_monomials,
@@ -102,6 +106,63 @@ def test_sagbi_members_subduct_to_zero():
             g = g * f ** rng.randint(0, 2)
         h = g + rng.choice(gens) * rng.randint(-2, 2)
         assert subduct(h, gens, Lex()).is_zero()
+
+
+def polynomial_kernel_sagbi_test(gens, order):
+    """The Sagbi test with the toric kernel built by `presentation_kernel`."""
+    gens = sagbi._sort_gens(gens, order)
+    ring = gens[0].ring
+    inis = [leading_term(g, order) for g in gens]
+    kernel = presentation_kernel([Polynomial.from_dict(ring, {it.mono: 1}) for it in inis])
+    witnesses = set()
+    for rel in kernel.gens:
+        assert len(rel.terms) == 2
+        lift = ring.zero()
+        for t in rel.terms:
+            scale = math.prod(it.coeff**e for it, e in zip(inis, t.mono.exponents))
+            lift = lift + (t.coeff / scale) * power_product(ring, gens, t.mono.exponents)
+        rem = subduct(lift, gens, order)
+        if not rem.is_zero():
+            witnesses.add(monic(rem, order))
+    witnesses = sagbi._sort_gens(witnesses, order)
+    return (not witnesses, tuple(witnesses))
+
+
+def test_sagbi_test_equals_polynomial_kernel_route():
+    rng = random.Random(139)
+    checked = failed = 0
+    for trial in range(45):
+        order = (Lex(), DegLex(), RevLex())[trial % 3]
+        ring = (R2, R3)[trial // 3 % 2]
+        gens = [random_poly(rng, ring, max_terms=3, max_exp=2) for _ in range(rng.randint(2, 3))]
+        gens = [g for g in gens if any(not t.mono.is_one() for t in g.terms)]  # nonconstant
+        if not gens:
+            continue
+        got = sagbi_test(gens, order)
+        assert got == polynomial_kernel_sagbi_test(gens, order), (gens, order)
+        checked += 1
+        failed += not got[0]
+    assert checked >= 40 and failed >= 10, (checked, failed)
+
+
+def test_sagbi_complete_builds_one_toric_ideal(monkeypatch):
+    built, calls = [], []
+
+    class Counting(groebner._ToricIdeal):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    def forbidden(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a toric kernel reached the polynomial route")
+
+    monkeypatch.setattr(sagbi, "_ToricIdeal", Counting)
+    for module in (groebner, sagbi):
+        monkeypatch.setattr(module, "buchberger", forbidden)
+        monkeypatch.setattr(module, "presentation_kernel", forbidden)
+    state = sagbi_complete(list(F_INF), DegLex(), 8)
+    assert len(state.gens) == 8 and len(built) == 1 and calls == []
 
 
 def test_sagbi_complete_truncates():
