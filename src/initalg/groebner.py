@@ -15,7 +15,6 @@ from typing import Iterable, Iterator, Sequence
 from initalg.orders import (
     DegLex,
     EliminationOrder,
-    Lex,
     MonomialOrder,
     RevLex,
     WeightOrder,
@@ -379,26 +378,20 @@ def initial_ideal_weight(
     return tuple(initial_form(g, a) for g in gb)
 
 
-def eliminate(
-    gens: Sequence[Polynomial],
-    keep: Sequence[int | str],
-    keep_order: MonomialOrder | None = None,
-) -> tuple[Polynomial, ...]:
-    """Reduced Gröbner basis of I ∩ K[kept variables], in the original ring.
+def eliminate(gens: Sequence[Polynomial], keep: Sequence[int | str]) -> tuple[Polynomial, ...]:
+    """Reduced Gröbner basis of I ∩ K[kept variables] under revlex, in the original ring.
 
     `keep` lists the variables to retain (names or indices); the rest are
     eliminated through a block order in which they dominate.
     """
     ring = _check_gens(gens)
-    if keep_order is None:
-        keep_order = RevLex()
     keep_idx = tuple(sorted(ring.var_index(v) if isinstance(v, str) else v for v in keep))
     if len(set(keep_idx)) != len(keep_idx):
         raise ValueError("duplicate kept variable")
     if any(i < 0 or i >= ring.n for i in keep_idx):
         raise ValueError("kept variable out of range")
     elim_idx = tuple(i for i in range(ring.n) if i not in keep_idx)
-    order = EliminationOrder(elim_idx, keep_idx, DegLex(), keep_order)
+    order = EliminationOrder(elim_idx, keep_idx, DegLex(), RevLex())
     gb = buchberger(gens, order)
     kept = []
     for g in gb:
@@ -413,7 +406,7 @@ class AlgebraKernel:
 
     ring: PolyRing  # fresh ring in the Y variables
     images: tuple[Polynomial, ...]
-    gens: tuple[Polynomial, ...]  # reduced GB of the kernel in `ring`
+    gens: tuple[Polynomial, ...]  # reduced revlex GB of the kernel in `ring`, ascending
 
 
 def _fresh_names(k: int, source: PolyRing, names: Sequence[str] | None) -> tuple[str, ...]:
@@ -430,16 +423,14 @@ def _fresh_names(k: int, source: PolyRing, names: Sequence[str] | None) -> tuple
 
 
 def presentation_kernel(
-    images: Sequence[Polynomial],
-    names: Sequence[str] | None = None,
-    kernel_order: MonomialOrder | None = None,
+    images: Sequence[Polynomial], names: Sequence[str] | None = None
 ) -> AlgebraKernel:
     """All polynomial relations among `images`: Ker(K[Y] -> R, Y_i -> f_i).
 
     One Buchberger run on (Y_i - f_i) eliminates the original variables:
     its elements free of them, projected to a fresh ring and sorted by the
-    elimination order, are the reduced Gröbner basis of the kernel under
-    `kernel_order` (revlex by default).  `eliminate` computes the same.
+    elimination order, are the reduced revlex Gröbner basis of the kernel.
+    `eliminate` computes the same.
 
     When every f_i is homogeneous of positive degree, the run uses the
     elimination order refined by the grading w with w(x) = 1 and
@@ -451,8 +442,6 @@ def presentation_kernel(
     source = _check_gens(images)
     if any(g.is_zero() for g in images):
         raise ZeroPolynomialError("kernel images must be nonzero")
-    if kernel_order is None:
-        kernel_order = RevLex()
     k = len(images)
     fresh = _fresh_names(k, source, names)
     big = PolyRing(source.names + fresh)
@@ -464,7 +453,7 @@ def presentation_kernel(
         )
 
     gens = [big.var(n + i) - lift(images[i]) for i in range(k)]
-    elim = EliminationOrder(tuple(range(n)), tuple(range(n, n + k)), DegLex(), kernel_order)
+    elim = EliminationOrder(tuple(range(n)), tuple(range(n, n + k)), DegLex(), RevLex())
     degrees = [f.total_degree() for f in images]
     ones = WeightVector.ones(n)
     graded = all(d > 0 and is_weight_homogeneous(f, ones) for f, d in zip(images, degrees))
@@ -498,18 +487,16 @@ class _ToricIdeal:
     An element X^lead - X^tail (lead > tail) is stored as (lead, tail), exponent
     tuples over the n x-variables, then the Y-variables.  The order is that of
     `presentation_kernel` for graded images: weight w(x) = 1, w(Y_i) = deg a_i,
-    then DegLex on x, then `kernel_order` on Y.  J is w-homogeneous, so its
-    Y-only elements are the reduced basis of the toric kernel (Sturmfels 1996,
+    then DegLex on x, then RevLex on Y.  J is w-homogeneous, so its Y-only
+    elements are the reduced revlex basis of the toric kernel (Sturmfels 1996,
     ch. 4).  S-pairs and reduction steps of binomials with coefficients +-1
     are again such binomials, so Buchberger (`_pairs` and its budget) reduces
     both monomials of an S-pair to normal form and keeps them when they
     differ; one pass ascending by lead interreduces, as in `_interreduce`.
-    The constructor completes all generators at once: a permuted
-    `kernel_order` only accepts monomials of full arity.
     """
 
-    def __init__(self, n: int, monomials: Sequence[tuple[int, ...]], kernel_order: MonomialOrder):
-        self.n, self.kernel_order = n, kernel_order
+    def __init__(self, n: int, monomials: Sequence[tuple[int, ...]]):
+        self.n = n
         self.images = [tuple(a) for a in monomials]
         self.basis: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         self._complete(range(len(self.images)))
@@ -519,13 +506,10 @@ class _ToricIdeal:
 
         Only pairs with the new binomial are formed: the old basis stays a
         Gröbner basis, as the order on monomials free of the new variable is
-        unchanged.  Its weight leaves their weighted degrees alone, and lex,
-        deglex and revlex compare them alike wherever it is placed, but a
-        permuted order does not, so it raises `ValueError`.
+        unchanged.  Its weight leaves their weighted degrees alone, and revlex
+        compares two monomials by their degrees, then by the last variable in
+        which they differ, which is never the new one, wherever it is placed.
         """
-        order = self.kernel_order
-        if type(order) not in (Lex, DegLex, RevLex) or order.perm is not None:
-            raise ValueError("insert needs lex, deglex or revlex without a variable permutation")
         at = self.n + pos
         self.basis = [(l[:at] + (0,) + l[at:], t[:at] + (0,) + t[at:]) for l, t in self.basis]
         self.images.insert(pos, tuple(exps))
@@ -534,12 +518,13 @@ class _ToricIdeal:
     def _complete(self, fresh: Iterable[int]) -> None:
         n, width, basis = self.n, len(self.images), self.basis
         degrees = [sum(a) for a in self.images]
+        ykey = RevLex().key
 
         @cache
         def key(e: tuple[int, ...]):
             x, y = e[:n], e[n:]
             wdeg = sum(x) + sum(map(operator.mul, degrees, y))
-            return (wdeg, sum(x), x, self.kernel_order.key(Monomial(y)))
+            return (wdeg, sum(x), x, ykey(Monomial(y)))
 
         leads = [lead for lead, _ in basis]
 
@@ -563,8 +548,8 @@ class _ToricIdeal:
         self.basis = reduced
 
     def kernel(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """The Y-only elements as (lead, tail) exponent pairs, sorted by the kernel order."""
-        n, ykey = self.n, self.kernel_order.key
+        """The Y-only elements as (lead, tail) exponent pairs, ascending by revlex lead."""
+        n, ykey = self.n, RevLex().key
         pairs = [(l[n:], t[n:]) for l, t in self.basis if not any(l[:n])]
         return sorted(pairs, key=lambda p: ykey(Monomial(p[0])))
 
@@ -573,19 +558,16 @@ def toric_kernel(
     ring: PolyRing,
     monomials: Sequence[Monomial],
     names: Sequence[str] | None = None,
-    kernel_order: MonomialOrder | None = None,
 ) -> AlgebraKernel:
-    """Kernel of the monomial map Y_i -> m_i: its reduced GB of binomials Y^u - Y^v.
+    """Kernel of the monomial map Y_i -> m_i: its reduced revlex GB of binomials Y^u - Y^v.
 
     Computed by `_ToricIdeal` on exponent pairs; `presentation_kernel` gives
     the same kernel through Fraction polynomials, the route for other images.
     """
     images = [Polynomial.from_dict(ring, {m: 1}) for m in monomials]
     _check_gens(images)
-    if kernel_order is None:
-        kernel_order = RevLex()
     target = PolyRing(_fresh_names(len(images), ring, names))
-    ideal = _ToricIdeal(ring.n, [m.exponents for m in monomials], kernel_order)
+    ideal = _ToricIdeal(ring.n, [m.exponents for m in monomials])
     gens = tuple(Polynomial.from_dict(target, {Monomial(u): 1, Monomial(v): -1})
                  for u, v in ideal.kernel())
     return AlgebraKernel(target, tuple(images), gens)

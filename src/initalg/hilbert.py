@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Sequence
 
 from initalg.groebner import MonomialIdeal, initial_ideal
-from initalg.orders import MonomialOrder, RevLex, WeightOrder, leading_term
+from initalg.orders import MonomialOrder, leading_term
 from initalg.poly import (
     Monomial,
     PolyRing,
@@ -212,6 +212,8 @@ def semigroup_counts(
     generators: Sequence[Monomial], degrees: Sequence[int], d_max: int
 ) -> tuple[int, ...]:
     """Count distinct semigroup elements by degree: dim of a monomial algebra's pieces."""
+    if d_max < 0:
+        raise ValueError("d_max must be nonnegative")
     if len(generators) != len(degrees):
         raise ValueError("one degree per generator")
     if any(d < 1 for d in degrees):
@@ -265,16 +267,10 @@ class HilbertComparison:
     second_series: HilbertSeries
 
 
-def _resolve_order(spec: MonomialOrder | WeightVector) -> MonomialOrder:
-    if isinstance(spec, WeightVector):
-        return WeightOrder(spec, RevLex())
-    return spec
-
-
 def compare_hilbert(
     gens: Sequence[Polynomial],
-    first: MonomialOrder | WeightVector,
-    second: MonomialOrder | WeightVector,
+    first: MonomialOrder,
+    second: MonomialOrder,
     grading: WeightVector | None = None,
     d_max: int = 12,
 ) -> HilbertComparison:
@@ -293,8 +289,8 @@ def compare_hilbert(
             raise ValueError("generators must be homogeneous for the grading")
     series = []
     values = []
-    for spec in (first, second):
-        M = initial_ideal(list(gens), _resolve_order(spec))
+    for order in (first, second):
+        M = initial_ideal(list(gens), order)
         H = hilbert_series_monomial(M, grading)
         series.append(H)
         values.append(H.expand(d_max))

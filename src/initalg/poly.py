@@ -27,11 +27,10 @@ class ZeroPolynomialError(ValueError):
 
 
 class ParseError(ValueError):
-    """Polynomial or problem-file text did not parse; carries line and column."""
+    """A line of polynomial or order text did not parse; polynomial errors name the column."""
 
-    def __init__(self, message: str, line: int = 1, column: int = 1):
-        super().__init__(f"{message} (line {line}, column {column})")
-        self.line = line
+    def __init__(self, message: str, column: int | None = None):
+        super().__init__(message if column is None else f"{message} (column {column})")
         self.column = column
 
 
@@ -415,7 +414,7 @@ def specialize_t(f: Polynomial, c: Scalar) -> Polynomial:
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))")
 
 
-def _tokenize(text: str, line: int = 1, col_base: int = 0):
+def _tokenize(text: str):
     tokens = []
     pos = 0
     while pos < len(text):
@@ -423,24 +422,23 @@ def _tokenize(text: str, line: int = 1, col_base: int = 0):
         if m is None:
             if text[pos:].strip() == "":
                 break
-            raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", line, col_base + pos + 1)
+            raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", pos + 1)
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind), col_base + m.start(kind) + 1))
+        tokens.append((kind, m.group(kind), m.start(kind) + 1))
         pos = m.end()
     return tokens
 
 
-def parse_poly(ring: PolyRing, text: str, line: int = 1) -> Polynomial:
-    """Parse the plain text polynomial grammar, e.g. ``x^2 - 2*x*y + 1/3``."""
-    tokens = _tokenize(text, line)
+def parse_poly(ring: PolyRing, text: str) -> Polynomial:
+    """Parse the plain text polynomial grammar, e.g. ``x^2 - 2*x*y + 1/3``; errors name a column."""
+    tokens = _tokenize(text)
     if not tokens:
-        raise ParseError("empty polynomial", line, 1)
+        raise ParseError("empty polynomial")
     acc: dict[Monomial, Fraction] = {}
     i = 0
 
     def err(msg, tok=None):
-        col = tok[2] if tok else (tokens[-1][2] if tokens else 1)
-        raise ParseError(msg, line, col)
+        raise ParseError(msg, (tok or tokens[-1])[2])
 
     while i < len(tokens):
         sign = 1

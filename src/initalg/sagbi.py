@@ -187,7 +187,7 @@ def sagbi_test(
     _check_subalgebra_gens(gens)
     gens = _sort_gens(gens, order)
     exps = [leading_term(g, order).mono.exponents for g in gens]
-    return _sagbi_round(gens, order, _ToricIdeal(gens[0].ring.n, exps, RevLex()))
+    return _sagbi_round(gens, order, _ToricIdeal(gens[0].ring.n, exps))
 
 
 def sagbi_complete(
@@ -209,7 +209,7 @@ def sagbi_complete(
         raise ValueError("degree cap below a generator degree")
     current = _sort_gens(gens, order)
     exps = [leading_term(g, order).mono.exponents for g in current]
-    ideal = _ToricIdeal(current[0].ring.n, exps, RevLex())
+    ideal = _ToricIdeal(current[0].ring.n, exps)
     while True:
         ok, witnesses = _sagbi_round(current, order, ideal)
         if ok:
@@ -256,14 +256,14 @@ class InitialKernelReport:
 def kernel_initial_check(
     gens: Sequence[Polynomial],
     weight: WeightVector,
-    tiebreak: MonomialOrder | None = None,
     names: Sequence[str] | None = None,
 ) -> InitialKernelReport:
     """Check ini_b(Ker(Y -> f)) == Ker(Y -> ini_a(f)) with b the a-degrees of the f_i.
 
     The caller asserts that the initial forms of the generators generate the
     whole initial algebra (e.g. after a passing Sagbi test under the refined
-    order); under that hypothesis the two ideals agree.
+    order); under that hypothesis the two ideals agree.  Both sides are
+    compared as reduced revlex bases.
     """
     ring = _check_subalgebra_gens(gens)
     if weight.n != ring.n:
@@ -273,7 +273,7 @@ def kernel_initial_check(
     forms = [initial_form(f, weight) for f in gens]
     initial_kernel = presentation_kernel(forms, names=names)
     if kernel.gens:
-        forms_of_kernel = initial_ideal_weight(list(kernel.gens), image_weights, tiebreak)
+        forms_of_kernel = initial_ideal_weight(list(kernel.gens), image_weights)
     else:
         forms_of_kernel = ()
     lhs = buchberger(list(forms_of_kernel), RevLex()).elements if forms_of_kernel else ()

@@ -294,9 +294,14 @@ def test_betti_truncated_flagged(tmp_path, capsys):
 
 
 def test_parse_error_exits_two(tmp_path, capsys):
-    path = write(tmp_path, "ring x\nideal\nx +\nend\n")
-    assert run(["gb", path]) == EXIT_INPUT
-    capsys.readouterr()
+    # the file's line comes from the CLI, the column from the polynomial text
+    for text, flags, err in [
+        ("ring x, y\n\nideal\nx*q\nend\n", [], "error: line 4: unknown variable 'q' (column 3)\n"),
+        ("ring x, y\norder foo\n", [], "error: line 2: unknown order 'foo'\n"),
+        (LEX_IDEAL, ["--order", "foo"], "error: --order: unknown order 'foo'\n"),
+    ]:
+        assert run(["gb", write(tmp_path, text), *flags]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", err)
 
 
 def test_missing_file_exits_two(capsys):
@@ -327,14 +332,25 @@ def test_weight_flag_only_on_commands_that_read_it(tmp_path, capsys, command):
     assert "unrecognized arguments: --weight 5,7" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["abc", "-3"])
-def test_bad_step_limit_exits_two(tmp_path, capsys, monkeypatch, value):
+@pytest.mark.parametrize(
+    "value, text, args, code, err",
+    [
+        ("abc", LEX_IDEAL, ["gb"], EXIT_INPUT,
+         "error: INITALG_STEP_LIMIT must be a nonnegative integer, got 'abc'\n"),
+        ("-3", LEX_IDEAL, ["gb"], EXIT_INPUT,
+         "error: INITALG_STEP_LIMIT must be a nonnegative integer, got '-3'\n"),
+        # an exhausted budget: Buchberger, and the toric ideal of a completion
+        ("0", LEX_IDEAL, ["gb"], EXIT_MATH, "error: exceeded 0 S-polynomial reductions\n"),
+        ("0", ALGEBRA, ["sagbi", "--cap", "6"], EXIT_MATH,
+         "error: exceeded 0 S-polynomial reductions\n"),
+    ],
+    ids=["abc", "-3", "budget-gb", "budget-sagbi"],
+)
+def test_bad_step_limit_exits_two(tmp_path, capsys, monkeypatch, value, text, args, code, err):
     monkeypatch.setenv("INITALG_STEP_LIMIT", value)
-    path = write(tmp_path, LEX_IDEAL)
-    assert run(["gb", path]) == EXIT_INPUT
-    assert capsys.readouterr().err == (
-        f"error: INITALG_STEP_LIMIT must be a nonnegative integer, got {value!r}\n"
-    )
+    path = write(tmp_path, text)
+    assert run([args[0], path, *args[1:]]) == code
+    assert capsys.readouterr() == ("", err)
 
 
 FAMILY_IDEAL = "ring x, y, z\nweight 2, 1, 1\nideal\nx^2 - y\nx*y - z\nend\n"
@@ -344,10 +360,11 @@ FAMILY_IDEAL = "ring x, y, z\nweight 2, 1, 1\nideal\nx^2 - y\nx*y - z\nend\n"
     "text, args, err",
     [
         (LEX_IDEAL, ["hilbert", "--dmax", "-3"], "error: d_max must be nonnegative\n"),
+        (ALGEBRA, ["hilbert", "--dmax", "-3"], "error: d_max must be nonnegative\n"),
         (FAMILY_IDEAL, ["family", "--fiber", "abc"], "error: --fiber: not a rational number: 'abc'\n"),
         (FAMILY_IDEAL, ["family", "--freeness-bound", "-2"], "error: degree bound must be nonnegative\n"),
     ],
-    ids=["hilbert-dmax", "family-fiber", "family-freeness-bound"],
+    ids=["hilbert-dmax", "hilbert-dmax-algebra", "family-fiber", "family-freeness-bound"],
 )
 def test_failed_command_leaves_stdout_empty(tmp_path, capsys, text, args, err):
     # these fail after part of the report is built; none of it may be printed
@@ -356,6 +373,29 @@ def test_failed_command_leaves_stdout_empty(tmp_path, capsys, text, args, err):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err
+
+
+EDGE_FLAGS = [
+    [], ["--dmax", "-1"], ["--dmax", "0"], ["--jmax", "-1"], ["--jmax", "0"],
+    ["--cap", "0"], ["--cap", "1"], ["--cap", "3"], ["--freeness-bound", "-1"],
+    ["--freeness-bound", "0"], ["--fiber", "0"], ["--weight", "1,1,1"],
+]
+
+
+def test_no_exception_escapes_run(tmp_path, capsys):
+    # every command on an ideal and on an algebra, with edge values of every
+    # flag, ends in an exit code; a flag the command lacks is argparse's exit 2
+    paths = [write(tmp_path, FAMILY_IDEAL, "ideal.txt"), write(tmp_path, ALGEBRA, "algebra.txt")]
+    for command in ("gb", "ini", "sagbi", "weight", "family", "hilbert", "dim", "betti"):
+        for path in paths:
+            for flags in EDGE_FLAGS:
+                try:
+                    code = run([command, path, *flags])
+                except SystemExit as exc:
+                    code = exc.code
+                    assert code == 2, (command, path, flags)
+                assert code in (EXIT_OK, EXIT_MATH, EXIT_INPUT), (command, path, flags)
+    capsys.readouterr()
 
 
 def test_parser_is_built_once_and_reused(tmp_path, capsys):

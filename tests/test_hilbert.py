@@ -168,11 +168,6 @@ def test_compare_hilbert_weighted():
         compare_hilbert(gens, Lex(), DegLex())  # not graded for (1,1,1)
 
 
-def test_compare_hilbert_accepts_weights():
-    rep = compare_hilbert([x**2 - y**2], WeightVector((1, 2)), Lex(), grading=WeightVector((1, 1)))
-    assert isinstance(rep.ok, bool)
-
-
 def test_compare_hilbert_random_graded():
     rng = random.Random(139)
     from conftest import sample_orders

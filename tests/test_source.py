@@ -26,3 +26,23 @@ def test_no_function_local_imports():
         if isinstance(inner, (ast.Import, ast.ImportFrom))
     ]
     assert not found, f"function-local imports in src/initalg: {found}"
+
+
+def test_no_unused_imports_in_library():
+    # a removal can leave its imports behind; `__init__` imports to re-export
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [
+                    f"{path.name}:{node.lineno} {name}"
+                    for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                    if name not in used
+                ]
+    assert not found, f"unused imports in src/initalg: {found}"
