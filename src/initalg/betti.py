@@ -14,7 +14,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from initalg.groebner import MonomialIdeal, buchberger
+from initalg.groebner import MonomialIdeal, ReducedGroebnerBasis, buchberger
 from initalg.hilbert import UnitIdealError, hilbert_series_monomial
 from initalg.linalg import exact_rank_sparse
 from initalg.orders import MonomialOrder, RevLex
@@ -91,11 +91,13 @@ def graded_betti(
     if not gens:
         raise ValueError("need generators (possibly the zero polynomial)")
     _check_standard_graded(gens)
-    if order is None:
-        order = RevLex()
-    ring = gens[0].ring
+    return _betti_table(buchberger(gens, RevLex() if order is None else order), j_max)
+
+
+def _betti_table(gb: ReducedGroebnerBasis, j_max: int | None) -> BettiTable:
+    """`graded_betti` of the ideal whose reduced Gröbner basis is `gb`."""
+    ring = gb.ring
     n = ring.n
-    gb = buchberger(gens, order)
     ini = gb.initial_ideal()
     if any(m.is_one() for m in ini.mingens):
         raise UnitIdealError("unit ideal: the quotient is the zero ring")
@@ -201,9 +203,9 @@ def betti_comparison(
     if not gens:
         raise ValueError("need generators")
     _check_standard_graded(gens)
-    ini = buchberger(gens, order).initial_ideal()
-    quotient = graded_betti(gens, order=order)
-    initial = graded_betti(list(ini.polynomials()) or [gens[0].ring.zero()])
+    gb = buchberger(gens, order)
+    quotient = _betti_table(gb, None)
+    initial = graded_betti(list(gb.initial_ideal().polynomials()) or [gens[0].ring.zero()])
     for (i, j), beta in quotient.entries.items():
         if beta > initial.beta(i, j):
             raise BettiInconsistencyError(

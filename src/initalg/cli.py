@@ -143,15 +143,18 @@ def parse_problem(text: str) -> Problem:
                 if mode == "pairs":
                     if ">" not in line:
                         raise CLIInputError(f"line {line_no}: pairs lines read 'mono > mono'")
-                    lhs, _, rhs = line.partition(">")
+                    # columns count from the line's first character: the
+                    # right side is parsed with the left side blanked out
+                    lhs, _, rhs = raw.partition(">")
                     problem.pairs.append(
                         (
                             _parse_single_monomial(problem.ring, lhs, line_no),
-                            _parse_single_monomial(problem.ring, rhs, line_no),
+                            _parse_single_monomial(problem.ring, " " * (len(lhs) + 1) + rhs,
+                                                   line_no),
                         )
                     )
                 else:
-                    problem.gens.append(parse_poly(problem.ring, line))
+                    problem.gens.append(parse_poly(problem.ring, raw))
             except ParseError as exc:
                 raise CLIInputError(f"line {line_no}: {exc}")
             continue

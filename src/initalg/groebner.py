@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -107,19 +108,27 @@ class _Descending:
         return other.key < self.key
 
 
-def _tail(p: Polynomial, lexps: tuple[int, ...]) -> tuple:
-    return tuple((t.mono.exponents, t.coeff) for t in p.terms if t.mono.exponents != lexps)
+# a polynomial with integer coefficients, keyed by exponent tuple
+_IntPoly = dict[tuple[int, ...], int]
 
 
-class _Reducer(list):
-    """Monic divisors prepared for repeated reduction under one order.
+def _cleared(f: Polynomial) -> tuple[_IntPoly, int]:
+    """(F, d) with f = F / d, F with integer coefficients and d > 0."""
+    d = math.lcm(*(t.coeff.denominator for t in f.terms))
+    return {t.mono.exponents: t.coeff.numerator * (d // t.coeff.denominator) for t in f.terms}, d
 
-    The list holds the monic polynomials in insertion order.  `table` holds
-    (lead key, index, lead exponents, monic tail) sorted by lead key then
-    index, so the first entry whose lead divides a monomial is the divisor
-    `divide` would pick.  Order keys are cached by exponent tuple in
-    `key_cache`, which reducers of one run may share; pass a reducer as `G`
-    to `normal_form` to reuse its table and cache.
+
+class _Reducer:
+    """Divisors prepared for repeated reduction under one order, on integers.
+
+    Each divisor is kept as a row (lead exponents, a, tail): its primitive
+    integer multiple, with lead coefficient a > 0 and integer tail
+    ((exponents, coefficient), ...).  `rows` and `leads` are in insertion
+    order.  `table` holds (lead key, index, lead exponents, a, tail) sorted by
+    lead key then index, so the first entry whose lead divides a monomial is
+    the divisor `divide` would pick.  Order keys are cached by exponent tuple
+    in `key_cache`, which reducers of one run may share; pass a reducer as
+    `G` to `normal_form` to reuse its table and cache.
     """
 
     def __init__(
@@ -128,14 +137,17 @@ class _Reducer(list):
         polys: Iterable[Polynomial] = (),
         key_cache: dict[tuple[int, ...], object] | None = None,
     ):
-        super().__init__()
         self.order = order
         self.ring: PolyRing | None = None
-        self.table: list[tuple] = []
+        self.rows: list[tuple] = []
         self.leads: list[tuple[int, ...]] = []
+        self.table: list[tuple] = []
         self.key_cache = {} if key_cache is None else key_cache
         for p in polys:
             self.add(p)
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
     def key(self, exps: tuple[int, ...]):
         k = self.key_cache.get(exps)
@@ -144,59 +156,92 @@ class _Reducer(list):
         return k
 
     def add(self, p: Polynomial) -> None:
-        """Append p made monic and extend the divisor table."""
+        """Append the primitive integer multiple of p and extend the divisor table."""
         if p.is_zero():
             raise ZeroPolynomialError("zero divisor in division")
         if self.ring is None:
             self.ring = p.ring
         elif p.ring != self.ring:
             raise RingMismatchError("divisors from different rings")
-        key = self.key
-        lead = max(p.terms, key=lambda t: key(t.mono.exponents))
-        lc, lexps = lead.coeff, lead.mono.exponents
-        monic_p = p if lc == 1 else p.map_coeffs(lambda c: c / lc)
-        bisect.insort(self.table, (key(lexps), len(self), lexps, _tail(monic_p, lexps)))
-        self.leads.append(lexps)
-        self.append(monic_p)
+        self.add_row(_cleared(p)[0])
 
-    def reduce(self, f: Polynomial) -> Polynomial:
-        """Remainder of f by `divide`'s rule, computed on exponent-tuple dicts."""
-        if self.ring is not None and f.ring != self.ring:
-            raise RingMismatchError("polynomials from different rings")
+    def add_row(self, coeffs: _IntPoly) -> None:
+        """Append the primitive multiple, with positive lead, of nonzero integer `coeffs`."""
+        lead = max(coeffs, key=self.key)
+        content = math.gcd(*coeffs.values())
+        if coeffs[lead] < 0:
+            content = -content
+        tail = tuple((e, c // content) for e, c in coeffs.items() if e != lead)
+        row = (lead, coeffs[lead] // content, tail)
+        bisect.insort(self.table, (self.key(lead), len(self.rows)) + row)
+        self.leads.append(lead)
+        self.rows.append(row)
+
+    def reduce_ints(self, work: _IntPoly) -> tuple[_IntPoly, Fraction]:
+        """(r, s) with r integer, s > 0 rational, and r / s the remainder of
+        `work` by `divide`'s rule.  `work` is consumed.
+
+        Fraction-free: to cancel c X^t by a row (a, tail) with lead l, work
+        and the remainder kept so far are scaled by k = a / g, g = gcd(a, c),
+        and (c / g) X^(t - l) tail is subtracted.  A step that scales first
+        divides out the content h of work, remainder and c / g, so common
+        factors do not pile up; s is the product of the factors k / h.
+        """
         key, table = self.key, self.table
-        work = {t.mono.exponents: t.coeff for t in f.terms}
         heap = [_Descending(key(e), e) for e in work]  # max-heap on the order
         heapq.heapify(heap)
-        remainder: dict[Monomial, Fraction] = {}
+        kept: _IntPoly = {}
+        num = den = 1
         while heap:
             t = heapq.heappop(heap).exps
             c = work.pop(t, None)
             if c is None:  # cancelled after it was pushed
                 continue
-            for _, _, lead, tail in table:
+            for _, _, lead, a, tail in table:
                 if all(map(operator.le, lead, t)):
+                    g = math.gcd(a, c)
+                    c //= g
+                    if g != a:
+                        k = a // g
+                        h = math.gcd(c, *work.values(), *kept.values())
+                        c //= h
+                        work = {e: v // h * k for e, v in work.items()}
+                        kept = {e: v // h * k for e, v in kept.items()}
+                        num *= k
+                        den *= h
                     shift = tuple(map(operator.sub, t, lead))
-                    for e, a in tail:
+                    for e, b in tail:
                         m = tuple(map(operator.add, e, shift))
                         old = work.get(m)
                         if old is None:
-                            work[m] = -c * a
+                            work[m] = -c * b
                             heapq.heappush(heap, _Descending(key(m), m))
-                        elif v := old - c * a:
+                        elif v := old - c * b:
                             work[m] = v
                         else:
                             del work[m]
                     break
             else:
-                remainder[Monomial(t)] = c
-        return Polynomial.from_dict(f.ring, remainder)
+                kept[t] = c
+        return kept, Fraction(num, den)
+
+    def reduce(self, f: Polynomial) -> Polynomial:
+        """Remainder of f by `divide`'s rule: denominators cleared, reduced on integers."""
+        if self.ring is not None and f.ring != self.ring:
+            raise RingMismatchError("polynomials from different rings")
+        work, d = _cleared(f)
+        r, s = self.reduce_ints(work)
+        s *= d
+        return Polynomial.from_dict(f.ring, {Monomial(e): c / s for e, c in r.items()})
 
 
 def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
     """Remainder of f under full tail reduction modulo G.
 
     Equals ``divide(f, G, order)[1]``: among applicable divisors the one with
-    the smallest leading monomial is used, then the smallest index.
+    the smallest leading monomial is used, then the smallest index.  The
+    reduction runs fraction-free on the integer rows of a `_Reducer`, and the
+    exact remainder is divided out at the end.
     """
     reducer = G if isinstance(G, _Reducer) and G.order == order else _Reducer(order, G)
     return reducer.reduce(f)
@@ -287,16 +332,42 @@ class ReducedGroebnerBasis:
         return MonomialIdeal.from_monomials(self.ring, self.leading_monomials())
 
 
-def _interreduce(basis: _Reducer) -> list[Polynomial]:
-    # one pass ascending by lead, dropping p when a kept lead divides its lead;
-    # a lead dividing a monomial of p is at most that monomial, so reducing p
-    # once by the reduced prefix is final and keeps p's monic lead
+def _interreduce(basis: _Reducer) -> _Reducer:
+    # one pass ascending by lead, dropping a row when a kept lead divides its
+    # lead; a lead dividing a monomial of the row is at most that monomial, so
+    # reducing the row once by the reduced prefix is final and keeps its lead
     key = basis.key
     reduced = _Reducer(basis.order, key_cache=basis.key_cache)
-    for lead, p in sorted(zip(basis.leads, basis), key=lambda lp: key(lp[0])):
+    for lead, a, tail in sorted(basis.rows, key=lambda row: key(row[0])):
         if not any(all(map(operator.le, l, lead)) for l in reduced.leads):
-            reduced.add(normal_form(p, reduced, reduced.order))
-    return list(reduced)
+            work = dict(tail)
+            work[lead] = a
+            reduced.add_row(reduced.reduce_ints(work)[0])
+    return reduced
+
+
+def _s_pair(row_i: tuple, row_j: tuple, L: tuple[int, ...]) -> _IntPoly:
+    # (a_j/g) X^(L-l_i) tail_i - (a_i/g) X^(L-l_j) tail_j with g = gcd(a_i, a_j):
+    # a_i a_j / g times the S-polynomial of the two monic divisors
+    (li, ai, ti), (lj, aj, tj) = row_i, row_j
+    g = math.gcd(ai, aj)
+    acc: _IntPoly = {}
+    for lead, tail, c in ((li, ti, aj // g), (lj, tj, -(ai // g))):
+        shift = tuple(map(operator.sub, L, lead))
+        for e, b in tail:
+            m = tuple(map(operator.add, e, shift))
+            if v := acc.get(m, 0) + c * b:
+                acc[m] = v
+            else:
+                del acc[m]
+    return acc
+
+
+def _monic(ring: PolyRing, row: tuple) -> Polynomial:
+    lead, a, tail = row
+    coeffs = {Monomial(e): Fraction(c, a) for e, c in tail}
+    coeffs[Monomial(lead)] = Fraction(1)
+    return Polynomial.from_dict(ring, coeffs)
 
 
 def _pairs(leads: list[tuple[int, ...]], key, start: int, limit: int | None) -> Iterator[tuple]:
@@ -343,9 +414,13 @@ def buchberger(
     """Reduced Gröbner basis of the ideal generated by `gens` under `order`.
 
     Pairs come from `_pairs` by the normal strategy (under lex it avoids the
-    coefficient swell of degree-first selection).  S-polynomials are reduced
-    on exponent-tuple dicts against a divisor table that grows with the
-    basis, by the same rule as `divide`.  The step budget (argument or the
+    coefficient swell of degree-first selection).  Inside the loop each
+    element is a primitive integer row of a `_Reducer`: an S-pair is formed
+    from two rows, reduced fraction-free against the table by the same rule
+    as `divide`, and a nonzero remainder is appended as a primitive row.  The
+    remainders are those of the Fraction route up to a nonzero scalar, so the
+    leads, the pairs and the basis are the same.  Monic Fraction polynomials
+    are built once, after interreduction.  The step budget (argument or the
     INITALG_STEP_LIMIT environment variable) bounds the number of reductions.
     """
     ring = _check_gens(gens)
@@ -353,11 +428,13 @@ def buchberger(
     basis = _Reducer(order, (g for g in gens if not g.is_zero()))
     if not basis:
         return ReducedGroebnerBasis(ring, order, ())
-    for i, j, _ in _pairs(basis.leads, basis.key, 0, limit):
-        r = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
-        if not r.is_zero():
-            basis.add(r)
-    return ReducedGroebnerBasis(ring, order, tuple(_interreduce(basis)))
+    rows = basis.rows
+    for i, j, L in _pairs(basis.leads, basis.key, 0, limit):
+        r = basis.reduce_ints(_s_pair(rows[i], rows[j], L))[0]
+        if r:
+            basis.add_row(r)
+    rows = _interreduce(basis).rows
+    return ReducedGroebnerBasis(ring, order, tuple(_monic(ring, row) for row in rows))
 
 
 def initial_ideal(gens: Sequence[Polynomial], order: MonomialOrder) -> MonomialIdeal:

@@ -420,9 +420,10 @@ def _tokenize(text: str):
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            if text[pos:].strip() == "":
+            rest = text[pos:].lstrip()
+            if not rest:
                 break
-            raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", pos + 1)
+            raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest) + 1)
         kind = m.lastgroup
         tokens.append((kind, m.group(kind), m.start(kind) + 1))
         pos = m.end()

@@ -42,11 +42,14 @@ def random_monomial(rng, n, max_exp=3):
     return Monomial(tuple(rng.randint(0, max_exp) for _ in range(n)))
 
 
-def random_poly(rng, ring, max_terms=4, max_exp=3, max_coeff=5):
+def random_poly(rng, ring, max_terms=4, max_exp=3, max_coeff=5, max_den=1):
+    """Random polynomial; with max_den > 1 each coefficient gets a denominator in 1..max_den."""
     acc = {}
     for _ in range(rng.randint(1, max_terms)):
         m = random_monomial(rng, ring.n, max_exp)
         c = Fraction(rng.randint(-max_coeff, max_coeff))
+        if max_den > 1:
+            c /= rng.randint(1, max_den)
         acc[m] = acc.get(m, Fraction(0)) + c
     return Polynomial.from_dict(ring, acc)
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from initalg import betti
 from initalg.betti import (
     BettiInconsistencyError,
     betti_comparison,
@@ -107,6 +108,25 @@ def test_strict_inequality_case():
         assert beta <= cmp.initial.beta(*key)
     assert cmp.projdim[0] <= cmp.projdim[1]
     assert cmp.regularity[0] <= cmp.regularity[1]
+
+
+def test_comparison_computes_the_basis_of_i_once(monkeypatch):
+    # one run for I (the quotient table and ini(I) share it), one for ini(I)
+    R = PolyRing(("x", "y", "z"))
+    gens = _polys(R, "x^2 - y*z", "x*y")
+    calls = []
+
+    def counting(polys, order, *args, **kwargs):
+        calls.append(order)
+        return buchberger(polys, order, *args, **kwargs)
+
+    monkeypatch.setattr(betti, "buchberger", counting)
+    comp = betti_comparison(gens, DegLex())
+    assert calls == [DegLex(), RevLex()]
+    monkeypatch.undo()
+    ini = buchberger(gens, DegLex()).initial_ideal()
+    assert comp.quotient == graded_betti(gens, order=DegLex())
+    assert comp.initial == graded_betti(list(ini.polynomials()))
 
 
 def test_euler_characteristic_reconstructs_numerator():

@@ -304,6 +304,18 @@ def test_parse_error_exits_two(tmp_path, capsys):
         assert capsys.readouterr() == ("", err)
 
 
+def test_parse_error_columns_count_from_the_file_line(tmp_path, capsys):
+    # leading blanks, the blank before a bad character and the left side of a
+    # pairs line all count
+    for text, err in [
+        ("ring x, y\n\nideal\n  x & y\nend\n", "error: line 4: unexpected character '&' (column 5)\n"),
+        ("ring x, y\nideal\n   x*q\nend\n", "error: line 3: unknown variable 'q' (column 6)\n"),
+        ("ring x, y\npairs\nx^2 > q\nend\n", "error: line 3: unknown variable 'q' (column 7)\n"),
+    ]:
+        assert run(["gb", write(tmp_path, text)]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", err)
+
+
 def test_missing_file_exits_two(capsys):
     assert run(["gb", "/nonexistent/path.txt"]) == EXIT_INPUT
     capsys.readouterr()

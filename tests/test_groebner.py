@@ -87,23 +87,23 @@ def test_normal_form_basic():
 
 
 def test_interreduce_reduces_each_element_once(monkeypatch):
-    # one ascending pass: each minimal element is reduced once, by the
-    # already-reduced elements with smaller leads, through the module global
+    # one ascending pass: each minimal row is reduced once, by the
+    # already-reduced rows with smaller leads
     ring = PolyRing(("u0", "u1", "u2", "u3"))
     polys = [ring.poly(g) for g in KATSURA4]
     prefix_sizes, sizes = [], []
-    real_normal_form, real_interreduce = groebner.normal_form, groebner._interreduce
+    real_reduce, real_interreduce = groebner._Reducer.reduce_ints, groebner._interreduce
 
-    def counting(f, G, order):
+    def counting(self, work):
         if sizes:
-            prefix_sizes.append(len(G))
-        return real_normal_form(f, G, order)
+            prefix_sizes.append(len(self))
+        return real_reduce(self, work)
 
     def interreduce(basis):
         sizes.append(len(basis))
         return real_interreduce(basis)
 
-    monkeypatch.setattr(groebner, "normal_form", counting)
+    monkeypatch.setattr(groebner._Reducer, "reduce_ints", counting)
     monkeypatch.setattr(groebner, "_interreduce", interreduce)
     gb = buchberger(polys, DegLex())
     assert sizes == [11] and len(gb) == 8  # three elements are not minimal
@@ -116,8 +116,8 @@ def test_divide_identity_random():
     rng = random.Random(23)
     for _ in range(60):
         order = rng.choice(sample_orders(3))
-        f = random_poly(rng, R)
-        divisors = [random_poly(rng, R) for _ in range(rng.randint(1, 3))]
+        f = random_poly(rng, R, max_den=6)
+        divisors = [random_poly(rng, R, max_den=6) for _ in range(rng.randint(1, 3))]
         divisors = [d for d in divisors if not d.is_zero()]
         if not divisors:
             continue
@@ -127,6 +127,57 @@ def test_divide_identity_random():
         leads = [leading_monomial(d, order) for d in divisors]
         for t in r.terms:
             assert not any(lm.divides(t.mono) for lm in leads)
+
+
+def fraction_buchberger(gens, order, step_limit):
+    """Reference Buchberger on Fraction polynomials: the same pairs from `_pairs`,
+    each S-polynomial divided by `divide`, then one ascending interreduction pass."""
+    basis = [monic(g, order) for g in gens if not g.is_zero()]
+    leads = [leading_monomial(g, order).exponents for g in basis]
+    for i, j, _ in groebner._pairs(leads, lambda e: order.key(Monomial(e)), 0, step_limit):
+        r = divide(s_polynomial(basis[i], basis[j], order), basis, order)[1]
+        if not r.is_zero():
+            basis.append(monic(r, order))
+            leads.append(leading_monomial(r, order).exponents)
+    reduced = []
+    for p in sorted(basis, key=lambda p: order.key(leading_monomial(p, order))):
+        lead = leading_monomial(p, order)
+        if not any(leading_monomial(q, order).divides(lead) for q in reduced):
+            reduced.append(divide(p, reduced, order)[1])
+    return tuple(reduced)
+
+
+def test_integer_buchberger_equals_fraction_reference():
+    # rational coefficients of both signs: the integer rows clear denominators
+    # and make leads positive, and must still give the Fraction route's basis
+    rng = random.Random(67)
+    budget = 40
+    cut, cut_ref, rational, negative = set(), set(), 0, 0
+
+    def run(route, *args):
+        try:
+            return route(*args)
+        except StepLimitExceeded:
+            return None
+
+    for k in range(90):
+        order = (Lex(), DegLex(), RevLex())[k % 3]
+        gens = [random_poly(rng, R, max_terms=3, max_exp=3, max_den=6) for _ in range(3)]
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            continue
+        rational += any(t.coeff.denominator > 1 for g in gens for t in g.terms)
+        negative += any(leading_term(g, order).coeff < 0 for g in gens)
+        ref = run(fraction_buchberger, gens, order, budget)
+        gb = run(buchberger, gens, order, budget)
+        if ref is None:
+            cut_ref.add(k)
+        if gb is None:
+            cut.add(k)
+        elif ref is not None:
+            assert gb.elements == ref, (order, gens)
+    assert cut == cut_ref and 0 < len(cut) < 10, (cut, cut_ref)
+    assert rational >= 60 and negative >= 30, (rational, negative)
 
 
 def test_buchberger_monomial_ideal_is_self():
