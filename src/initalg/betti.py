@@ -111,24 +111,30 @@ def _betti_table(gb: ReducedGroebnerBasis, j_max: int | None) -> BettiTable:
     numerator = series.numerator  # = H(t) * (1-t)^n for the standard grading
 
     std = {d: ini.standard_monomials(WeightVector.ones(n), d) for d in range(j_max + 1)}
-    std_index: dict[int, dict[Monomial, int]] = {
-        d: {m: i for i, m in enumerate(ms)} for d, ms in std.items()
+    std_index: dict[int, dict[tuple[int, ...], int]] = {
+        d: {m.exponents: i for i, m in enumerate(ms)} for d, ms in std.items()
     }
 
-    nf_cache: dict[tuple[int, Monomial], Polynomial] = {}
+    # normal form of x_var * m as (column among the next degree's standard
+    # monomials, coefficient) pairs; a coefficient is an int when integral
+    fragments: dict[tuple[int, tuple[int, ...]], list[tuple[int, Fraction | int]]] = {}
 
-    def nf_times_var(var: int, mono: Monomial) -> Polynomial:
-        key = (var, mono)
-        if key not in nf_cache:
-            exps = list(mono.exponents)
-            exps[var] += 1
-            shifted = Monomial(tuple(exps))
-            if ini.contains(shifted):
-                p = gb.normal_form(Polynomial.from_dict(ring, {shifted: Fraction(1)}))
+    def nf_times_var(var: int, exps: tuple[int, ...], target: dict[tuple[int, ...], int]):
+        key = (var, exps)
+        frag = fragments.get(key)
+        if frag is None:
+            shifted = exps[:var] + (exps[var] + 1,) + exps[var + 1:]
+            if shifted in target:  # standard: its own normal form
+                frag = [(target[shifted], 1)]
             else:
-                p = Polynomial.from_dict(ring, {shifted: Fraction(1)})
-            nf_cache[key] = p
-        return nf_cache[key]
+                nf = gb.normal_form(Polynomial.from_dict(ring, {Monomial(shifted): Fraction(1)}))
+                frag = [
+                    (target[t.mono.exponents],
+                     t.coeff.numerator if t.coeff.denominator == 1 else t.coeff)
+                    for t in nf.terms
+                ]
+            fragments[key] = frag
+        return frag
 
     def strand_rank(i: int, j: int) -> int:
         """Rank of the Koszul differential from exterior degree i, internal degree j."""
@@ -140,16 +146,20 @@ def _betti_table(gb: ReducedGroebnerBasis, j_max: int | None) -> BettiTable:
         if not source_monos or not target_monos or not target_sets:
             return 0
         width = len(target_monos)
+        # per subset S: (var, sign, first column of the block of S minus var)
+        faces = [
+            [(var, pos % 2, target_sets[S[:pos] + S[pos + 1:]] * width)
+             for pos, var in enumerate(S)]
+            for S in combinations(range(n), i)
+        ]
         rows = []
-        for S in combinations(range(n), i):
+        for face in faces:
             for m in source_monos:
-                row: dict[int, Fraction] = {}
-                for pos, var in enumerate(S):
-                    rest = tuple(v for v in S if v != var)
-                    sign = -1 if pos % 2 else 1
-                    base = target_sets[rest] * width
-                    for t in nf_times_var(var, m).terms:
-                        row[base + target_monos[t.mono]] = sign * t.coeff
+                exps = m.exponents
+                row: dict[int, Fraction | int] = {}
+                for var, odd, base in face:
+                    for col, c in nf_times_var(var, exps, target_monos):
+                        row[base + col] = -c if odd else c
                 rows.append(row)
         return exact_rank_sparse(rows)
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterator, Sequence
 
 from initalg.groebner import ReducedGroebnerBasis, buchberger
@@ -93,7 +95,7 @@ def freeness_basis_check(family: HomogenizedFamily, degree_bound: int | None = N
     exact codimension of the total ideal's graded piece.
     """
     a = family.weight
-    ring_t = family.extended_ring
+    n = family.extended_ring.n
     if degree_bound is None:
         top = max((weighted_degree(g, a) for g in family.base_gb), default=1)
         degree_bound = 2 * top
@@ -102,21 +104,30 @@ def freeness_basis_check(family: HomogenizedFamily, degree_bound: int | None = N
     ini = family.base_gb.initial_ideal()
     a_ext = a.extend()
     order_key = family.total.order.key
+    # each element once: (weighted degree, integer terms); scaling keeps the rank
+    elements = []
+    for g in family.total:
+        scale = lcm(*(t.coeff.denominator for t in g.terms))
+        terms = [(t.mono.exponents, t.coeff.numerator * (scale // t.coeff.denominator))
+                 for t in g.terms]
+        elements.append((weighted_degree(g, a_ext), terms))
+    # the monomials of each weighted degree, ascending by exponents: columns and multipliers
+    monos = [monomials_of_weight(n, a_ext, d) for d in range(degree_bound + 1)]
     rows = []
     ok = True
     standard = 0
     for d in range(degree_bound + 1):
         standard += len(ini.standard_monomials(a, d))
         # columns sorted by the extended order keep the rows near-echelon
-        ambient = sorted(monomials_of_weight(ring_t.n, a_ext, d), key=order_key)
-        index = {mono: i for i, mono in enumerate(ambient)}
+        ambient = sorted(monos[d], key=order_key)
+        index = {mono.exponents: i for i, mono in enumerate(ambient)}
         sparse = []
-        for g in family.total:
-            gd = weighted_degree(g, a_ext)
+        for gd, terms in elements:
             if gd > d:
                 continue
-            for mult in monomials_of_weight(ring_t.n, a_ext, d - gd):
-                sparse.append({index[mult.mul(t.mono)]: t.coeff for t in g.terms})
+            for mult in monos[d - gd]:
+                me = mult.exponents
+                sparse.append({index[tuple(map(add, me, e))]: c for e, c in terms})
         dim = len(ambient) - exact_rank_sparse(sparse)
         rows.append((d, standard, dim))
         if standard != dim:

@@ -1,9 +1,14 @@
-"""Exact rank of rational matrices: sparse row reduction, plus a dense Bareiss reference."""
+"""Exact rank of rational matrices: fraction-free sparse elimination, dense Bareiss reference.
+
+Both routines clear each row to integers once and eliminate over the
+integers (Bareiss 1968 for the dense one, primitive integer pivots for the
+sparse one); no `Fraction` is built during elimination.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -43,31 +48,47 @@ def exact_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
     return rank
 
 
-def exact_rank_sparse(rows: Iterable[dict[int, Fraction]]) -> int:
+def exact_rank_sparse(rows: Iterable[dict[int, Fraction | int]]) -> int:
     """Rank over the rationals of sparsely stored rows, pivoting on the largest column.
+
+    Each row is cleared to integers once (by the lcm of its denominators)
+    and reduced against primitive integer pivots with a positive lead: with
+    pivot lead a and work entry c, g = gcd(a, c), the work row becomes
+    (a/g)*work - (c/g)*pivot.  A row that survives becomes a pivot after its
+    content is divided out.  The caller's dicts are not modified.
 
     Effective when rows are near-echelon for the chosen column numbering
     (e.g. graded pieces of an ideal with columns sorted by a monomial order).
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
-    rank = 0
+    pivots: dict[int, tuple[int, list[tuple[int, int]]]] = {}
     for row in rows:
-        work = {c: Fraction(v) for c, v in row.items() if v}
+        if all(type(v) is int for v in row.values()):
+            work = {k: v for k, v in row.items() if v}
+        else:
+            mult = lcm(*(v.denominator for v in row.values()))
+            work = {k: v.numerator * (mult // v.denominator) for k, v in row.items() if v}
         while work:
             lead = max(work)
             pivot = pivots.get(lead)
             if pivot is None:
-                inv = work[lead]
-                pivots[lead] = {c: v / inv for c, v in work.items()}
-                rank += 1
+                content = gcd(*work.values())
+                if work[lead] < 0:
+                    content = -content
+                a = work.pop(lead) // content
+                pivots[lead] = (a, [(k, v // content) for k, v in work.items()])
                 break
-            factor = work.pop(lead)
-            for c, v in pivot.items():
-                if c == lead:
-                    continue
-                nv = work.get(c, Fraction(0)) - factor * v
+            a, tail = pivot
+            c = work.pop(lead)
+            g = gcd(a, c)
+            if g != a:
+                scale = a // g
+                for k in work:
+                    work[k] *= scale
+            c //= g
+            for k, v in tail:
+                nv = work.get(k, 0) - c * v
                 if nv:
-                    work[c] = nv
+                    work[k] = nv
                 else:
-                    work.pop(c, None)
-    return rank
+                    del work[k]
+    return len(pivots)

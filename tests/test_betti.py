@@ -47,6 +47,24 @@ def test_rational_normal_curve_matches_eagon_northcott(d):
     assert T.complete and T.entries == {(0, 0): 1, **expected}
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_scaled_rational_normal_curve_keeps_eagon_northcott(d):
+    # x_i -> c_i * x_i is a change of coordinates, so the table is unchanged;
+    # the monic reduced basis now has non-integer coefficients
+    c = [1, 2, 3, 5, 7][: d + 1]
+    R = PolyRing(tuple(f"x{i}" for i in range(d + 1)))
+    minors = [
+        f"{c[i] * c[j + 1]}*x{i}*x{j + 1} - {c[j] * c[i + 1]}*x{j}*x{i + 1}"
+        for i in range(d)
+        for j in range(i + 1, d)
+    ]
+    gens = _polys(R, *minors)
+    assert any(t.coeff.denominator > 1 for g in buchberger(gens, RevLex()) for t in g.terms)
+    T = graded_betti(gens)
+    expected = {(i, i + 1): i * math.comb(d, i + 1) for i in range(1, d)}
+    assert T.complete and T.entries == {(0, 0): 1, **expected}
+
+
 def test_monomial_pair_fixture():
     R = PolyRing(("x", "y"))
     T = graded_betti(_polys(R, "x^2", "x*y"))

@@ -11,15 +11,23 @@ from initalg.family import (
     freeness_basis_check,
     homogenize_ideal,
 )
-from initalg.groebner import buchberger, initial_ideal, initial_ideal_weight
+from initalg.groebner import (
+    ReducedGroebnerBasis,
+    buchberger,
+    initial_ideal,
+    initial_ideal_weight,
+)
 from initalg.hilbert import hilbert_series_monomial
+from initalg.linalg import exact_rank
 from initalg.orders import DegLex, ExtendedOrder, Lex, RevLex, WeightOrder, leading_monomial
 from initalg.poly import (
     Monomial,
     PolyRing,
     WeightVector,
+    homogenize,
     is_weight_homogeneous,
     monomials_of_weight,
+    weighted_degree,
 )
 
 R2 = PolyRing(("x", "y"))
@@ -155,3 +163,56 @@ def test_fiber_hilbert_functions_match_for_graded_ideals():
         H_base = hilbert_series_monomial(initial_ideal(gens, DegLex()))
         H_fiber = hilbert_series_monomial(initial_ideal(list(general), DegLex()))
         assert H_base.expand(8) == H_fiber.expand(8)
+
+
+def _raw_family(gens, weight):
+    """A family whose total ideal holds the homogenized generators, not the homogenized basis."""
+    base = buchberger(gens, WeightOrder(weight, Lex()))
+    ring_t = base.ring.extend()
+    lifted = tuple(homogenize(g, weight, ring_t) for g in gens)
+    total = ReducedGroebnerBasis(ring_t, ExtendedOrder(weight, Lex()), lifted)
+    return HomogenizedFamily(weight, base, total)
+
+
+def test_freeness_check_fails_on_homogenized_raw_generators():
+    # (x^2 - y*t^3, x*y - z*t^2) misses the homogenized basis elements, so the
+    # quotient is larger than the standard monomials of ini(I) predict
+    rep = freeness_basis_check(_raw_family([X**2 - Y, X * Y - Z], WeightVector((2, 1, 1))), 8)
+    assert not rep.ok
+    assert rep.rows == (
+        (0, 1, 1), (1, 3, 3), (2, 7, 7), (3, 10, 12), (4, 13, 18),
+        (5, 16, 24), (6, 19, 30), (7, 22, 36), (8, 25, 42),
+    )
+
+
+def _fraction_freeness_rows(fam, bound):
+    """Degreewise (degree, standard count, quotient dimension): rows assembled from
+    Monomials with Fraction coefficients, ranked densely by `exact_rank`."""
+    a, a_ext, ring_t = fam.weight, fam.weight.extend(), fam.extended_ring
+    ini = fam.base_gb.initial_ideal()
+    rows, standard = [], 0
+    for d in range(bound + 1):
+        standard += len(ini.standard_monomials(a, d))
+        ambient = sorted(monomials_of_weight(ring_t.n, a_ext, d), key=fam.total.order.key)
+        index = {mono: i for i, mono in enumerate(ambient)}
+        sparse = []
+        for g in fam.total:
+            gd = weighted_degree(g, a_ext)
+            if gd <= d:
+                for mult in monomials_of_weight(ring_t.n, a_ext, d - gd):
+                    sparse.append({index[mult.mul(t.mono)]: t.coeff for t in g.terms})
+        dense = [[row.get(i, 0) for i in range(len(ambient))] for row in sparse]
+        rows.append((d, standard, len(ambient) - exact_rank(dense)))
+    return tuple(rows)
+
+
+def test_freeness_rows_with_non_integer_coefficients_match_fraction_reference():
+    a = WeightVector((2, 1, 1))
+    gens = [2 * X**2 - 3 * Y, 5 * X * Y - 2 * Z]
+    fam = homogenize_ideal(gens, a, Lex())
+    assert any(t.coeff.denominator > 1 for g in fam.total for t in g.terms)
+    rep = freeness_basis_check(fam)
+    assert rep.ok
+    assert rep.rows == _fraction_freeness_rows(fam, rep.bound)
+    raw = _raw_family(gens, a)
+    assert freeness_basis_check(raw, 8).rows == _fraction_freeness_rows(raw, 8)

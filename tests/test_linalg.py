@@ -55,3 +55,41 @@ def test_dense_and_sparse_agree_on_random_matrices():
 def test_duplicate_rows_do_not_inflate_rank():
     row = {0: Fraction(1), 3: Fraction(-2)}
     assert exact_rank_sparse([dict(row) for _ in range(5)]) == 1
+
+
+def _random_entry(rng):
+    """An int, a Fraction (denominator up to 9) or an explicit zero of either type."""
+    kind = rng.random()
+    if kind < 0.2:
+        return rng.choice([0, Fraction(0)])
+    if kind < 0.5:
+        return rng.randint(-9, 9)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def test_sparse_matches_dense_reference_on_rational_matrices():
+    rng = random.Random(20260612)
+    matrices = []
+    for _ in range(240):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        rows = [[_random_entry(rng) for _ in range(n)] for _ in range(m)]
+        # plant dependencies: some rows become rational combinations of others
+        for r in range(1, m):
+            if rng.random() < 0.3:
+                sources = rng.sample(range(r), rng.randint(1, min(3, r)))
+                coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 9)) for _ in sources]
+                rows[r] = [sum((c * rows[s][k] for c, s in zip(coeffs, sources)), Fraction(0))
+                           for k in range(n)]
+        matrices.append(rows)
+    matrices.append([[Fraction(1, i + j + 1) for j in range(10)] for i in range(10)])
+    for rows in matrices:
+        # keep explicit zeros in the dicts
+        sparse = [{j: v for j, v in enumerate(row) if v or rng.random() < 0.5} for row in rows]
+        before = [dict(r) for r in sparse]
+        rank = exact_rank_sparse(sparse)
+        assert rank == exact_rank(rows) <= min(len(rows), len(rows[0]))
+        assert sparse == before
+        assert [[type(v) for v in r.values()] for r in sparse] == [
+            [type(v) for v in r.values()] for r in before
+        ]
+    assert exact_rank_sparse(to_sparse(matrices[-1])) == 10
