@@ -112,9 +112,9 @@ class ExtendedOrder(MonomialOrder):
     base: MonomialOrder = field(default_factory=RevLex)
 
     def key(self, mono: Monomial):
-        wext = self.weight.extend()
         r_part = Monomial(mono.exponents[:-1])
-        return (wext.degree(mono), -mono.exponents[-1], self.base.key(r_part))
+        t = mono.exponents[-1]
+        return (self.weight.degree(r_part) + t, -t, self.base.key(r_part))
 
 
 @dataclass(frozen=True)

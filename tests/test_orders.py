@@ -109,6 +109,20 @@ def test_extended_order_restricts_to_weight_order():
         assert ext.compare(ue, ve) == tau.compare(u, v)
 
 
+@pytest.mark.parametrize("base", [Lex(), DegLex(), RevLex()])
+def test_extended_order_key_matches_extended_weight_formula(base):
+    # the key sums the weight of the R part and the power of t instead of
+    # building the extended weight on R[t]; the values must not change
+    rng = random.Random(31)
+    for _ in range(200):
+        a = WeightVector(tuple(rng.randint(1, 6) for _ in range(3)))
+        ext = ExtendedOrder(a, base)
+        m = random_monomial(rng, 4, max_exp=5)
+        r_part = Monomial(m.exponents[:-1])
+        expected = (a.extend().degree(m), -m.exponents[-1], base.key(r_part))
+        assert ext.key(m) == expected
+
+
 def test_block_order_eliminates_first_block():
     # anything containing a first-block variable beats anything that does not
     ord_ = EliminationOrder((0,), (1, 2), DegLex(), RevLex())
