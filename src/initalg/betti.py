@@ -93,10 +93,10 @@ def graded_betti(
     """Betti table of R/(gens) for internal degrees <= j_max.
 
     The default bound is the Taylor bound of the initial ideal, which covers
-    every nonzero entry; a smaller explicit bound may leave the table
-    incomplete (flagged, and refused by projdim/regularity).  The unit ideal
-    raises `UnitIdealError`: R/(1) is the zero module, which has no
-    projective dimension or regularity to report.
+    every nonzero entry; below it the table is flagged incomplete, and
+    projdim/regularity are refused, even when no entry is missing.  The
+    unit ideal raises `UnitIdealError`: R/(1) is the zero module, which has
+    no projective dimension or regularity to report.
     """
     if not gens:
         raise ValueError("need generators (possibly the zero polynomial)")
@@ -293,7 +293,11 @@ def _betti_tables(gb: ReducedGroebnerBasis, j_max: int | None) -> tuple[BettiTab
             raise BettiInconsistencyError(
                 f"Euler check failed in degree {j}: {euler} != {expected}"
             )
-    complete = all(c == 0 for c in numerator[j_max + 1 :])
+    # every nonzero entry of R/ini, hence of R/I, sits at an element of the
+    # lcm lattice, and the lcm of all generators tops it at the Taylor
+    # bound; the Hilbert numerator cannot certify this, since beta_{i,j}
+    # and beta_{i+1,j} cancel in it
+    complete = j_max >= taylor
     quotient = BettiTable(ring, entries, j_max, complete)
     initial_table = BettiTable(ring, initial, j_max, complete)
     if j_max >= taylor and all(e <= 1 for m in ini.mingens for e in m.exponents):

@@ -17,7 +17,14 @@ from typing import Iterator, Sequence
 
 from initalg.groebner import ReducedGroebnerBasis, buchberger
 from initalg.linalg import exact_rank_sparse
-from initalg.orders import ExtendedOrder, MonomialOrder, RevLex, WeightOrder, leading_monomial
+from initalg.orders import (
+    ExtendedOrder,
+    MonomialOrder,
+    RevLex,
+    WeightOrder,
+    leading_monomial,
+    packing,
+)
 from initalg.poly import (
     PolyRing,
     Polynomial,
@@ -103,7 +110,8 @@ def freeness_basis_check(family: HomogenizedFamily, degree_bound: int | None = N
         raise ValueError("degree bound must be nonnegative")
     ini = family.base_gb.initial_ideal()
     a_ext = a.extend()
-    order_key = family.total.order.key
+    # every exponent is at most the degree bound, so the packed key is exact
+    pack = packing(family.total.order, n, max(degree_bound, 1).bit_length()).pack
     # each element once: (weighted degree, integer terms); scaling keeps the rank
     elements = []
     for g in family.total:
@@ -119,7 +127,7 @@ def freeness_basis_check(family: HomogenizedFamily, degree_bound: int | None = N
     for d in range(degree_bound + 1):
         standard += len(ini.standard_monomials(a, d))
         # columns sorted by the extended order keep the rows near-echelon
-        ambient = sorted(monos[d], key=order_key)
+        ambient = sorted(monos[d], key=lambda m: pack(m.exponents))
         index = {mono.exponents: i for i, mono in enumerate(ambient)}
         sparse = []
         for gd, terms in elements:

@@ -17,11 +17,13 @@ from initalg.orders import (
     DegLex,
     EliminationOrder,
     MonomialOrder,
+    Packing,
     RevLex,
     WeightOrder,
     leading_coeff,
     leading_monomial,
     leading_term,
+    packing,
 )
 from initalg.poly import (
     Monomial,
@@ -95,21 +97,8 @@ def divide(
     return tuple(quotients), Polynomial.from_dict(ring, remainder)
 
 
-class _Descending:
-    """Heap entry that pops the largest order key first."""
-
-    __slots__ = ("key", "exps")
-
-    def __init__(self, key, exps: tuple[int, ...]):
-        self.key = key
-        self.exps = exps
-
-    def __lt__(self, other: _Descending) -> bool:
-        return other.key < self.key
-
-
-# a polynomial with integer coefficients, keyed by exponent tuple
-_IntPoly = dict[tuple[int, ...], int]
+# a polynomial with integer coefficients, keyed by exponent tuple or by word
+_IntPoly = dict[tuple[int, ...] | int, int]
 
 
 def _cleared(f: Polynomial) -> tuple[_IntPoly, int]:
@@ -118,87 +107,162 @@ def _cleared(f: Polynomial) -> tuple[_IntPoly, int]:
     return {t.mono.exponents: t.coeff.numerator * (d // t.coeff.denominator) for t in f.terms}, d
 
 
-class _Reducer:
-    """Divisors prepared for repeated reduction under one order, on integers.
+class _Overflow(Exception):
+    """An exponent outgrew the packing; `_Reducer.widening` repacks and retries."""
 
-    Each divisor is kept as a row (lead exponents, a, tail): its primitive
-    integer multiple, with lead coefficient a > 0 and integer tail
-    ((exponents, coefficient), ...).  `rows` and `leads` are in insertion
-    order.  `table` holds (lead key, index, lead exponents, a, tail) sorted by
-    lead key then index, so the first entry whose lead divides a monomial is
-    the divisor `divide` would pick.  Order keys are cached by exponent tuple
-    in `key_cache`, which reducers of one run may share; pass a reducer as
-    `G` to `normal_form` to reuse its table and cache.
+
+def _top_exponent(polys: Iterable[Polynomial]) -> int:
+    return max((e for f in polys for t in f.terms for e in t.mono.exponents), default=0)
+
+
+class _Reducer:
+    """Divisors prepared for repeated reduction under one order, on integers
+    and packed monomials.
+
+    Monomials are words of an `orders.Packing` of the order: ints that compare
+    as the order does, add as monomials multiply, and test divisibility with
+    one mask.  Each divisor is kept as a row (lead, a, tail): the word of
+    its lead, the lead coefficient a > 0 of its primitive integer multiple,
+    and the tail as (word - lead, coefficient) pairs, so the tail of X^m
+    times the row is m + offset.  `rows` and `leads` are in insertion order.
+    `table` holds (lead, index, a, tail) sorted, so the first entry whose lead
+    divides a monomial is the divisor `divide` would pick.
+
+    The packing has room for exponents up to 4 times the largest one seen,
+    and at least 255.  A new monomial that sets a guard bit raises
+    `_Overflow` before it is compared; `widening` then doubles the field
+    width, repacks every row and retries the step, so exponents of any size
+    stay exact.  `lcm`, `key`, `coprime`, `dividing` and `bits` are those of
+    the current packing: the monomial arithmetic `_pairs` reads.  Pass a
+    reducer as `G` to `normal_form` to reuse its table.
     """
 
     def __init__(
-        self,
-        order: MonomialOrder,
-        polys: Iterable[Polynomial] = (),
-        key_cache: dict[tuple[int, ...], object] | None = None,
+        self, order: MonomialOrder, polys: Iterable[Polynomial] = (), packed: Packing | None = None
     ):
         self.order = order
         self.ring: PolyRing | None = None
         self.rows: list[tuple] = []
-        self.leads: list[tuple[int, ...]] = []
+        self.leads: list[int] = []
         self.table: list[tuple] = []
-        self.key_cache = {} if key_cache is None else key_cache
+        self.packing = None
+        polys = list(polys)
+        if packed is not None:
+            self._use(packed)
+        elif polys:
+            self._fit(polys[0].ring.n, _top_exponent(polys))
         for p in polys:
             self.add(p)
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def key(self, exps: tuple[int, ...]):
-        k = self.key_cache.get(exps)
-        if k is None:
-            k = self.key_cache[exps] = self.order.key(Monomial(exps))
-        return k
+    def _use(self, new: Packing) -> None:
+        """Switch to the packing `new`, repacking the rows in place."""
+        old, self.packing = self.packing, new
+        if self.rows:
+            pack, unpack = new.pack, old.unpack
+            for k, (lead, a, tail) in enumerate(self.rows):
+                word = pack(unpack(lead))
+                tail = tuple((pack(unpack(lead + off)) - word, b) for off, b in tail)
+                self.rows[k] = (word, a, tail)
+                self.leads[k] = word
+            self.table = sorted((row[0], k) + row[1:] for k, row in enumerate(self.rows))
+        self.lcm, self.key, self.coprime = new.lcm, new.key, new.coprime
+        self.dividing, self.bits = new.dividing, new.bits
+
+    def _fit(self, n: int, top: int) -> None:
+        """Set up the packing, or widen it, so that exponents up to `top` fit."""
+        if self.packing is None:
+            self._use(packing(self.order, n, max(8, top.bit_length() + 2)))
+        bits = self.packing.bits
+        while top >> bits:
+            bits *= 2
+        if bits != self.packing.bits:
+            self._use(packing(self.order, n, bits))
+
+    def _take(self, f: Polynomial, mismatch: str) -> None:
+        """Check f's ring (the first one is taken) and fit its exponents."""
+        if self.ring is None:
+            self.ring = f.ring
+        elif f.ring != self.ring:
+            raise RingMismatchError(mismatch)
+        self._fit(f.ring.n, _top_exponent((f,)))
+
+    def widening(self, step):
+        """step(), retried with twice the field width while it overflows."""
+        while True:
+            try:
+                return step()
+            except _Overflow:
+                self._use(packing(self.order, self.packing.n, 2 * self.packing.bits))
+
+    def _packed(self, coeffs: _IntPoly) -> _IntPoly:
+        pack = self.packing.pack
+        return {pack(e): c for e, c in coeffs.items()}
 
     def add(self, p: Polynomial) -> None:
         """Append the primitive integer multiple of p and extend the divisor table."""
         if p.is_zero():
             raise ZeroPolynomialError("zero divisor in division")
-        if self.ring is None:
-            self.ring = p.ring
-        elif p.ring != self.ring:
-            raise RingMismatchError("divisors from different rings")
-        self.add_row(_cleared(p)[0])
+        self._take(p, "divisors from different rings")
+        self.add_row(self._packed(_cleared(p)[0]))
 
     def add_row(self, coeffs: _IntPoly) -> None:
         """Append the primitive multiple, with positive lead, of nonzero integer `coeffs`."""
-        lead = max(coeffs, key=self.key)
+        lead = max(coeffs)
         content = math.gcd(*coeffs.values())
         if coeffs[lead] < 0:
             content = -content
-        tail = tuple((e, c // content) for e, c in coeffs.items() if e != lead)
-        row = (lead, coeffs[lead] // content, tail)
-        bisect.insort(self.table, (self.key(lead), len(self.rows)) + row)
+        tail = tuple((m - lead, c // content) for m, c in coeffs.items() if m != lead)
+        a = coeffs[lead] // content
+        bisect.insort(self.table, (lead, len(self.rows), a, tail))
         self.leads.append(lead)
-        self.rows.append(row)
+        self.rows.append((lead, a, tail))
+
+    def s_pair(self, i: int, j: int) -> _IntPoly:
+        """(a_j/g) X^(L-l_i) tail_i - (a_i/g) X^(L-l_j) tail_j of rows i and j,
+        g = gcd(a_i, a_j), L = lcm(l_i, l_j): a_i a_j / g times the
+        S-polynomial of the two monic divisors."""
+        (li, ai, ti), (lj, aj, tj) = self.rows[i], self.rows[j]
+        L = self.lcm(li, lj)
+        g = math.gcd(ai, aj)
+        acc: _IntPoly = {}
+        for tail, c in ((ti, aj // g), (tj, -(ai // g))):
+            for off, b in tail:
+                m = L + off
+                if v := acc.get(m, 0) + c * b:
+                    acc[m] = v
+                else:
+                    del acc[m]
+        guard = self.packing.guard
+        if any(m & guard for m in acc):
+            raise _Overflow
+        return acc
 
     def reduce_ints(self, work: _IntPoly) -> tuple[_IntPoly, Fraction]:
         """(r, s) with r integer, s > 0 rational, and r / s the remainder of
-        `work` by `divide`'s rule.  `work` is consumed.
+        `work` (keyed by word) by `divide`'s rule.  `work` is consumed.
 
         Fraction-free: to cancel c X^t by a row (a, tail) with lead l, work
         and the remainder kept so far are scaled by k = a / g, g = gcd(a, c),
         and (c / g) X^(t - l) tail is subtracted.  A step that scales first
         divides out the content h of work, remainder and c / g, so common
         factors do not pile up; s is the product of the factors k / h.
+        The heap holds negated words, so it pops the largest monomial first.
         """
-        key, table = self.key, self.table
-        heap = [_Descending(key(e), e) for e in work]  # max-heap on the order
+        table, guard = self.table, self.packing.guard
+        heap = [-m for m in work]
         heapq.heapify(heap)
         kept: _IntPoly = {}
         num = den = 1
         while heap:
-            t = heapq.heappop(heap).exps
+            t = -heapq.heappop(heap)
             c = work.pop(t, None)
             if c is None:  # cancelled after it was pushed
                 continue
-            for _, _, lead, a, tail in table:
-                if all(map(operator.le, lead, t)):
+            for lead, _, a, tail in table:
+                if not (t - lead) & guard:
                     g = math.gcd(a, c)
                     c //= g
                     if g != a:
@@ -209,13 +273,14 @@ class _Reducer:
                         kept = {e: v // h * k for e, v in kept.items()}
                         num *= k
                         den *= h
-                    shift = tuple(map(operator.sub, t, lead))
-                    for e, b in tail:
-                        m = tuple(map(operator.add, e, shift))
+                    for off, b in tail:
+                        m = t + off
                         old = work.get(m)
                         if old is None:
+                            if m & guard:
+                                raise _Overflow
                             work[m] = -c * b
-                            heapq.heappush(heap, _Descending(key(m), m))
+                            heapq.heappush(heap, -m)
                         elif v := old - c * b:
                             work[m] = v
                         else:
@@ -227,12 +292,12 @@ class _Reducer:
 
     def reduce(self, f: Polynomial) -> Polynomial:
         """Remainder of f by `divide`'s rule: denominators cleared, reduced on integers."""
-        if self.ring is not None and f.ring != self.ring:
-            raise RingMismatchError("polynomials from different rings")
-        work, d = _cleared(f)
-        r, s = self.reduce_ints(work)
+        self._take(f, "polynomials from different rings")
+        coeffs, d = _cleared(f)
+        r, s = self.widening(lambda: self.reduce_ints(self._packed(coeffs)))
         s *= d
-        return Polynomial.from_dict(f.ring, {Monomial(e): c / s for e, c in r.items()})
+        unpack = self.packing.unpack
+        return Polynomial.from_dict(f.ring, {Monomial(unpack(m)): c / s for m, c in r.items()})
 
 
 def normal_form(f: Polynomial, G: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
@@ -336,70 +401,85 @@ def _interreduce(basis: _Reducer) -> _Reducer:
     # one pass ascending by lead, dropping a row when a kept lead divides its
     # lead; a lead dividing a monomial of the row is at most that monomial, so
     # reducing the row once by the reduced prefix is final and keeps its lead
-    key = basis.key
-    reduced = _Reducer(basis.order, key_cache=basis.key_cache)
-    for lead, a, tail in sorted(basis.rows, key=lambda row: key(row[0])):
-        if not any(all(map(operator.le, l, lead)) for l in reduced.leads):
-            work = dict(tail)
+    reduced = _Reducer(basis.order, packed=basis.packing)
+    for lead, a, tail in sorted(basis.rows, key=operator.itemgetter(0)):
+        if not reduced.dividing(reduced.leads, lead):
+            work = {lead + off: b for off, b in tail}
             work[lead] = a
             reduced.add_row(reduced.reduce_ints(work)[0])
     return reduced
 
 
-def _s_pair(row_i: tuple, row_j: tuple, L: tuple[int, ...]) -> _IntPoly:
-    # (a_j/g) X^(L-l_i) tail_i - (a_i/g) X^(L-l_j) tail_j with g = gcd(a_i, a_j):
-    # a_i a_j / g times the S-polynomial of the two monic divisors
-    (li, ai, ti), (lj, aj, tj) = row_i, row_j
-    g = math.gcd(ai, aj)
-    acc: _IntPoly = {}
-    for lead, tail, c in ((li, ti, aj // g), (lj, tj, -(ai // g))):
-        shift = tuple(map(operator.sub, L, lead))
-        for e, b in tail:
-            m = tuple(map(operator.add, e, shift))
-            if v := acc.get(m, 0) + c * b:
-                acc[m] = v
-            else:
-                del acc[m]
-    return acc
-
-
-def _monic(ring: PolyRing, row: tuple) -> Polynomial:
+def _monic(ring: PolyRing, row: tuple, unpack) -> Polynomial:
     lead, a, tail = row
-    coeffs = {Monomial(e): Fraction(c, a) for e, c in tail}
-    coeffs[Monomial(lead)] = Fraction(1)
+    coeffs = {Monomial(unpack(lead + off)): Fraction(c, a) for off, c in tail}
+    coeffs[Monomial(unpack(lead))] = Fraction(1)
     return Polynomial.from_dict(ring, coeffs)
 
 
-def _pairs(leads: list[tuple[int, ...]], key, start: int, limit: int | None) -> Iterator[tuple]:
+class _ExponentTuples:
+    """The monomial arithmetic of `_pairs` on exponent tuples, ordered by `key`."""
+
+    bits = None  # never repacked
+
+    def __init__(self, key):
+        self.key = key
+
+    @staticmethod
+    def lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(max, a, b))
+
+    @staticmethod
+    def coprime(a: tuple[int, ...], b: tuple[int, ...], lcm: tuple[int, ...]) -> bool:
+        return not any(map(min, a, b))
+
+    @staticmethod
+    def dividing(leads: list[tuple[int, ...]], mono: tuple[int, ...]) -> Iterator[int]:
+        return (k for k, lead in enumerate(leads) if all(map(operator.le, lead, mono)))
+
+
+def _pairs(leads: list, monos, start: int, limit: int | None) -> Iterator[tuple]:
     """Yield the S-pairs (i, j, lcm) of `leads` with j >= start that survive the criteria.
 
-    Pairs wait in a heap keyed (order key of the lcm, (i, j)): Buchberger's
-    normal strategy.  Leads appended while iterating get their pairs before
-    the next pair is taken.  The coprimality and chain criteria prune pairs;
-    yielding more than `limit` pairs raises StepLimitExceeded.
+    `monos` is the monomial arithmetic of the leads: `lcm`, the order `key`,
+    `coprime`, and `dividing` (the indices of the leads that divide a
+    monomial).  It is an `_ExponentTuples`, or a `_Reducer`, whose leads are
+    packed words; when its `bits` change, the leads were repacked wider and
+    the waiting pairs are keyed again.  Pairs wait in a heap keyed (order key
+    of the lcm, (i, j)): Buchberger's normal strategy.  Leads appended while
+    iterating get their pairs before the next pair is taken.  The
+    coprimality and chain criteria prune pairs; yielding more than `limit`
+    pairs raises StepLimitExceeded.
     """
-    queue: list[tuple] = []  # (order key of lcm, (i, j))
+    queue: list[tuple] = []  # (order key of lcm, (i, j), lcm)
     pending: set[tuple[int, int]] = set()
     steps = 0
+    bits = monos.bits
     while True:
+        lcm, key = monos.lcm, monos.key
+        if monos.bits != bits:  # repacked: the keys change, their order does not
+            bits = monos.bits
+            for pos, (_, (i, j), _) in enumerate(queue):
+                L = lcm(leads[i], leads[j])
+                queue[pos] = (key(L), (i, j), L)
         for new in range(start, len(leads)):
+            lead = leads[new]
             for k in range(new):
-                heapq.heappush(queue, (key(tuple(map(max, leads[k], leads[new]))), (k, new)))
+                L = lcm(leads[k], lead)
+                heapq.heappush(queue, (key(L), (k, new), L))
                 pending.add((k, new))
         start = max(start, len(leads))
         if not queue:
             return
-        i, j = heapq.heappop(queue)[1]
+        _, (i, j), L = heapq.heappop(queue)
         pending.remove((i, j))
-        if not any(map(min, leads[i], leads[j])):  # coprime leading monomials
+        if monos.coprime(leads[i], leads[j], L):
             continue
-        L = tuple(map(max, leads[i], leads[j]))
         if any(
             k != i and k != j
-            and all(map(operator.le, leads[k], L))
             and (min(i, k), max(i, k)) not in pending
             and (min(j, k), max(j, k)) not in pending
-            for k in range(len(leads))
+            for k in monos.dividing(leads, L)
         ):
             continue
         steps += 1
@@ -419,22 +499,31 @@ def buchberger(
     from two rows, reduced fraction-free against the table by the same rule
     as `divide`, and a nonzero remainder is appended as a primitive row.  The
     remainders are those of the Fraction route up to a nonzero scalar, so the
-    leads, the pairs and the basis are the same.  Monic Fraction polynomials
-    are built once, after interreduction.  The step budget (argument or the
-    INITALG_STEP_LIMIT environment variable) bounds the number of reductions.
+    leads, the pairs and the basis are the same.
+
+    Monomials in the loop are packed words (`orders.Packing`): the order
+    comparison, the monomial product and the divisibility test are each one
+    int operation, and the pair criteria run on words too.  The field width
+    comes from the input's exponents; a step whose exponents outgrow it sets
+    a guard bit, and the reducer widens the packing, repacks the rows and
+    redoes the step, so no exponent is ever cut.  Words are unpacked once,
+    when the monic Fraction polynomials are built after interreduction.  The
+    step budget (argument or the INITALG_STEP_LIMIT environment variable)
+    bounds the number of reductions.
     """
     ring = _check_gens(gens)
     limit = _step_limit(step_limit)
     basis = _Reducer(order, (g for g in gens if not g.is_zero()))
     if not basis:
         return ReducedGroebnerBasis(ring, order, ())
-    rows = basis.rows
-    for i, j, L in _pairs(basis.leads, basis.key, 0, limit):
-        r = basis.reduce_ints(_s_pair(rows[i], rows[j], L))[0]
+    for i, j, _ in _pairs(basis.leads, basis, 0, limit):
+        r = basis.widening(lambda: basis.reduce_ints(basis.s_pair(i, j))[0])
         if r:
             basis.add_row(r)
-    rows = _interreduce(basis).rows
-    return ReducedGroebnerBasis(ring, order, tuple(_monic(ring, row) for row in rows))
+    reduced = basis.widening(lambda: _interreduce(basis))
+    unpack = reduced.packing.unpack
+    elements = tuple(_monic(ring, row, unpack) for row in reduced.rows)
+    return ReducedGroebnerBasis(ring, order, elements)
 
 
 def initial_ideal(gens: Sequence[Polynomial], order: MonomialOrder) -> MonomialIdeal:
@@ -614,7 +703,7 @@ class _ToricIdeal:
         start = len(basis)  # the old basis is a Gröbner basis: its own pairs reduce to 0
         for i in fresh:
             add(self.images[i] + (0,) * width, (0,) * (n + i) + (1,) + (0,) * (width - i - 1))
-        for i, j, L in _pairs(leads, key, start, _step_limit(None)):
+        for i, j, L in _pairs(leads, _ExponentTuples(key), start, _step_limit(None)):
             (li, ti), (lj, tj) = basis[i], basis[j]
             add(tuple(a - b + c for a, b, c in zip(L, li, ti)),
                 tuple(a - b + c for a, b, c in zip(L, lj, tj)))

@@ -5,13 +5,20 @@ key means larger monomial.  Base orders (lex, deglex, revlex) take an optional
 variable priority permutation.  A weight order refines comparison of weighted
 degrees by a base order, and its extension to the homogenizing ring breaks
 degree ties in favour of the smaller power of the last variable.
+
+Every order here is also an integer matrix order (Robbiano 1985): `matrix(n)`
+gives rows M such that comparing keys is comparing the vectors M e
+lexicographically.  `packing` turns M e and e into one int per monomial, for
+the inner loops of Buchberger's algorithm.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from initalg.poly import (
     Monomial,
@@ -25,8 +32,21 @@ from initalg.poly import (
 )
 
 
+Matrix = tuple[tuple[int, ...], ...]
+
+
 class MonomialOrder:
     def key(self, mono: Monomial):
+        raise NotImplementedError
+
+    def matrix(self, n: int) -> Matrix:
+        """Integer rows M, one column per variable, that realize the order.
+
+        For monomials in n variables with exponent vectors a and b,
+        ``key(a) < key(b)`` exactly when M a < M b lexicographically: `key`
+        is M e with its rows grouped into nested tuples.  Raises
+        RingMismatchError when the order does not fit n variables.
+        """
         raise NotImplementedError
 
     def compare(self, a: Monomial, b: Monomial) -> int:
@@ -45,6 +65,21 @@ def _check_perm(perm, exps):
         raise RingMismatchError("order permutation does not match monomial arity")
 
 
+def _unit_rows(n: int, indices, sign: int = 1) -> Matrix:
+    return tuple(tuple(sign if k == i else 0 for k in range(n)) for i in indices)
+
+
+def _lifted(rows: Matrix, indices: tuple[int, ...], n: int) -> Matrix:
+    # rows on the variables `indices`, as rows on all n variables
+    lifted = []
+    for row in rows:
+        full = [0] * n
+        for i, a in zip(indices, row):
+            full[i] = a
+        lifted.append(tuple(full))
+    return tuple(lifted)
+
+
 def _require_permutation(indices: tuple[int, ...], what: str) -> None:
     if sorted(indices) != list(range(len(indices))):
         raise ValueError(f"{what} must be a permutation of 0..{len(indices) - 1}")
@@ -60,6 +95,10 @@ class _PermutedOrder(MonomialOrder):
         if self.perm is not None:
             _require_permutation(self.perm, "order permutation")
 
+    def _priority(self, n: int) -> tuple[int, ...]:
+        _check_perm(self.perm, range(n))
+        return tuple(range(n)) if self.perm is None else self.perm
+
 
 @dataclass(frozen=True)
 class Lex(_PermutedOrder):
@@ -69,6 +108,9 @@ class Lex(_PermutedOrder):
         _check_perm(self.perm, mono.exponents)
         return _permuted(mono.exponents, self.perm)
 
+    def matrix(self, n: int) -> Matrix:
+        return _unit_rows(n, self._priority(n))
+
 
 @dataclass(frozen=True)
 class DegLex(_PermutedOrder):
@@ -77,6 +119,9 @@ class DegLex(_PermutedOrder):
     def key(self, mono: Monomial):
         _check_perm(self.perm, mono.exponents)
         return (mono.degree(), _permuted(mono.exponents, self.perm))
+
+    def matrix(self, n: int) -> Matrix:
+        return ((1,) * n,) + _unit_rows(n, self._priority(n))
 
 
 @dataclass(frozen=True)
@@ -88,6 +133,9 @@ class RevLex(_PermutedOrder):
         p = _permuted(mono.exponents, self.perm)
         return (mono.degree(), tuple(-e for e in reversed(p)))
 
+    def matrix(self, n: int) -> Matrix:
+        return ((1,) * n,) + _unit_rows(n, reversed(self._priority(n)), -1)
+
 
 @dataclass(frozen=True)
 class WeightOrder(MonomialOrder):
@@ -98,6 +146,11 @@ class WeightOrder(MonomialOrder):
 
     def key(self, mono: Monomial):
         return (self.weight.degree(mono), self.base.key(mono))
+
+    def matrix(self, n: int) -> Matrix:
+        if self.weight.n != n:
+            raise RingMismatchError("weight arity does not match monomial")
+        return (self.weight.entries,) + self.base.matrix(n)
 
 
 @dataclass(frozen=True)
@@ -115,6 +168,13 @@ class ExtendedOrder(MonomialOrder):
         r_part = Monomial(mono.exponents[:-1])
         t = mono.exponents[-1]
         return (self.weight.degree(r_part) + t, -t, self.base.key(r_part))
+
+    def matrix(self, n: int) -> Matrix:
+        if self.weight.n != n - 1:
+            raise RingMismatchError("weight arity does not match monomial")
+        return (self.weight.entries + (1,), (0,) * (n - 1) + (-1,)) + tuple(
+            row + (0,) for row in self.base.matrix(n - 1)
+        )
 
 
 @dataclass(frozen=True)
@@ -141,6 +201,89 @@ class EliminationOrder(MonomialOrder):
         head = Monomial(tuple(e[i] for i in self.elim))
         tail = Monomial(tuple(e[i] for i in self.keep))
         return (self.elim_order.key(head), self.keep_order.key(tail))
+
+    def matrix(self, n: int) -> Matrix:
+        if n != len(self.elim) + len(self.keep):
+            raise RingMismatchError("elimination blocks do not match monomial arity")
+        return _lifted(self.elim_order.matrix(len(self.elim)), self.elim, n) + _lifted(
+            self.keep_order.matrix(len(self.keep)), self.keep, n
+        )
+
+
+class Packing:
+    """Monomials in n variables under one order as single ints, called words.
+
+    The word of the exponent vector e is K(e) * 2^X + E(e), as in the packed
+    monomials of heap-based division (Monagan-Pearce 2011) with the order
+    key on top.  E(e) holds e in n fields of `bits` value bits, each with a
+    guard bit above it (field j starts at bit (bits + 1) j; X is (bits + 1) n).
+    K(e) holds the entries of M e, M = order.matrix(n), as signed base-2^W
+    digits, the first row most significant, with W wide enough that every
+    digit has absolute value below 2^(W-1) while each e_j < 2^bits.  Both
+    parts are linear in e, so for exponents that fit:
+
+    - words compare as the order does (K(e) decides and determines e);
+    - the word of a product is the sum of the words;
+    - l divides t iff ``(t - l) & guard == 0``: a field with t_j < l_j
+      borrows from its guard bit;
+    - a sum of words of fitting exponents sets a guard bit exactly when an
+      exponent of the product reaches 2^bits, so the caller can detect the
+      overflow and repack wider before it compares the word.
+    """
+
+    def __init__(self, order: MonomialOrder, n: int, bits: int):
+        rows = order.matrix(n)
+        self.n, self.bits = n, bits
+        field = bits + 1
+        self.shifts = tuple(field * j for j in range(n))
+        self.mask = (1 << bits) - 1
+        self.guard = sum(1 << (s + bits) for s in self.shifts)
+        self.low = (1 << (field * n)) - 1  # the exponent fields
+        width = bits + 1 + max(sum(map(abs, row)) for row in rows).bit_length()
+        top = width * (len(rows) - 1)
+        # the word of each unit vector; the word of e is their sum weighted by e
+        self.units = tuple(
+            (sum(row[j] << (top - width * i) for i, row in enumerate(rows)) << (field * n))
+            + (1 << self.shifts[j])
+            for j in range(n)
+        )
+
+    def pack(self, exps: tuple[int, ...]) -> int:
+        return sum(map(operator.mul, exps, self.units))
+
+    def unpack(self, word: int) -> tuple[int, ...]:
+        mask = self.mask
+        return tuple([(word >> s) & mask for s in self.shifts])
+
+    # the monomial arithmetic that `groebner._pairs` reads
+
+    @staticmethod
+    def key(word: int) -> int:
+        return word
+
+    def lcm(self, a: int, b: int) -> int:
+        ea, eb = a & self.low, b & self.low
+        # the guard bit of field j survives a - b exactly when a_j >= b_j
+        ahead = ((ea | self.guard) - eb) & self.guard
+        behind = ~(ahead - (ahead >> self.bits))
+        excess = (eb & behind) - (ea & behind)  # b_j - a_j where b_j > a_j
+        mask = self.mask
+        return a + sum([((excess >> s) & mask) * u for s, u in zip(self.shifts, self.units)])
+
+    @staticmethod
+    def coprime(a: int, b: int, lcm: int) -> bool:
+        return lcm == a + b
+
+    def dividing(self, words: list[int], word: int) -> list[int]:
+        """Indices of the entries of `words` that divide `word`."""
+        guard = self.guard
+        return [k for k, w in enumerate(words) if not (word - w) & guard]
+
+
+@lru_cache(maxsize=256)
+def packing(order: MonomialOrder, n: int, bits: int) -> Packing:
+    """The `Packing` of `order` on n variables with `bits` value bits per exponent, cached."""
+    return Packing(order, n, bits)
 
 
 def sorted_terms(f: Polynomial, order: MonomialOrder) -> tuple[Term, ...]:

@@ -23,6 +23,7 @@ from initalg.groebner import (
 from initalg.orders import (
     DegLex,
     EliminationOrder,
+    ExtendedOrder,
     Lex,
     RevLex,
     WeightOrder,
@@ -134,7 +135,8 @@ def fraction_buchberger(gens, order, step_limit):
     each S-polynomial divided by `divide`, then one ascending interreduction pass."""
     basis = [monic(g, order) for g in gens if not g.is_zero()]
     leads = [leading_monomial(g, order).exponents for g in basis]
-    for i, j, _ in groebner._pairs(leads, lambda e: order.key(Monomial(e)), 0, step_limit):
+    monos = groebner._ExponentTuples(lambda e: order.key(Monomial(e)))
+    for i, j, _ in groebner._pairs(leads, monos, 0, step_limit):
         r = divide(s_polynomial(basis[i], basis[j], order), basis, order)[1]
         if not r.is_zero():
             basis.append(monic(r, order))
@@ -145,6 +147,18 @@ def fraction_buchberger(gens, order, step_limit):
         if not any(leading_monomial(q, order).divides(lead) for q in reduced):
             reduced.append(divide(p, reduced, order)[1])
     return tuple(reduced)
+
+
+# every kind of matrix the packed words are built from: permuted base
+# orders, a non-uniform weight, the extension to R[t] (R = K[x, y] here),
+# a block order, and the graded kernel order of `presentation_kernel`
+PACKED_ORDERS = (
+    Lex(), DegLex(), RevLex(), Lex((2, 0, 1)), DegLex((1, 2, 0)), RevLex((2, 0, 1)),
+    WeightOrder(WeightVector((3, 1, 2)), Lex()),
+    ExtendedOrder(WeightVector((2, 1)), DegLex()),
+    EliminationOrder((1,), (0, 2), DegLex(), RevLex()),
+    WeightOrder(WeightVector((1, 2, 3)), EliminationOrder((0,), (1, 2), DegLex(), RevLex())),
+)
 
 
 def test_integer_buchberger_equals_fraction_reference():
@@ -160,8 +174,8 @@ def test_integer_buchberger_equals_fraction_reference():
         except StepLimitExceeded:
             return None
 
-    for k in range(90):
-        order = (Lex(), DegLex(), RevLex())[k % 3]
+    for k in range(150):
+        order = PACKED_ORDERS[k % len(PACKED_ORDERS)]
         gens = [random_poly(rng, R, max_terms=3, max_exp=3, max_den=6) for _ in range(3)]
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
@@ -176,8 +190,42 @@ def test_integer_buchberger_equals_fraction_reference():
             cut.add(k)
         elif ref is not None:
             assert gb.elements == ref, (order, gens)
-    assert cut == cut_ref and 0 < len(cut) < 10, (cut, cut_ref)
-    assert rational >= 60 and negative >= 30, (rational, negative)
+    assert cut == cut_ref and 0 < len(cut) < 15, (cut, cut_ref)
+    assert rational >= 100 and negative >= 50, (rational, negative)
+
+
+@pytest.mark.parametrize("order", [Lex(), RevLex()], ids=["lex", "revlex"])
+@pytest.mark.parametrize("texts", [
+    ["x^1099511627776*y - z", "y - 1"],  # x^(2^40)
+    ["x^1180591620717411303424 - y", "x^1180591620717411303424 - z^2"],  # x^(2^70)
+], ids=["2^40", "2^70"])
+def test_huge_exponents_stay_exact(order, texts):
+    gens = [R.poly(t) for t in texts]
+    assert buchberger(gens, order).elements == fraction_buchberger(gens, order, None)
+
+
+def test_exponents_outgrowing_the_packing_widen_it(monkeypatch):
+    widths = []
+    real_use = groebner._Reducer._use
+
+    def recording(self, new):
+        widths.append(new.bits)
+        real_use(self, new)
+
+    monkeypatch.setattr(groebner._Reducer, "_use", recording)
+    # the input's exponents fit the initial field width (up to 255 here), the
+    # basis element z^294 - z does not: the run widens and repacks mid-way
+    gens = [R.poly("x - y^7"), R.poly("y - z^7"), R.poly("x^6 - z")]
+    gb = buchberger(gens, Lex())
+    assert widths[0] == 8 and max(widths) > 8
+    assert gb.elements == fraction_buchberger(gens, Lex(), None)
+    assert gb.elements == (R.poly("z^294 - z"), R.poly("y - z^7"), R.poly("x - z^49"))
+    # a normal form whose remainder outgrows the divisors' packing (z^300
+    # gives 11 bits, up to 2047)
+    gb = buchberger([R.poly("y - z^300")], Lex())
+    widths.clear()
+    assert gb.normal_form(R.poly("x*y^7")) == R.poly("x*z^2100")
+    assert widths == [11, 22]
 
 
 def test_buchberger_monomial_ideal_is_self():

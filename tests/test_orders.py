@@ -15,6 +15,7 @@ from initalg.orders import (
     leading_monomial,
     leading_term,
     monic,
+    packing,
     parse_order,
     sorted_terms,
 )
@@ -199,3 +200,65 @@ def test_describe_order_roundtrip():
     for spec in ["lex", "deglex", "revlex", "lex(y,x,z)", "weight(3,2,1; revlex)", "weight(1,1,2; lex(z,x,y))"]:
         order = parse_order(spec, R)
         assert parse_order(describe_order(order, R), R) == order
+
+
+def _flat(key):
+    return sum((_flat(k) for k in key), ()) if isinstance(key, tuple) else (key,)
+
+
+# (order, number of variables): every kind of row the packed words use
+PACKED_ORDERS = [
+    (Lex(), 3), (Lex(perm=(2, 0, 1)), 3),
+    (DegLex(), 3), (DegLex(perm=(1, 2, 0)), 3),
+    (RevLex(), 3), (RevLex(perm=(2, 0, 1)), 3),
+    (WeightOrder(WeightVector((3, 1, 2)), Lex(perm=(1, 0, 2))), 3),
+    (ExtendedOrder(WeightVector((2, 1, 3)), RevLex()), 4),
+    (EliminationOrder((2, 0), (1, 3), DegLex(), RevLex()), 4),
+    # the graded kernel order of `presentation_kernel`
+    (WeightOrder(WeightVector((1, 1, 2, 3)), EliminationOrder((0, 1), (2, 3), DegLex(), RevLex())), 4),
+]
+
+
+@pytest.mark.parametrize("order, n", PACKED_ORDERS, ids=lambda v: type(v).__name__)
+def test_packed_words_agree_with_key(order, n):
+    rng = random.Random(1985)
+    bits = 5
+    P = packing(order, n, bits)
+    rows = order.matrix(n)
+    for _ in range(300):
+        # exponents below 2^(bits-1), so that every product still fits
+        a = tuple(rng.randrange(16) for _ in range(n))
+        b = tuple(rng.randrange(16) for _ in range(n))
+        ka, kb = order.key(Monomial(a)), order.key(Monomial(b))
+        pa, pb = P.pack(a), P.pack(b)
+        assert (pa > pb) - (pa < pb) == (ka > kb) - (ka < kb), (a, b)
+        ab = tuple(map(sum, zip(a, b)))
+        assert P.pack(ab) == pa + pb and not (pa + pb) & P.guard
+        assert _flat(ka) == tuple(sum(r * e for r, e in zip(row, a)) for row in rows)
+        assert P.unpack(pa) == a
+        assert (not (pb - pa) & P.guard) == Monomial(a).divides(Monomial(b))
+        assert P.unpack(P.lcm(pa, pb)) == tuple(map(max, a, b))
+        assert P.coprime(pa, pb, P.lcm(pa, pb)) == (not any(map(min, a, b)))
+
+
+def test_packed_sum_flags_an_exponent_that_outgrows_the_fields():
+    rng = random.Random(70)
+    P = packing(RevLex(), 3, 4)
+    flagged = 0
+    for _ in range(300):
+        a = tuple(rng.randrange(16) for _ in range(3))
+        b = tuple(rng.randrange(16) for _ in range(3))
+        over = any(x + y >= 16 for x, y in zip(a, b))
+        assert bool((P.pack(a) + P.pack(b)) & P.guard) == over
+        flagged += over
+    assert 0 < flagged < 300
+
+
+def test_matrix_checks_the_number_of_variables():
+    # a permutation, a weight or a pair of blocks fixes the number of variables
+    for order, n in PACKED_ORDERS:
+        if order in (Lex(), DegLex(), RevLex()):
+            assert len(order.matrix(n + 1)[0]) == n + 1
+            continue
+        with pytest.raises(RingMismatchError):
+            order.matrix(n + 1)
