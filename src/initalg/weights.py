@@ -63,7 +63,10 @@ def find_weight(
         raise InfeasibleComparisons(pairs, _farkas_certificate(diffs))
     if res.status != OPTIMAL:
         raise RuntimeError(f"weight LP must be optimal, got {res.status}")
-    return WeightVector(_integerize([1 + v for v in res.x]))
+    a = _integerize([1 + v for v in res.x])
+    if min(a) <= 0 or not verify_weight(WeightVector(a), pairs):
+        raise RuntimeError(f"weight LP gave {a}, which does not realize the comparisons")
+    return WeightVector(a)
 
 
 def _units(n: int) -> list[list[int]]:
@@ -79,7 +82,11 @@ def _farkas_certificate(diffs: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
     res = linear_program(first, cons, then=rest)
     if res.status != OPTIMAL:
         raise RuntimeError("alternative system must be feasible by Farkas")
-    return _integerize(res.x)
+    cert = _integerize(res.x)
+    combo = [sum(c * d[j] for c, d in zip(cert, diffs)) for j in range(len(diffs[0]))]
+    if min(cert) < 0 or not any(cert) or max(combo) > 0:
+        raise RuntimeError(f"Farkas LP gave {cert}, which certifies nothing")
+    return cert
 
 
 def verify_weight(a: WeightVector, pairs: Sequence[tuple[Monomial, Monomial]]) -> bool:
