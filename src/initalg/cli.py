@@ -4,7 +4,8 @@ Reports are line oriented and byte-deterministic: polynomial payloads appear
 as bare lines that re-parse under the polynomial grammar, scalar results use
 ``name: value`` lines, and purely decorative context is prefixed with ``#``.
 Exit codes: 0 success, 1 a mathematical verdict (certified infeasibility, a
-unit ideal) or an exceeded step budget, 2 malformed input.  A command that
+unit ideal) or an exceeded step budget, 2 malformed input, 3 an internal
+error (a failed self-check, ``error: internal: ...``).  A command that
 stops with an ``error:`` line on stderr leaves stdout empty; the infeasible
 verdict prints its certificate.
 """
@@ -79,6 +80,7 @@ from initalg.weights import (
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 class CLIInputError(Exception):
@@ -632,6 +634,10 @@ def run(argv: Sequence[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         out.clear()
         code = EXIT_INPUT
+    except RuntimeError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        out.clear()
+        code = EXIT_INTERNAL
     if out:
         sys.stdout.write("\n".join(out) + "\n")
     return code

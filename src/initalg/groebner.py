@@ -9,7 +9,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -108,7 +108,16 @@ def _cleared(f: Polynomial) -> tuple[_IntPoly, int]:
 
 
 class _Overflow(Exception):
-    """An exponent outgrew the packing; `_Reducer.widening` repacks and retries."""
+    """An exponent outgrew the packing; `_widening` repacks and retries."""
+
+
+def _widening(step, widen):
+    """step(), retried after widen() each time it overflows."""
+    while True:
+        try:
+            return step()
+        except _Overflow:
+            widen()
 
 
 def _top_exponent(polys: Iterable[Polynomial]) -> int:
@@ -191,11 +200,8 @@ class _Reducer:
 
     def widening(self, step):
         """step(), retried with twice the field width while it overflows."""
-        while True:
-            try:
-                return step()
-            except _Overflow:
-                self._use(packing(self.order, self.packing.n, 2 * self.packing.bits))
+        return _widening(
+            step, lambda: self._use(packing(self.order, self.packing.n, 2 * self.bits)))
 
     def _packed(self, coeffs: _IntPoly) -> _IntPoly:
         pack = self.packing.pack
@@ -417,39 +423,18 @@ def _monic(ring: PolyRing, row: tuple, unpack) -> Polynomial:
     return Polynomial.from_dict(ring, coeffs)
 
 
-class _ExponentTuples:
-    """The monomial arithmetic of `_pairs` on exponent tuples, ordered by `key`."""
-
-    bits = None  # never repacked
-
-    def __init__(self, key):
-        self.key = key
-
-    @staticmethod
-    def lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(map(max, a, b))
-
-    @staticmethod
-    def coprime(a: tuple[int, ...], b: tuple[int, ...], lcm: tuple[int, ...]) -> bool:
-        return not any(map(min, a, b))
-
-    @staticmethod
-    def dividing(leads: list[tuple[int, ...]], mono: tuple[int, ...]) -> Iterator[int]:
-        return (k for k, lead in enumerate(leads) if all(map(operator.le, lead, mono)))
-
-
 def _pairs(leads: list, monos, start: int, limit: int | None) -> Iterator[tuple]:
     """Yield the S-pairs (i, j, lcm) of `leads` with j >= start that survive the criteria.
 
     `monos` is the monomial arithmetic of the leads: `lcm`, the order `key`,
     `coprime`, and `dividing` (the indices of the leads that divide a
-    monomial).  It is an `_ExponentTuples`, or a `_Reducer`, whose leads are
-    packed words; when its `bits` change, the leads were repacked wider and
-    the waiting pairs are keyed again.  Pairs wait in a heap keyed (order key
-    of the lcm, (i, j)): Buchberger's normal strategy.  Leads appended while
-    iterating get their pairs before the next pair is taken.  The
-    coprimality and chain criteria prune pairs; yielding more than `limit`
-    pairs raises StepLimitExceeded.
+    monomial), on the words of a `Packing`.  It is that packing, or a
+    `_Reducer` or `_ToricIdeal` reading its current one: when its `bits`
+    change, the leads were repacked wider and the waiting pairs are keyed
+    again.  Pairs wait in a heap keyed (order key of the lcm, (i, j)):
+    Buchberger's normal strategy.  Leads appended while iterating get their
+    pairs before the next pair is taken.  The coprimality and chain criteria
+    prune pairs; yielding more than `limit` pairs raises StepLimitExceeded.
     """
     queue: list[tuple] = []  # (order key of lcm, (i, j), lcm)
     pending: set[tuple[int, int]] = set()
@@ -636,87 +621,114 @@ def presentation_kernel(
     return AlgebraKernel(target, tuple(images), projected)
 
 
-def _binomial_normal_form(m: tuple[int, ...], basis: Sequence[tuple]) -> tuple[int, ...]:
-    # a reduction step by X^lead - X^tail replaces X^m by X^(m - lead + tail)
-    while True:
-        for lead, tail in basis:
-            if all(map(operator.le, lead, m)):
-                m = tuple(map(operator.add, map(operator.sub, m, lead), tail))
-                break
-        else:
-            return m
-
-
 class _ToricIdeal:
-    """Reduced Gröbner basis of J = (Y_i - x^{a_i}) in K[x, Y], on exponent pairs.
+    """Reduced Gröbner basis of J = (Y_i - x^{a_i}) in K[x, Y], on packed words.
 
-    An element X^lead - X^tail (lead > tail) is stored as (lead, tail), exponent
-    tuples over the n x-variables, then the Y-variables.  The order is that of
-    `presentation_kernel` for graded images: weight w(x) = 1, w(Y_i) = deg a_i,
-    then DegLex on x, then RevLex on Y.  J is w-homogeneous, so its Y-only
-    elements are the reduced revlex basis of the toric kernel (Sturmfels 1996,
-    ch. 4).  S-pairs and reduction steps of binomials with coefficients +-1
-    are again such binomials, so Buchberger (`_pairs` and its budget) reduces
-    both monomials of an S-pair to normal form and keeps them when they
-    differ; one pass ascending by lead interreduces, as in `_interreduce`.
+    The variables are x, then Y, under the order of `presentation_kernel`
+    for graded images (weight w(x) = 1, w(Y_i) = deg a_i, then DegLex on x,
+    then RevLex on Y), whose integer rows give an `orders.Packing`; a
+    constant image gets weight 0, which rows allow and `WeightVector` does
+    not.  X^lead - X^tail is the pair of words (lead, tail), lead > tail; a
+    reduction step takes X^m to X^(m - lead + tail) when the guard mask
+    shows that lead divides m.  J is w-homogeneous, so its Y-only elements
+    are the reduced revlex basis of the toric kernel (Sturmfels 1996,
+    ch. 4).  Binomials with coefficients +-1 stay such under S-pairs and
+    reduction, so Buchberger (`_pairs` and its budget) reduces both
+    monomials of an S-pair and keeps them when they differ; one pass by
+    ascending lead interreduces.  A step that sets a guard bit, or whose
+    image does not fit, widens the packing and is retried, as in `_Reducer`,
+    whose `lcm`, `key`, `coprime`, `dividing` and `bits` are exposed too.
     """
 
     def __init__(self, n: int, monomials: Sequence[tuple[int, ...]]):
-        self.n = n
-        self.images = [tuple(a) for a in monomials]
-        self.basis: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self.n, self.images = n, [tuple(a) for a in monomials]
+        self.basis, self.leads, self.packing = [], [], None  # binomials (lead, tail), their leads
+        self._use(max(8, max(map(max, self.images)).bit_length() + 2))
         self._complete(range(len(self.images)))
+
+    def _use(self, bits: int, at: int | None = None) -> None:
+        """Repack the basis with `bits` value bits (and a new variable `at`)."""
+        n, k, old = self.n, len(self.images), self.packing
+        elim = EliminationOrder(tuple(range(n)), tuple(range(n, n + k)), DegLex(), RevLex())
+        w = (1,) * n + tuple(map(sum, self.images))
+        new = self.packing = Packing((w,) + elim.matrix(n + k), bits)
+
+        def move(word: int) -> int:  # called only when there is a basis, so an old packing
+            e = old.unpack(word)
+            return new.pack(e if at is None else e[:at] + (0,) + e[at:])
+
+        self.basis[:] = [(move(lead), move(tail)) for lead, tail in self.basis]
+        self.leads[:] = [lead for lead, _ in self.basis]
+        self.lcm, self.key, self.coprime = new.lcm, new.key, new.coprime
+        self.dividing, self.bits = new.dividing, new.bits
+
+    def _widening(self, step):
+        return _widening(step, lambda: self._use(2 * self.bits))
+
+    def _reduce(self, m: int, basis: Sequence[tuple[int, int]]) -> int:
+        """Normal form of the word m by `basis`, the first divisor in list order acting."""
+        guard = self.packing.guard
+        while not m & guard:
+            for lead, tail in basis:
+                if not (m - lead) & guard:
+                    m = m - lead + tail
+                    break
+            else:
+                return m
+        raise _Overflow
 
     def insert(self, pos: int, exps: tuple[int, ...]) -> None:
         """Adjoin Y at position `pos` with image x^exps and complete the basis again.
 
         Only pairs with the new binomial are formed: the old basis stays a
         Gröbner basis, as the order on monomials free of the new variable is
-        unchanged.  Its weight leaves their weighted degrees alone, and revlex
-        compares two monomials by their degrees, then by the last variable in
-        which they differ, which is never the new one, wherever it is placed.
+        unchanged (so are their weighted degrees, and revlex decides by the
+        last variable in which two monomials differ, never the new one).
         """
-        at = self.n + pos
-        self.basis = [(l[:at] + (0,) + l[at:], t[:at] + (0,) + t[at:]) for l, t in self.basis]
         self.images.insert(pos, tuple(exps))
+        self._use(self.bits, self.n + pos)
         self._complete((pos,))
 
     def _complete(self, fresh: Iterable[int]) -> None:
-        n, width, basis = self.n, len(self.images), self.basis
-        degrees = [sum(a) for a in self.images]
-        ykey = RevLex().key
+        basis, leads = self.basis, self.leads
 
-        @cache
-        def key(e: tuple[int, ...]):
-            x, y = e[:n], e[n:]
-            wdeg = sum(x) + sum(map(operator.mul, degrees, y))
-            return (wdeg, sum(x), x, ykey(Monomial(y)))
+        def add(m1: int, m2: int) -> None:
+            tail, lead = sorted((self._reduce(m1, basis), self._reduce(m2, basis)))
+            if lead != tail:
+                basis.append((lead, tail))
+                leads.append(lead)
 
-        leads = [lead for lead, _ in basis]
+        def image(i: int) -> None:  # x^{a_i} - Y_i
+            if max(self.images[i]) >> self.bits:
+                raise _Overflow
+            P = self.packing
+            add(P.pack(self.images[i] + (0,) * len(self.images)), P.units[self.n + i])
 
-        def add(m1: tuple[int, ...], m2: tuple[int, ...]) -> None:
-            m1, m2 = _binomial_normal_form(m1, basis), _binomial_normal_form(m2, basis)
-            if m1 != m2:
-                basis.append((m1, m2) if key(m1) > key(m2) else (m2, m1))
-                leads.append(basis[-1][0])
+        def s_pair(i: int, j: int) -> None:
+            (li, ti), (lj, tj) = basis[i], basis[j]
+            L = self.lcm(li, lj)
+            add(L - li + ti, L - lj + tj)
 
         start = len(basis)  # the old basis is a Gröbner basis: its own pairs reduce to 0
         for i in fresh:
-            add(self.images[i] + (0,) * width, (0,) * (n + i) + (1,) + (0,) * (width - i - 1))
-        for i, j, L in _pairs(leads, _ExponentTuples(key), start, _step_limit(None)):
-            (li, ti), (lj, tj) = basis[i], basis[j]
-            add(tuple(a - b + c for a, b, c in zip(L, li, ti)),
-                tuple(a - b + c for a, b, c in zip(L, lj, tj)))
-        reduced: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        for lead, tail in sorted(basis, key=lambda p: key(p[0])):
-            if not any(all(map(operator.le, l, lead)) for l, _ in reduced):
-                reduced.append((lead, _binomial_normal_form(tail, reduced)))
-        self.basis = reduced
+            self._widening(lambda: image(i))
+        for i, j, _ in _pairs(leads, self, start, _step_limit(None)):
+            self._widening(lambda: s_pair(i, j))
+        basis[:] = self._widening(self._interreduced)
+        leads[:] = [lead for lead, _ in basis]
+
+    def _interreduced(self) -> list[tuple[int, int]]:
+        reduced: list[tuple[int, int]] = []
+        for lead, tail in sorted(self.basis):
+            if not self.dividing([l for l, _ in reduced], lead):
+                reduced.append((lead, self._reduce(tail, reduced)))
+        return reduced
 
     def kernel(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The Y-only elements as (lead, tail) exponent pairs, ascending by revlex lead."""
-        n, ykey = self.n, RevLex().key
-        pairs = [(l[n:], t[n:]) for l, t in self.basis if not any(l[:n])]
+        n, unpack, ykey = self.n, self.packing.unpack, RevLex().key
+        pairs = [(unpack(lead), unpack(tail)) for lead, tail in self.basis]
+        pairs = [(lead[n:], tail[n:]) for lead, tail in pairs if not any(lead[:n])]
         return sorted(pairs, key=lambda p: ykey(Monomial(p[0])))
 
 
@@ -727,7 +739,7 @@ def toric_kernel(
 ) -> AlgebraKernel:
     """Kernel of the monomial map Y_i -> m_i: its reduced revlex GB of binomials Y^u - Y^v.
 
-    Computed by `_ToricIdeal` on exponent pairs; `presentation_kernel` gives
+    Computed by `_ToricIdeal` on packed binomials; `presentation_kernel` gives
     the same kernel through Fraction polynomials, the route for other images.
     """
     images = [Polynomial.from_dict(ring, {m: 1}) for m in monomials]

@@ -109,17 +109,6 @@ class HilbertSeries:
                 num = q
         return HilbertSeries(num, tuple(kept))
 
-    def pole_order_at_one(self) -> int:
-        """Denominator factors minus the multiplicity of t=1 in the numerator."""
-        if not any(self.numerator):
-            raise ValueError("zero series has no pole order")
-        num = self.numerator
-        mult = 0
-        while (q := _divide_by_one_minus_power(num, 1)) is not None:
-            num = q
-            mult += 1
-        return len(self.denominator_degrees) - mult
-
     def __str__(self) -> str:
         t_ring = PolyRing(("t",))
         num = format_poly(
@@ -179,15 +168,6 @@ def hilbert_series_monomial(M: MonomialIdeal, weight: WeightVector | None = None
         return _poly_add(numerator(plus), shifted)
 
     return HilbertSeries(_trim(numerator(M.mingens)), weight.entries)
-
-
-def brute_force_hilbert_function(
-    M: MonomialIdeal, d_max: int, weight: WeightVector | None = None
-) -> tuple[int, ...]:
-    """Independent oracle: count standard monomials degree by degree."""
-    if weight is None:
-        weight = WeightVector.ones(M.ring.n)
-    return tuple(len(M.standard_monomials(weight, d)) for d in range(d_max + 1))
 
 
 class UnitIdealError(ValueError):

@@ -1,8 +1,9 @@
-"""Exact rank of rational matrices: fraction-free sparse elimination, dense Bareiss reference.
+"""Exact rank of rational matrices by fraction-free sparse elimination.
 
-Both routines clear each row to integers once and eliminate over the
-integers (Bareiss 1968 for the dense one, primitive integer pivots for the
-sparse one); no `Fraction` is built during elimination.
+Each row is cleared to integers once and reduced against primitive integer
+pivots, so no `Fraction` is built during elimination.  Dense rows take the
+same route; the dense Bareiss elimination (Bareiss 1968) that once ranked
+them is the reference of the tests.
 """
 
 from __future__ import annotations
@@ -13,39 +14,10 @@ from typing import Iterable, Sequence
 
 
 def exact_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank over the rationals of dense rows of Fraction/int, by fraction-free Bareiss.
-
-    The dense reference that tests check `exact_rank_sparse` against; the
-    library ranks its matrices with `exact_rank_sparse`.
-    """
-    if not rows:
-        return 0
-    width = len(rows[0])
-    mat: list[list[int]] = []
-    for row in rows:
-        if len(row) != width:
-            raise ValueError("ragged matrix")
-        fr = [Fraction(v) for v in row]
-        mult = lcm(*(v.denominator for v in fr)) if fr else 1
-        mat.append([int(v * mult) for v in fr])
-    m, n = len(mat), width
-    rank = 0
-    prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(rank, m) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        p = mat[rank][col]
-        for r in range(rank + 1, m):
-            for c in range(col + 1, n):
-                mat[r][c] = (p * mat[r][c] - mat[r][col] * mat[rank][c]) // prev
-            mat[r][col] = 0
-        prev = p
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    """Rank over the rationals of dense rows of Fraction/int, by `exact_rank_sparse`."""
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged matrix")
+    return exact_rank_sparse({j: Fraction(v) for j, v in enumerate(row) if v} for row in rows)
 
 
 def exact_rank_sparse(rows: Iterable[dict[int, Fraction | int]]) -> int:

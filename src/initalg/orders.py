@@ -217,10 +217,10 @@ class Packing:
     monomials of heap-based division (Monagan-Pearce 2011) with the order
     key on top.  E(e) holds e in n fields of `bits` value bits, each with a
     guard bit above it (field j starts at bit (bits + 1) j; X is (bits + 1) n).
-    K(e) holds the entries of M e, M = order.matrix(n), as signed base-2^W
-    digits, the first row most significant, with W wide enough that every
-    digit has absolute value below 2^(W-1) while each e_j < 2^bits.  Both
-    parts are linear in e, so for exponents that fit:
+    K(e) holds the entries of M e, M the order's integer rows, as signed
+    base-2^W digits, the first row most significant, with W wide enough that
+    every digit has absolute value below 2^(W-1) while each e_j < 2^bits.
+    Both parts are linear in e, so for exponents that fit:
 
     - words compare as the order does (K(e) decides and determines e);
     - the word of a product is the sum of the words;
@@ -231,8 +231,8 @@ class Packing:
       overflow and repack wider before it compares the word.
     """
 
-    def __init__(self, order: MonomialOrder, n: int, bits: int):
-        rows = order.matrix(n)
+    def __init__(self, rows: Matrix, bits: int):
+        n = len(rows[0])
         self.n, self.bits = n, bits
         field = bits + 1
         self.shifts = tuple(field * j for j in range(n))
@@ -283,7 +283,7 @@ class Packing:
 @lru_cache(maxsize=256)
 def packing(order: MonomialOrder, n: int, bits: int) -> Packing:
     """The `Packing` of `order` on n variables with `bits` value bits per exponent, cached."""
-    return Packing(order, n, bits)
+    return Packing(order.matrix(n), bits)
 
 
 def sorted_terms(f: Polynomial, order: MonomialOrder) -> tuple[Term, ...]:

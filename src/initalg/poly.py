@@ -267,6 +267,9 @@ class Polynomial:
         return (-self).__add__(other)
 
     def __mul__(self, other) -> Polynomial:
+        if isinstance(other, (int, Fraction)):  # a scalar scales each term; the order stays
+            terms = tuple(Term(t.coeff * other, t.mono) for t in self.terms) if other else ()
+            return Polynomial(self.ring, terms)
         other = self._coerce(other)
         if other is NotImplemented:
             return other

@@ -10,7 +10,6 @@ algebra need not be finitely generated), so a degree cap is mandatory.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -99,34 +98,61 @@ def factor_over_monomials(target: Monomial, monos: Sequence[Monomial]) -> tuple[
     solution is the lexicographically largest one; generators are nonconstant,
     which bounds every exponent.
     """
-    n = len(target.exponents)
 
-    def rec(i: int, remaining: tuple[int, ...], acc: list[int]):
-        if all(r == 0 for r in remaining):
-            return acc + [0] * (len(monos) - i)
+    def rec(i: int, remaining: tuple[int, ...]) -> tuple[int, ...] | None:
+        if not any(remaining):
+            return (0,) * (len(monos) - i)
         if i == len(monos):
             return None
         exps = monos[i].exponents
-        cap = min(r // e for r, e in zip(remaining, exps) if e > 0)
-        for c in range(cap, -1, -1):
-            rest = tuple(r - c * e for r, e in zip(remaining, exps))
-            found = rec(i + 1, rest, acc + [c])
+        for c in range(min(r // e for r, e in zip(remaining, exps) if e), -1, -1):
+            found = rec(i + 1, tuple(r - c * e for r, e in zip(remaining, exps)))
             if found is not None:
-                return found
+                return (c,) + found
         return None
 
-    found = rec(0, target.exponents, [])
-    return tuple(found) if found is not None else None
+    return rec(0, target.exponents)
+
+
+class _Kept:
+    """What one Sagbi completion keeps across rounds: `ideal`, the toric ideal of
+    the leading monomials, and each power f^k, product of powers and lift, built
+    once.  Keys name a generator by id, not position (an adjoined witness
+    shifts the sorted positions): a product by the (id, exponent) pairs of its
+    nonzero exponents, a lift by its two products' keys.  `powers` holds
+    1, f, f^2, ... of each generator f, which keeps f and so its id."""
+
+    def __init__(self, gens: Sequence[Polynomial], order: MonomialOrder):
+        exps = [leading_term(g, order).mono.exponents for g in gens]
+        self.ideal = _ToricIdeal(gens[0].ring.n, exps)
+        self.powers: dict[int, list[Polynomial]] = {}
+        self.products: dict[tuple, Polynomial] = {}
+        self.lifts: dict[tuple, Polynomial] = {}
+
+    def product(self, gens: Sequence[Polynomial], exps: Sequence[int]) -> Polynomial:
+        """`power_product(ring, gens, exps)`, from the kept powers."""
+        key = tuple((id(g), e) for g, e in zip(gens, exps) if e)
+        if key not in self.products:
+            p = one = gens[0].ring.one()
+            for g, e in zip(gens, exps):
+                if e:
+                    powers = self.powers.setdefault(id(g), [one, g])
+                    while len(powers) <= e:
+                        powers.append(powers[-1] * g)
+                    p = powers[e] if p is one else p * powers[e]
+            self.products[key] = p
+        return self.products[key]
 
 
 def subduct_with_certificate(
-    f: Polynomial, gens: Sequence[Polynomial], order: MonomialOrder
+    f: Polynomial, gens: Sequence[Polynomial], order: MonomialOrder, kept: _Kept | None = None
 ) -> SubductionResult:
     """Subtract products of generators while the leading monomial factors over their initials.
 
     The remainder is 0 (f lies in the algebra generated by `gens`) or has a
     leading monomial outside the semigroup of the generators' initials.  The
-    recorded steps replay to f = sum(steps) + remainder.
+    recorded steps replay to f = sum(steps) + remainder.  Products come from
+    `kept`, a completion's `_Kept`, when one is passed.
     """
     ring = _check_subalgebra_gens(gens)
     if f.ring != ring:
@@ -143,7 +169,8 @@ def subduct_with_certificate(
         for it, e in zip(inis, c):
             lead_coeff /= it.coeff**e
         steps.append(SubductionStep(lead_coeff, c))
-        work = work - lead_coeff * power_product(ring, gens, c)
+        product = power_product(ring, gens, c) if kept is None else kept.product(gens, c)
+        work = work - product * lead_coeff
     return SubductionResult(work, tuple(steps))
 
 
@@ -152,23 +179,24 @@ def subduct(f: Polynomial, gens: Sequence[Polynomial], order: MonomialOrder) -> 
 
 
 def _sagbi_round(
-    gens: Sequence[Polynomial], order: MonomialOrder, ideal: _ToricIdeal
+    gens: Sequence[Polynomial], order: MonomialOrder, kept: _Kept
 ) -> tuple[bool, tuple[Polynomial, ...]]:
-    """Sagbi test of sorted `gens`, `ideal` the toric ideal of their leading monomials.
+    """Sagbi test of sorted `gens`, `kept.ideal` the toric ideal of their leading monomials.
 
-    A kernel pair (u, v) lifts to f^u / c^u - f^v / c^v, c the leading coefficients.
+    A kernel pair (u, v) lifts to f^u / c^u - f^v / c^v, c the leading
+    coefficients: c^u is the leading coefficient of f^u, so the lift is
+    monic(f^u) - monic(f^v).  The lift and its products come from `kept`.
     """
-    ring = gens[0].ring
-    inis = [leading_term(g, order) for g in gens]
     witnesses = []
-    for u, v in ideal.kernel():
-        lift = ring.zero()
-        for exps, sign in ((u, 1), (v, -1)):
-            scale = math.prod(it.coeff**e for it, e in zip(inis, exps) if e)
-            lift = lift + (Fraction(sign) / scale) * power_product(ring, gens, exps)
+    for u, v in kept.ideal.kernel():
+        key = tuple(tuple((id(g), e) for g, e in zip(gens, exps) if e) for exps in (u, v))
+        if key not in kept.lifts:
+            fu, fv = kept.product(gens, u), kept.product(gens, v)
+            kept.lifts[key] = monic(fu, order) - monic(fv, order)
+        lift = kept.lifts[key]
         if lift.is_zero():
             continue
-        rem = subduct(lift, gens, order)
+        rem = subduct_with_certificate(lift, gens, order, kept).remainder
         if not rem.is_zero():
             witnesses.append(monic(rem, order))
     witnesses = _sort_gens(set(witnesses), order)
@@ -186,8 +214,7 @@ def sagbi_test(
     """
     _check_subalgebra_gens(gens)
     gens = _sort_gens(gens, order)
-    exps = [leading_term(g, order).mono.exponents for g in gens]
-    return _sagbi_round(gens, order, _ToricIdeal(gens[0].ring.n, exps))
+    return _sagbi_round(gens, order, _Kept(gens, order))
 
 
 def sagbi_complete(
@@ -199,8 +226,9 @@ def sagbi_complete(
     only outstanding witnesses exceed the cap (the initial algebra may be
     infinitely generated, so unbounded completion is not offered).  One
     toric ideal of the leading monomials serves the whole completion: each
-    adjoined witness inserts its leading monomial into it.  Every lift is
-    subducted in every round, as more generators can change its remainder.
+    adjoined witness inserts its leading monomial into it.  Lifts, powers and
+    products are built once (`_Kept`); every lift is subducted in every
+    round, as more generators can change its remainder.
     """
     _check_subalgebra_gens(gens)
     if degree_cap < 1:
@@ -208,10 +236,9 @@ def sagbi_complete(
     if degree_cap < max(g.total_degree() for g in gens):
         raise ValueError("degree cap below a generator degree")
     current = _sort_gens(gens, order)
-    exps = [leading_term(g, order).mono.exponents for g in current]
-    ideal = _ToricIdeal(current[0].ring.n, exps)
+    kept = _Kept(current, order)
     while True:
-        ok, witnesses = _sagbi_round(current, order, ideal)
+        ok, witnesses = _sagbi_round(current, order, kept)
         if ok:
             return SagbiState(tuple(current), order, None)
         admissible = [w for w in witnesses if w.total_degree() <= degree_cap]
@@ -219,7 +246,7 @@ def sagbi_complete(
             return SagbiState(tuple(current), order, degree_cap)
         w = admissible[0]
         current = _sort_gens(current + [w], order)
-        ideal.insert(current.index(w), leading_term(w, order).mono.exponents)
+        kept.ideal.insert(current.index(w), leading_term(w, order).mono.exponents)
 
 
 def minimalize_semigroup(monos: Sequence[Monomial]) -> tuple[Monomial, ...]:

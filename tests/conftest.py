@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -36,6 +37,37 @@ def pytest_terminal_summary(terminalreporter):
         detail = ACCEPTANCE_DETAILS.get(label, "")
         suffix = f": {detail}" if passed and detail else ""
         terminalreporter.write_line(f"{'PASS' if passed else 'FAIL'} {label}{suffix}")
+
+
+def bareiss_rank(rows):
+    """Reference rank over the rationals of dense rows of Fraction/int: each row
+    cleared to integers once, then fraction-free Bareiss elimination."""
+    if not rows:
+        return 0
+    width = len(rows[0])
+    mat = []
+    for row in rows:
+        fr = [Fraction(v) for v in row]
+        mult = lcm(*(v.denominator for v in fr)) if fr else 1
+        mat.append([int(v * mult) for v in fr])
+    m, n = len(mat), width
+    rank = 0
+    prev = 1
+    for col in range(n):
+        pivot = next((r for r in range(rank, m) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        p = mat[rank][col]
+        for r in range(rank + 1, m):
+            for c in range(col + 1, n):
+                mat[r][c] = (p * mat[r][c] - mat[r][col] * mat[rank][c]) // prev
+            mat[r][col] = 0
+        prev = p
+        rank += 1
+        if rank == m:
+            break
+    return rank
 
 
 def random_monomial(rng, n, max_exp=3):

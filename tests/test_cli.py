@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from initalg import cli, sagbi
+from initalg import cli, sagbi, weights
 from initalg.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_MATH,
     EXIT_OK,
     CLIInputError,
@@ -205,6 +206,20 @@ def test_weight_infeasible_exits_one(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "infeasible"
     assert out.splitlines()[1].startswith("certificate: ")
+
+
+def test_internal_error_exits_three(tmp_path, capsys, monkeypatch):
+    # a failed self-check (a plain RuntimeError, as the simplex's checked
+    # division and find_weight's certificate checks raise) is neither input
+    # nor verdict: exit 3, the message on stderr, stdout empty
+    def failing(*args, **kwargs):
+        raise RuntimeError("weight does not realize the comparisons")
+
+    monkeypatch.setattr(cli, "find_weight", failing)
+    monkeypatch.setattr(weights, "find_weight", failing)
+    for text in (LEX_IDEAL, "ring x, y\npairs\nx > y\nend\n"):
+        assert run(["weight", write(tmp_path, text)]) == EXIT_INTERNAL
+        assert capsys.readouterr() == ("", "error: internal: weight does not realize the comparisons\n")
 
 
 def test_weight_represents_order(tmp_path, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_homogeneous_poly, random_poly
+from conftest import bareiss_rank, random_homogeneous_poly, random_poly
 from initalg.family import (
     FreenessReport,
     HomogenizedFamily,
@@ -18,7 +18,6 @@ from initalg.groebner import (
     initial_ideal_weight,
 )
 from initalg.hilbert import hilbert_series_monomial
-from initalg.linalg import exact_rank
 from initalg.orders import DegLex, ExtendedOrder, Lex, RevLex, WeightOrder, leading_monomial
 from initalg.poly import (
     Monomial,
@@ -187,7 +186,7 @@ def test_freeness_check_fails_on_homogenized_raw_generators():
 
 def _fraction_freeness_rows(fam, bound):
     """Degreewise (degree, standard count, quotient dimension): rows assembled from
-    Monomials with Fraction coefficients, ranked densely by `exact_rank`."""
+    Monomials with Fraction coefficients, ranked densely by `bareiss_rank`."""
     a, a_ext, ring_t = fam.weight, fam.weight.extend(), fam.extended_ring
     ini = fam.base_gb.initial_ideal()
     rows, standard = [], 0
@@ -202,7 +201,7 @@ def _fraction_freeness_rows(fam, bound):
                 for mult in monomials_of_weight(ring_t.n, a_ext, d - gd):
                     sparse.append({index[mult.mul(t.mono)]: t.coeff for t in g.terms})
         dense = [[row.get(i, 0) for i in range(len(ambient))] for row in sparse]
-        rows.append((d, standard, len(ambient) - exact_rank(dense)))
+        rows.append((d, standard, len(ambient) - bareiss_rank(dense)))
     return tuple(rows)
 
 

@@ -30,6 +30,7 @@ from initalg.orders import (
     leading_monomial,
     leading_term,
     monic,
+    packing,
 )
 from initalg.poly import (
     Monomial,
@@ -132,15 +133,26 @@ def test_divide_identity_random():
 
 def fraction_buchberger(gens, order, step_limit):
     """Reference Buchberger on Fraction polynomials: the same pairs from `_pairs`,
-    each S-polynomial divided by `divide`, then one ascending interreduction pass."""
+    each S-polynomial divided by `divide`, then one ascending interreduction pass.
+
+    `_pairs` runs on the leads' words under one `orders.packing`, wide enough
+    for every exponent the run meets (checked on each lead), so it is never
+    widened."""
     basis = [monic(g, order) for g in gens if not g.is_zero()]
-    leads = [leading_monomial(g, order).exponents for g in basis]
-    monos = groebner._ExponentTuples(lambda e: order.key(Monomial(e)))
-    for i, j, _ in groebner._pairs(leads, monos, 0, step_limit):
+    top = max(e for g in basis for t in g.terms for e in t.mono.exponents)
+    P = packing(order, basis[0].ring.n, 64 + 2 * top.bit_length())
+
+    def word(g):
+        e = leading_monomial(g, order).exponents
+        assert P.unpack(P.pack(e)) == e, "an exponent outgrew the reference packing"
+        return P.pack(e)
+
+    leads = [word(g) for g in basis]
+    for i, j, _ in groebner._pairs(leads, P, 0, step_limit):
         r = divide(s_polynomial(basis[i], basis[j], order), basis, order)[1]
         if not r.is_zero():
             basis.append(monic(r, order))
-            leads.append(leading_monomial(r, order).exponents)
+            leads.append(word(basis[-1]))
     reduced = []
     for p in sorted(basis, key=lambda p: order.key(leading_monomial(p, order))):
         lead = leading_monomial(p, order)
@@ -540,6 +552,40 @@ def test_toric_ideal_insert_equals_fresh_build():
             ideal.insert(sorted(adjoined).index(i), monos[i])
         fresh = groebner._ToricIdeal(ring.n, monos)
         assert ideal.basis == fresh.basis and ideal.kernel() == fresh.kernel(), monos
+
+
+def test_toric_exponents_outgrowing_the_packing_widen_it(monkeypatch):
+    widths = []
+    real_use = groebner._ToricIdeal._use
+
+    def recording(self, bits, at=None):
+        widths.append(bits)
+        real_use(self, bits, at)
+
+    monkeypatch.setattr(groebner._ToricIdeal, "_use", recording)
+    # x^300 does not fit the 8 value bits of the ideal of x alone: the step
+    # that adds its binomial overflows, the packing widens and the step is retried
+    ideal = groebner._ToricIdeal(1, [(1,)])
+    ideal.insert(1, (300,))
+    assert widths == [8, 8, 16]
+    assert ideal.kernel() == groebner._ToricIdeal(1, [(1,), (300,)]).kernel() == [((300, 0), (0, 1))]
+    # packed into 8 bits, x^600 would carry past the guard bit into the next
+    # field unseen: the step checks that the image fits before packing it
+    widths.clear()
+    ideal = groebner._ToricIdeal(1, [(1,)])
+    ideal.insert(1, (600,))
+    assert widths == [8, 8, 16] and ideal.kernel() == [((600, 0), (0, 1))]
+    # these images fit 8 bits, but the kernel element Y1^408*Y2 - Y3^4 does
+    # not: a reduction step sets a guard bit mid-run
+    widths.clear()
+    monos = [Monomial(e) for e in ((0, 1), (4, 92), (1, 125))]
+    ideal = groebner._ToricIdeal(2, [monos[0].exponents])
+    ideal.insert(1, monos[1].exponents)
+    ideal.insert(2, monos[2].exponents)
+    assert widths == [8, 8, 8, 16]
+    assert ideal.kernel() == [((408, 1, 0), (0, 0, 4))]
+    ref = presentation_kernel([Polynomial.from_dict(R2, {m: 1}) for m in monos])
+    assert toric_kernel(R2, monos).gens == ref.gens
 
 
 def test_toric_kernel_validation():

@@ -7,7 +7,6 @@ from initalg.groebner import MonomialIdeal, initial_ideal
 from initalg.hilbert import (
     HilbertSeries,
     _divide_by_one_minus_power,
-    brute_force_hilbert_function,
     compare_hilbert,
     gorenstein_symmetry_check,
     hilbert_series_monomial,
@@ -28,6 +27,12 @@ R4 = PolyRing(("T", "U", "V", "W"))
 
 def m(*e):
     return Monomial(e)
+
+
+def brute_force_hilbert_function(M, d_max, weight=None):
+    """Independent oracle: count standard monomials degree by degree."""
+    weight = weight or WeightVector.ones(M.ring.n)
+    return tuple(len(M.standard_monomials(weight, d)) for d in range(d_max + 1))
 
 
 def mi(ring, *monos):
@@ -91,6 +96,15 @@ def test_krull_dim_order_independent():
         assert len(dims) == 1
 
 
+def pole_order_at_one(H):
+    """Denominator factors of the series H minus the multiplicity of t=1 in its numerator."""
+    num, mult = H.numerator, 0
+    assert any(num), "the zero series has no pole order"
+    while (q := _divide_by_one_minus_power(num, 1)) is not None:
+        num, mult = q, mult + 1
+    return len(H.denominator_degrees) - mult
+
+
 def test_pole_order_equals_krull_dim():
     rng = random.Random(137)
     for _ in range(25):
@@ -102,7 +116,7 @@ def test_pole_order_equals_krull_dim():
         if any(g.is_one() for g in M.mingens):
             continue
         H = hilbert_series_monomial(M)
-        assert H.pole_order_at_one() == krull_dim_monomial(M)
+        assert pole_order_at_one(H) == krull_dim_monomial(M)
 
 
 def test_semigroup_counts_polynomial_ring():

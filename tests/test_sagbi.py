@@ -145,6 +145,83 @@ def test_sagbi_test_equals_polynomial_kernel_route():
     assert checked >= 40 and failed >= 10, (checked, failed)
 
 
+def reference_sagbi_complete(gens, order, cap):
+    """`sagbi_complete` rebuilt from scratch each round: the kernel from
+    `presentation_kernel` and every lift by `power_product`, through
+    `polynomial_kernel_sagbi_test`."""
+    current = sagbi._sort_gens(gens, order)
+    while True:
+        ok, witnesses = polynomial_kernel_sagbi_test(current, order)
+        if ok:
+            return SagbiState(tuple(current), order, None)
+        admissible = [w for w in witnesses if w.total_degree() <= cap]
+        if not admissible:
+            return SagbiState(tuple(current), order, cap)
+        current = sagbi._sort_gens(current + [admissible[0]], order)
+
+
+def random_completion_input(rng, ring, trial):
+    """Random nonconstant generators.  Odd trials draw them freely, even trials
+    take a linear binomial in x_i, x_j and multiples of x_i^a x_j^b, some
+    with one more term, the shape of x + y, x*y, x*y^2, which often runs
+    into the cap."""
+    if trial % 2:
+        gens = [random_poly(rng, ring, max_terms=3, max_exp=2) for _ in range(rng.randint(2, 3))]
+    else:
+        i, j = rng.sample(range(ring.n), 2)
+        gens = [ring.var(i) * rng.choice([1, 2, -1]) + ring.var(j) * rng.choice([1, -1, 3])]
+        for _ in range(rng.randint(1, 2)):
+            g = ring.var(i) ** rng.randint(1, 2) * ring.var(j) ** rng.randint(1, 2) * rng.choice([1, -2, 3])
+            gens.append(g + random_poly(rng, ring, max_terms=1, max_exp=1) if rng.random() < 0.3 else g)
+    return [g for g in gens if any(not t.mono.is_one() for t in g.terms)]
+
+
+def test_kept_lifts_equal_rebuilt_completion():
+    # lifts and powers kept across rounds must give the completion that
+    # rebuilds the kernel and every lift in each round
+    rng = random.Random(149)
+    checked = adjoined = truncated = confirmed = 0
+    for trial in range(72):
+        order = (Lex(), DegLex(), RevLex())[trial % 3]
+        ring = (R2, R3)[trial // 6 % 2]
+        gens = random_completion_input(rng, ring, trial)
+        if not gens or max(g.total_degree() for g in gens) > 4:
+            continue
+        cap = rng.randint(4, 6)
+        state = sagbi_complete(gens, order, cap)
+        assert state == reference_sagbi_complete(gens, order, cap), (gens, order, cap)
+        checked += 1
+        adjoined += len(state.gens) > len(set(gens))
+        truncated += not state.confirmed
+        confirmed += state.confirmed
+    assert checked >= 40 and adjoined >= 10 and truncated >= 10 and confirmed >= 10, (
+        checked, adjoined, truncated, confirmed)
+
+
+def test_each_lift_is_kept_across_a_shift(monkeypatch):
+    # x*y^2 sorts between the generators and shifts the position of 3*x^2*y:
+    # a relation that survives the shift keeps its lift, so the completion
+    # keeps one lift per distinct relation f^u - f^v it meets
+    relations, kept_states = set(), []
+    real = sagbi._sagbi_round
+
+    def recording(gens, order, kept):
+        for u, v in kept.ideal.kernel():
+            relations.add(tuple(tuple((g, e) for g, e in zip(gens, exps) if e) for exps in (u, v)))
+        kept_states.append(kept)
+        return real(gens, order, kept)
+
+    monkeypatch.setattr(sagbi, "_sagbi_round", recording)
+    gens = [2 * y - x, 3 * x**2 * y, -2 * x * y]
+    state = sagbi_complete(gens, RevLex(), 5)
+    assert state == reference_sagbi_complete(gens, RevLex(), 5)
+    # the first witness x*y^2 went in at position 2, ahead of 3*x^2*y
+    assert state.gens == (2 * y - x, -2 * x * y, x * y**2, 3 * x**2 * y, x * y**3, x * y**4)
+    assert state.truncated_at == 5
+    assert len({id(k) for k in kept_states}) == 1 and len(kept_states) == 4
+    assert len(kept_states[0].lifts) == len(relations) > 0
+
+
 def test_sagbi_complete_builds_one_toric_ideal(monkeypatch):
     built, calls = [], []
 
