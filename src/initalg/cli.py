@@ -5,9 +5,9 @@ as bare lines that re-parse under the polynomial grammar, scalar results use
 ``name: value`` lines, and purely decorative context is prefixed with ``#``.
 Exit codes: 0 success, 1 a mathematical verdict (certified infeasibility, a
 unit ideal) or an exceeded step budget, 2 malformed input, 3 an internal
-error (a failed self-check, ``error: internal: ...``).  A command that
-stops with an ``error:`` line on stderr leaves stdout empty; the infeasible
-verdict prints its certificate.
+error (a failed self-check or an inconsistent Betti table, ``error:
+internal: ...``).  A command that stops with an ``error:`` line on stderr
+leaves stdout empty; the infeasible verdict prints its certificate.
 """
 
 from __future__ import annotations
@@ -20,11 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from initalg.betti import (
-    BettiInconsistencyError,
-    betti_comparison,
-    graded_betti,
-)
+from initalg.betti import betti_comparison, graded_betti
 from initalg.family import fiber, freeness_basis_check, homogenize_ideal
 from initalg.groebner import (
     StepLimitExceeded,
@@ -626,7 +622,7 @@ def run(argv: Sequence[str]) -> int:
         if exc.certificate is not None:
             out.append("certificate: " + " ".join(str(c) for c in exc.certificate))
         code = EXIT_MATH
-    except (StepLimitExceeded, BettiInconsistencyError, UnitIdealError) as exc:
+    except (StepLimitExceeded, UnitIdealError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         out.clear()
         code = EXIT_MATH

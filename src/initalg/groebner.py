@@ -120,8 +120,9 @@ def _widening(step, widen):
             widen()
 
 
-def _top_exponent(polys: Iterable[Polynomial]) -> int:
-    return max((e for f in polys for t in f.terms for e in t.mono.exponents), default=0)
+def _first_bits(top: int) -> int:
+    """The first field width: room for 4 times the largest exponent `top`, and at least 255."""
+    return max(8, top.bit_length() + 2)
 
 
 class _Reducer:
@@ -137,29 +138,21 @@ class _Reducer:
     `table` holds (lead, index, a, tail) sorted, so the first entry whose lead
     divides a monomial is the divisor `divide` would pick.
 
-    The packing has room for exponents up to 4 times the largest one seen,
-    and at least 255.  A new monomial that sets a guard bit raises
-    `_Overflow` before it is compared; `widening` then doubles the field
-    width, repacks every row and retries the step, so exponents of any size
-    stay exact.  `lcm`, `key`, `coprime`, `dividing` and `bits` are those of
-    the current packing: the monomial arithmetic `_pairs` reads.  Pass a
-    reducer as `G` to `normal_form` to reuse its table.
+    The first packing comes from the first polynomial taken (`_first_bits`).
+    An input exponent that does not fit, or a new monomial that sets a guard
+    bit, raises `_Overflow` before it is compared; `widening` then doubles
+    the field width, repacks every row and retries the step, so exponents of
+    any size stay exact.  Only the reducer holds its current `packing`.
+    Pass a reducer as `G` to `normal_form` to reuse its table.
     """
 
-    def __init__(
-        self, order: MonomialOrder, polys: Iterable[Polynomial] = (), packed: Packing | None = None
-    ):
+    def __init__(self, order: MonomialOrder, polys: Iterable[Polynomial] = ()):
         self.order = order
         self.ring: PolyRing | None = None
         self.rows: list[tuple] = []
         self.leads: list[int] = []
         self.table: list[tuple] = []
         self.packing = None
-        polys = list(polys)
-        if packed is not None:
-            self._use(packed)
-        elif polys:
-            self._fit(polys[0].ring.n, _top_exponent(polys))
         for p in polys:
             self.add(p)
 
@@ -177,42 +170,35 @@ class _Reducer:
                 self.rows[k] = (word, a, tail)
                 self.leads[k] = word
             self.table = sorted((row[0], k) + row[1:] for k, row in enumerate(self.rows))
-        self.lcm, self.key, self.coprime = new.lcm, new.key, new.coprime
-        self.dividing, self.bits = new.dividing, new.bits
-
-    def _fit(self, n: int, top: int) -> None:
-        """Set up the packing, or widen it, so that exponents up to `top` fit."""
-        if self.packing is None:
-            self._use(packing(self.order, n, max(8, top.bit_length() + 2)))
-        bits = self.packing.bits
-        while top >> bits:
-            bits *= 2
-        if bits != self.packing.bits:
-            self._use(packing(self.order, n, bits))
 
     def _take(self, f: Polynomial, mismatch: str) -> None:
-        """Check f's ring (the first one is taken) and fit its exponents."""
+        """Check f's ring (the first one is taken, with the first packing)."""
         if self.ring is None:
             self.ring = f.ring
+            top = max((e for t in f.terms for e in t.mono.exponents), default=0)
+            self._use(packing(self.order, f.ring.n, _first_bits(top)))
         elif f.ring != self.ring:
             raise RingMismatchError(mismatch)
-        self._fit(f.ring.n, _top_exponent((f,)))
 
     def widening(self, step):
         """step(), retried with twice the field width while it overflows."""
-        return _widening(
-            step, lambda: self._use(packing(self.order, self.packing.n, 2 * self.bits)))
+        return _widening(step, lambda: self._use(
+            packing(self.order, self.packing.n, 2 * self.packing.bits)))
 
     def _packed(self, coeffs: _IntPoly) -> _IntPoly:
-        pack = self.packing.pack
-        return {pack(e): c for e, c in coeffs.items()}
+        """`coeffs` keyed by words; `_Overflow` if an exponent does not fit."""
+        P = self.packing
+        if max(map(max, coeffs), default=0) >> P.bits:
+            raise _Overflow
+        return {P.pack(e): c for e, c in coeffs.items()}
 
     def add(self, p: Polynomial) -> None:
         """Append the primitive integer multiple of p and extend the divisor table."""
         if p.is_zero():
             raise ZeroPolynomialError("zero divisor in division")
         self._take(p, "divisors from different rings")
-        self.add_row(self._packed(_cleared(p)[0]))
+        coeffs = _cleared(p)[0]
+        self.add_row(self.widening(lambda: self._packed(coeffs)))
 
     def add_row(self, coeffs: _IntPoly) -> None:
         """Append the primitive multiple, with positive lead, of nonzero integer `coeffs`."""
@@ -231,7 +217,7 @@ class _Reducer:
         g = gcd(a_i, a_j), L = lcm(l_i, l_j): a_i a_j / g times the
         S-polynomial of the two monic divisors."""
         (li, ai, ti), (lj, aj, tj) = self.rows[i], self.rows[j]
-        L = self.lcm(li, lj)
+        L = self.packing.lcm(li, lj)
         g = math.gcd(ai, aj)
         acc: _IntPoly = {}
         for tail, c in ((ti, aj // g), (tj, -(ai // g))):
@@ -407,9 +393,10 @@ def _interreduce(basis: _Reducer) -> _Reducer:
     # one pass ascending by lead, dropping a row when a kept lead divides its
     # lead; a lead dividing a monomial of the row is at most that monomial, so
     # reducing the row once by the reduced prefix is final and keeps its lead
-    reduced = _Reducer(basis.order, packed=basis.packing)
+    reduced = _Reducer(basis.order)
+    reduced._use(basis.packing)
     for lead, a, tail in sorted(basis.rows, key=operator.itemgetter(0)):
-        if not reduced.dividing(reduced.leads, lead):
+        if not reduced.packing.dividing(reduced.leads, lead):
             work = {lead + off: b for off, b in tail}
             work[lead] = a
             reduced.add_row(reduced.reduce_ints(work)[0])
@@ -423,54 +410,51 @@ def _monic(ring: PolyRing, row: tuple, unpack) -> Polynomial:
     return Polynomial.from_dict(ring, coeffs)
 
 
-def _pairs(leads: list, monos, start: int, limit: int | None) -> Iterator[tuple]:
-    """Yield the S-pairs (i, j, lcm) of `leads` with j >= start that survive the criteria.
+def _pairs(basis, start: int, limit: int | None) -> Iterator[tuple[int, int]]:
+    """Yield the S-pairs (i, j) of `basis.leads` with j >= start that survive the criteria.
 
-    `monos` is the monomial arithmetic of the leads: `lcm`, the order `key`,
-    `coprime`, and `dividing` (the indices of the leads that divide a
-    monomial), on the words of a `Packing`.  It is that packing, or a
-    `_Reducer` or `_ToricIdeal` reading its current one: when its `bits`
-    change, the leads were repacked wider and the waiting pairs are keyed
-    again.  Pairs wait in a heap keyed (order key of the lcm, (i, j)):
-    Buchberger's normal strategy.  Leads appended while iterating get their
-    pairs before the next pair is taken.  The coprimality and chain criteria
-    prune pairs; yielding more than `limit` pairs raises StepLimitExceeded.
+    The leads are words of `basis.packing`, which the basis replaces when it
+    widens: the leads are then repacked in place and the waiting pairs are
+    keyed again.  Pairs wait in a heap keyed (lcm word, (i, j)), a word
+    comparing as the order does: Buchberger's normal strategy.  Leads
+    appended while iterating get their pairs before the next pair is taken.
+    The coprimality and chain criteria prune pairs; yielding more than
+    `limit` pairs raises StepLimitExceeded.
     """
-    queue: list[tuple] = []  # (order key of lcm, (i, j), lcm)
+    leads = basis.leads
+    queue: list[tuple] = []  # (lcm word, (i, j))
     pending: set[tuple[int, int]] = set()
     steps = 0
-    bits = monos.bits
+    P = None
     while True:
-        lcm, key = monos.lcm, monos.key
-        if monos.bits != bits:  # repacked: the keys change, their order does not
-            bits = monos.bits
-            for pos, (_, (i, j), _) in enumerate(queue):
-                L = lcm(leads[i], leads[j])
-                queue[pos] = (key(L), (i, j), L)
+        if basis.packing is not P:  # first or widened: the words change, their order does not
+            P = basis.packing
+            lcm = P.lcm
+            for pos, (_, (i, j)) in enumerate(queue):
+                queue[pos] = (lcm(leads[i], leads[j]), (i, j))
         for new in range(start, len(leads)):
             lead = leads[new]
             for k in range(new):
-                L = lcm(leads[k], lead)
-                heapq.heappush(queue, (key(L), (k, new), L))
+                heapq.heappush(queue, (lcm(leads[k], lead), (k, new)))
                 pending.add((k, new))
         start = max(start, len(leads))
         if not queue:
             return
-        _, (i, j), L = heapq.heappop(queue)
+        L, (i, j) = heapq.heappop(queue)
         pending.remove((i, j))
-        if monos.coprime(leads[i], leads[j], L):
+        if L == leads[i] + leads[j]:  # coprime leads
             continue
         if any(
             k != i and k != j
             and (min(i, k), max(i, k)) not in pending
             and (min(j, k), max(j, k)) not in pending
-            for k in monos.dividing(leads, L)
+            for k in P.dividing(leads, L)
         ):
             continue
         steps += 1
         if limit is not None and steps > limit:
             raise StepLimitExceeded(f"exceeded {limit} S-polynomial reductions")
-        yield i, j, L
+        yield i, j
 
 
 def buchberger(
@@ -501,7 +485,7 @@ def buchberger(
     basis = _Reducer(order, (g for g in gens if not g.is_zero()))
     if not basis:
         return ReducedGroebnerBasis(ring, order, ())
-    for i, j, _ in _pairs(basis.leads, basis, 0, limit):
+    for i, j in _pairs(basis, 0, limit):
         r = basis.widening(lambda: basis.reduce_ints(basis.s_pair(i, j))[0])
         if r:
             basis.add_row(r)
@@ -636,14 +620,13 @@ class _ToricIdeal:
     reduction, so Buchberger (`_pairs` and its budget) reduces both
     monomials of an S-pair and keeps them when they differ; one pass by
     ascending lead interreduces.  A step that sets a guard bit, or whose
-    image does not fit, widens the packing and is retried, as in `_Reducer`,
-    whose `lcm`, `key`, `coprime`, `dividing` and `bits` are exposed too.
+    image does not fit, widens the packing and is retried, as in `_Reducer`.
     """
 
     def __init__(self, n: int, monomials: Sequence[tuple[int, ...]]):
         self.n, self.images = n, [tuple(a) for a in monomials]
         self.basis, self.leads, self.packing = [], [], None  # binomials (lead, tail), their leads
-        self._use(max(8, max(map(max, self.images)).bit_length() + 2))
+        self._use(_first_bits(max(map(max, self.images))))
         self._complete(range(len(self.images)))
 
     def _use(self, bits: int, at: int | None = None) -> None:
@@ -659,11 +642,9 @@ class _ToricIdeal:
 
         self.basis[:] = [(move(lead), move(tail)) for lead, tail in self.basis]
         self.leads[:] = [lead for lead, _ in self.basis]
-        self.lcm, self.key, self.coprime = new.lcm, new.key, new.coprime
-        self.dividing, self.bits = new.dividing, new.bits
 
     def _widening(self, step):
-        return _widening(step, lambda: self._use(2 * self.bits))
+        return _widening(step, lambda: self._use(2 * self.packing.bits))
 
     def _reduce(self, m: int, basis: Sequence[tuple[int, int]]) -> int:
         """Normal form of the word m by `basis`, the first divisor in list order acting."""
@@ -686,7 +667,7 @@ class _ToricIdeal:
         last variable in which two monomials differ, never the new one).
         """
         self.images.insert(pos, tuple(exps))
-        self._use(self.bits, self.n + pos)
+        self._use(self.packing.bits, self.n + pos)
         self._complete((pos,))
 
     def _complete(self, fresh: Iterable[int]) -> None:
@@ -699,20 +680,20 @@ class _ToricIdeal:
                 leads.append(lead)
 
         def image(i: int) -> None:  # x^{a_i} - Y_i
-            if max(self.images[i]) >> self.bits:
-                raise _Overflow
             P = self.packing
+            if max(self.images[i]) >> P.bits:
+                raise _Overflow
             add(P.pack(self.images[i] + (0,) * len(self.images)), P.units[self.n + i])
 
         def s_pair(i: int, j: int) -> None:
             (li, ti), (lj, tj) = basis[i], basis[j]
-            L = self.lcm(li, lj)
+            L = self.packing.lcm(li, lj)
             add(L - li + ti, L - lj + tj)
 
         start = len(basis)  # the old basis is a Gröbner basis: its own pairs reduce to 0
         for i in fresh:
             self._widening(lambda: image(i))
-        for i, j, _ in _pairs(leads, self, start, _step_limit(None)):
+        for i, j in _pairs(self, start, _step_limit(None)):
             self._widening(lambda: s_pair(i, j))
         basis[:] = self._widening(self._interreduced)
         leads[:] = [lead for lead, _ in basis]
@@ -720,7 +701,7 @@ class _ToricIdeal:
     def _interreduced(self) -> list[tuple[int, int]]:
         reduced: list[tuple[int, int]] = []
         for lead, tail in sorted(self.basis):
-            if not self.dividing([l for l, _ in reduced], lead):
+            if not self.packing.dividing([l for l, _ in reduced], lead):
                 reduced.append((lead, self._reduce(tail, reduced)))
         return reduced
 

@@ -255,12 +255,6 @@ class Packing:
         mask = self.mask
         return tuple([(word >> s) & mask for s in self.shifts])
 
-    # the monomial arithmetic that `groebner._pairs` reads
-
-    @staticmethod
-    def key(word: int) -> int:
-        return word
-
     def lcm(self, a: int, b: int) -> int:
         ea, eb = a & self.low, b & self.low
         # the guard bit of field j survives a - b exactly when a_j >= b_j
@@ -269,10 +263,6 @@ class Packing:
         excess = (eb & behind) - (ea & behind)  # b_j - a_j where b_j > a_j
         mask = self.mask
         return a + sum([((excess >> s) & mask) * u for s, u in zip(self.shifts, self.units)])
-
-    @staticmethod
-    def coprime(a: int, b: int, lcm: int) -> bool:
-        return lcm == a + b
 
     def dividing(self, words: list[int], word: int) -> list[int]:
         """Indices of the entries of `words` that divide `word`."""

@@ -454,7 +454,6 @@ def parse_poly(ring: PolyRing, text: str) -> Polynomial:
             err("dangling sign")
         coeff = Fraction(sign)
         exps = [0] * ring.n
-        saw_factor = False
         expect_factor = True
         while i < len(tokens):
             kind, val, col = tokens[i]
@@ -496,10 +495,7 @@ def parse_poly(ring: PolyRing, text: str) -> Polynomial:
                 exps[vi] += e
             else:
                 err(f"unexpected {val!r}", tokens[i])
-            saw_factor = True
             expect_factor = False
-        if not saw_factor:
-            err("empty term")
         if expect_factor:
             err("dangling '*'")
         if coeff != 0:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import initalg
 from initalg import cli, sagbi, weights
 from initalg.cli import (
     EXIT_INPUT,
@@ -18,6 +21,7 @@ from initalg.cli import (
     parse_problem,
     run,
 )
+from initalg.family import FreenessReport
 from initalg.poly import parse_poly
 
 LEX_IDEAL = """\
@@ -93,6 +97,12 @@ def test_gb_report_round_trips(tmp_path, capsys):
     ring = parse_problem(LEX_IDEAL).ring
     polys = [parse_poly(ring, s) for s in lines[1:]]
     assert len(polys) == 4  # every payload line re-parses
+
+
+def test_ini_of_an_ideal_without_weight(tmp_path, capsys):
+    assert run(["ini", write(tmp_path, LEX_IDEAL)]) == EXIT_OK
+    assert capsys.readouterr() == (
+        "# initial ideal, order lex: 4 minimal generators\nx*z\nx*y\nx^2\ny^3\n", "")
 
 
 def test_ini_with_weight_flag(tmp_path, capsys):
@@ -194,6 +204,13 @@ def test_sagbi_test_and_complete(tmp_path, capsys):
     assert "x*y^3" in out
 
 
+def test_sagbi_completion_confirmed(tmp_path, capsys):
+    assert run(["sagbi", write(tmp_path, SYMMETRIC), "--cap", "4"]) == EXIT_OK
+    assert capsys.readouterr() == (
+        "status: complete\n# basis elements: 3\nx + y + z\nx*y + x*z + y*z\nx*y*z\n"
+        "# initial algebra generators: 3\nx\nx*y\nx*y*z\n", "")
+
+
 def test_weight_empty_comparisons_prints_ones(tmp_path, capsys):
     path = write(tmp_path, "ring x, y, z\n")
     assert run(["weight", path]) == EXIT_OK
@@ -222,6 +239,48 @@ def test_internal_error_exits_three(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr() == ("", "error: internal: weight does not realize the comparisons\n")
 
 
+# every public exception class of the library, by the exit code `run` gives it
+EXIT_CODES = {
+    "StepLimitExceeded": EXIT_MATH, "UnitIdealError": EXIT_MATH, "InfeasibleComparisons": EXIT_MATH,
+    "ParseError": EXIT_INPUT, "RingMismatchError": EXIT_INPUT, "ZeroPolynomialError": EXIT_INPUT,
+    "CLIInputError": EXIT_INPUT,
+    "BettiInconsistencyError": EXIT_INTERNAL,
+}
+
+
+def library_exceptions() -> dict[str, type]:
+    """The public exception classes defined in an initalg module (`__main__` runs the CLI)."""
+    found = {}
+    for info in pkgutil.iter_modules(initalg.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"initalg.{info.name}")
+            found.update((name, obj) for name, obj in vars(module).items()
+                         if isinstance(obj, type) and issubclass(obj, BaseException)
+                         and obj.__module__ == module.__name__ and not name.startswith("_"))
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(library_exceptions()))
+def test_every_library_exception_has_an_exit_code(tmp_path, capsys, monkeypatch, name):
+    # a new exception class fails here until it is classified
+    classes = library_exceptions()
+    assert name in EXIT_CODES, f"{name} has no expected exit code"
+    assert set(EXIT_CODES) == set(classes)
+    exc = classes[name]([], (1, 1)) if name == "InfeasibleComparisons" else classes[name]("boom")
+
+    def raising(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "buchberger", raising)
+    code = EXIT_CODES[name]
+    assert run(["gb", write(tmp_path, LEX_IDEAL)]) == code
+    if name == "InfeasibleComparisons":
+        expected = ("infeasible\ncertificate: 1 1\n", "")
+    else:
+        expected = ("", f"error: {'internal: ' if code == EXIT_INTERNAL else ''}boom\n")
+    assert capsys.readouterr() == expected
+
+
 def test_weight_represents_order(tmp_path, capsys):
     path = write(tmp_path, LEX_IDEAL)
     assert run(["weight", path]) == EXIT_OK
@@ -236,6 +295,18 @@ def test_family_fiber_and_freeness(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "# fiber at t = 0" in out
     assert "freeness: ok (bound 6)" in out
+
+
+def test_family_reports(tmp_path, capsys, monkeypatch):
+    assert run(["family", write(tmp_path, LEX_IDEAL)]) == EXIT_INPUT
+    assert capsys.readouterr() == (
+        "", "error: family needs a weight (file declaration or --weight)\n")
+    monkeypatch.setattr(cli, "freeness_basis_check", lambda fam, bound: FreenessReport(False, 6, ()))
+    path = write(tmp_path, LEX_IDEAL.replace("order lex", "weight 2, 1, 1"))
+    assert run(["family", path, "--freeness-bound", "6"]) == EXIT_MATH
+    assert capsys.readouterr() == (
+        "# homogenized family over weight 2 1 1: 4 generators in x, y, z, t\n"
+        "x*z - y^2*t\nx*y - z*t^2\ny^3 - z^2*t\nx^2 - y*t^3\nfreeness: FAILED (bound 6)\n", "")
 
 
 def test_family_on_a_ring_with_t(tmp_path, capsys):

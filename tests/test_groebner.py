@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -148,7 +149,7 @@ def fraction_buchberger(gens, order, step_limit):
         return P.pack(e)
 
     leads = [word(g) for g in basis]
-    for i, j, _ in groebner._pairs(leads, P, 0, step_limit):
+    for i, j in groebner._pairs(SimpleNamespace(leads=leads, packing=P), 0, step_limit):
         r = divide(s_polynomial(basis[i], basis[j], order), basis, order)[1]
         if not r.is_zero():
             basis.append(monic(r, order))
@@ -238,6 +239,15 @@ def test_exponents_outgrowing_the_packing_widen_it(monkeypatch):
     widths.clear()
     assert gb.normal_form(R.poly("x*y^7")) == R.poly("x*z^2100")
     assert widths == [11, 22]
+    # an S-pair of the run sets a guard bit before its reduction starts
+    widths.clear()
+    gens = [R.poly("x*y - z^3"), R.poly("x^5 - y"), R.poly("y^7 - z")]
+    assert buchberger(gens, Lex()).elements == fraction_buchberger(gens, Lex(), None)
+    assert widths == [8, 16, 16]
+    # an input exponent too wide for the basis's packing widens it as it is packed
+    widths.clear()
+    assert buchberger([x - y], Lex()).normal_form(x**1000) == y**1000
+    assert widths == [8, 8, 8, 16]  # the run, its interreduction, the basis's reducer
 
 
 def test_buchberger_monomial_ideal_is_self():

@@ -238,7 +238,7 @@ def test_packed_words_agree_with_key(order, n):
         assert P.unpack(pa) == a
         assert (not (pb - pa) & P.guard) == Monomial(a).divides(Monomial(b))
         assert P.unpack(P.lcm(pa, pb)) == tuple(map(max, a, b))
-        assert P.coprime(pa, pb, P.lcm(pa, pb)) == (not any(map(min, a, b)))
+        assert (P.lcm(pa, pb) == pa + pb) == (not any(map(min, a, b)))
 
 
 def test_packed_sum_flags_an_exponent_that_outgrows_the_fields():
