@@ -47,7 +47,7 @@ class StepLimitExceeded(RuntimeError):
 
 def _step_limit(explicit: int | None) -> int | None:
     if explicit is not None:
-        if not isinstance(explicit, int) or explicit < 0:
+        if not isinstance(explicit, int) or isinstance(explicit, bool) or explicit < 0:
             raise ValueError(f"step_limit must be a nonnegative integer, got {explicit!r}")
         return explicit
     raw = os.environ.get(STEP_LIMIT_ENV)
@@ -416,45 +416,61 @@ def _pairs(basis, start: int, limit: int | None) -> Iterator[tuple[int, int]]:
     The leads are words of `basis.packing`, which the basis replaces when it
     widens: the leads are then repacked in place and the waiting pairs are
     keyed again.  Pairs wait in a heap keyed (lcm word, (i, j)), a word
-    comparing as the order does: Buchberger's normal strategy.  Leads
-    appended while iterating get their pairs before the next pair is taken.
-    The coprimality and chain criteria prune pairs; yielding more than
-    `limit` pairs raises StepLimitExceeded.
+    comparing as the order does: Buchberger's normal strategy.  The leads
+    before `start` are taken to be a Gröbner basis already, so none of their
+    own pairs is formed.  Leads appended while iterating are installed, in
+    order, before the next pair is taken, by the criteria of Gebauer and
+    Möller (1988).  For a new lead h:
+
+    - a waiting pair (i, j) of lcm L dies if h divides L and both
+      lcm(i, h) and lcm(j, h) differ from L;
+    - of the pairs (k, h), k running over the rows that no later lead
+      divides, those whose lcm another one's properly divides are dropped;
+      of those of equal lcm one stays (the smallest k), and none if one of
+      them has coprime leads;
+    - a row whose lead h divides takes part in no later pair.
+
+    Yielding more than `limit` pairs raises StepLimitExceeded.
     """
     leads = basis.leads
     queue: list[tuple] = []  # (lcm word, (i, j))
-    pending: set[tuple[int, int]] = set()
+    rows = list(range(start))  # the rows that new leads still pair with
     steps = 0
     P = None
     while True:
         if basis.packing is not P:  # first or widened: the words change, their order does not
             P = basis.packing
-            lcm = P.lcm
+            lcm, guard = P.lcm, P.guard
             for pos, (_, (i, j)) in enumerate(queue):
                 queue[pos] = (lcm(leads[i], leads[j]), (i, j))
         for new in range(start, len(leads)):
-            lead = leads[new]
-            for k in range(new):
-                heapq.heappush(queue, (lcm(leads[k], lead), (k, new)))
-                pending.add((k, new))
+            h = leads[new]
+            alive = [(L, (i, j)) for L, (i, j) in queue
+                     if (L - h) & guard or lcm(leads[i], h) == L or lcm(leads[j], h) == L]
+            if len(alive) < len(queue):
+                queue = alive
+                heapq.heapify(queue)
+            # ascending words: a proper divisor of L comes before L
+            minimal: dict[int, int] = {}  # lcm -> smallest k, for the lcms no other properly divides
+            coprime: set[int] = set()
+            for L, k in sorted((lcm(leads[k], h), k) for k in rows):
+                if L == leads[k] + h:
+                    coprime.add(L)
+                if L not in minimal and all((L - m) & guard for m in minimal):
+                    minimal[L] = k
+            for L, k in minimal.items():
+                if L not in coprime:
+                    heapq.heappush(queue, (L, (k, new)))
+            rows = [k for k in rows if (leads[k] - h) & guard]
+            rows.append(new)
         start = max(start, len(leads))
         if not queue:
             return
-        L, (i, j) = heapq.heappop(queue)
-        pending.remove((i, j))
-        if L == leads[i] + leads[j]:  # coprime leads
-            continue
-        if any(
-            k != i and k != j
-            and (min(i, k), max(i, k)) not in pending
-            and (min(j, k), max(j, k)) not in pending
-            for k in P.dividing(leads, L)
-        ):
-            continue
+        _, pair = heapq.heappop(queue)
         steps += 1
         if limit is not None and steps > limit:
             raise StepLimitExceeded(f"exceeded {limit} S-polynomial reductions")
-        yield i, j
+        yield pair
 
 
 def buchberger(
@@ -463,17 +479,20 @@ def buchberger(
     """Reduced Gröbner basis of the ideal generated by `gens` under `order`.
 
     Pairs come from `_pairs` by the normal strategy (under lex it avoids the
-    coefficient swell of degree-first selection).  Inside the loop each
-    element is a primitive integer row of a `_Reducer`: an S-pair is formed
-    from two rows, reduced fraction-free against the table by the same rule
-    as `divide`, and a nonzero remainder is appended as a primitive row.  The
+    coefficient swell of degree-first selection), pruned by the Gebauer-Möller
+    criteria as each new lead arrives.  Inside the loop each element is a
+    primitive integer row of a `_Reducer`: an S-pair is formed from two rows,
+    reduced fraction-free against the table by the same rule as `divide`,
+    and a nonzero remainder is appended as a primitive row.  The
     remainders are those of the Fraction route up to a nonzero scalar, so the
     leads, the pairs and the basis are the same.
 
     Monomials in the loop are packed words (`orders.Packing`): the order
     comparison, the monomial product and the divisibility test are each one
-    int operation, and the pair criteria run on words too.  The field width
-    comes from the input's exponents; a step whose exponents outgrow it sets
+    int operation, and the pair criteria run on words too.  The rows a later
+    lead divides stay in the divisor table until interreduction, though they
+    pair with no later lead.  The field width comes from the input's
+    exponents; a step whose exponents outgrow it sets
     a guard bit, and the reducer widens the packing, repacks the rows and
     redoes the step, so no exponent is ever cut.  Words are unpacked once,
     when the monic Fraction polynomials are built after interreduction.  The
@@ -617,10 +636,12 @@ class _ToricIdeal:
     shows that lead divides m.  J is w-homogeneous, so its Y-only elements
     are the reduced revlex basis of the toric kernel (Sturmfels 1996,
     ch. 4).  Binomials with coefficients +-1 stay such under S-pairs and
-    reduction, so Buchberger (`_pairs` and its budget) reduces both
-    monomials of an S-pair and keeps them when they differ; one pass by
-    ascending lead interreduces.  A step that sets a guard bit, or whose
-    image does not fit, widens the packing and is retried, as in `_Reducer`.
+    reduction, so Buchberger (`_pairs`, its Gebauer-Möller criteria and its
+    budget) reduces both monomials of an S-pair and keeps them when they
+    differ; one pass by ascending lead interreduces.  After `insert` only
+    the pairs with the new binomials are installed, the old basis counting
+    as finished.  A step that sets a guard bit, or whose image does not fit,
+    widens the packing and is retried, as in `_Reducer`.
     """
 
     def __init__(self, n: int, monomials: Sequence[tuple[int, ...]]):

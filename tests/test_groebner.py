@@ -1,3 +1,4 @@
+import heapq
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -43,6 +44,7 @@ from initalg.poly import (
     ZeroPolynomialError,
     substitute,
 )
+from initalg.sagbi import sagbi_complete
 
 R = PolyRing(("x", "y", "z"))
 x, y, z = R.gens()
@@ -54,6 +56,14 @@ R2 = PolyRing(("x", "y"))
 BLOWUP = ["x^2*y*z - 4*x*y^2*z - 3*x^2*z + y^2", "4*x*y^2 - 3*y^2 + 4", "-5*x^2*y^2 - 4*y^2*z^2"]
 KATSURA4 = ["u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0", "2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1",
             "2*u0*u2 + u1^2 + 2*u1*u3 - u2", "u0 + 2*u1 + 2*u2 + 2*u3 - 1"]
+KATSURA5 = ["u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 + 2*u4^2 - u0",
+            "2*u0*u1 + 2*u1*u2 + 2*u2*u3 + 2*u3*u4 - u1",
+            "2*u0*u2 + u1^2 + 2*u1*u3 + 2*u2*u4 - u2",
+            "2*u0*u3 + 2*u1*u2 + 2*u1*u4 - u3", "u0 + 2*u1 + 2*u2 + 2*u3 + 2*u4 - 1"]
+CYCLIC5 = ["x0 + x1 + x2 + x3 + x4", "x0*x1 + x1*x2 + x2*x3 + x3*x4 + x4*x0",
+           "x0*x1*x2 + x1*x2*x3 + x2*x3*x4 + x3*x4*x0 + x4*x0*x1",
+           "x0*x1*x2*x3 + x1*x2*x3*x4 + x2*x3*x4*x0 + x3*x4*x0*x1 + x4*x0*x1*x2",
+           "x0*x1*x2*x3*x4 - 1"]
 
 
 def mono(*exps):
@@ -205,6 +215,93 @@ def test_integer_buchberger_equals_fraction_reference():
             assert gb.elements == ref, (order, gens)
     assert cut == cut_ref and 0 < len(cut) < 15, (cut, cut_ref)
     assert rational >= 100 and negative >= 50, (rational, negative)
+
+
+def reference_pairs(basis, start, limit):
+    """`groebner._pairs` before the Gebauer-Möller installation: every pair
+    (k, new) is queued, and a popped pair is dropped when its leads are
+    coprime or when the chain criterion finds a lead k dividing its lcm whose
+    pairs with i and j are no longer waiting."""
+    leads = basis.leads
+    queue = []  # (lcm word, (i, j))
+    pending = set()
+    steps = 0
+    P = None
+    while True:
+        if basis.packing is not P:
+            P = basis.packing
+            lcm = P.lcm
+            for pos, (_, (i, j)) in enumerate(queue):
+                queue[pos] = (lcm(leads[i], leads[j]), (i, j))
+        for new in range(start, len(leads)):
+            lead = leads[new]
+            for k in range(new):
+                heapq.heappush(queue, (lcm(leads[k], lead), (k, new)))
+                pending.add((k, new))
+        start = max(start, len(leads))
+        if not queue:
+            return
+        L, (i, j) = heapq.heappop(queue)
+        pending.remove((i, j))
+        if L == leads[i] + leads[j]:
+            continue
+        if any(
+            k != i and k != j
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k in P.dividing(leads, L)
+        ):
+            continue
+        steps += 1
+        if limit is not None and steps > limit:
+            raise StepLimitExceeded(f"exceeded {limit} S-polynomial reductions")
+        yield i, j
+
+
+def with_reference_pairs(monkeypatch, route, *args):
+    """route(*args) with `reference_pairs` in place of `groebner._pairs`."""
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "_pairs", reference_pairs)
+        return route(*args)
+
+
+def test_gebauer_moller_buchberger_equals_reference_pairs(monkeypatch):
+    # the reduced basis is unique, so the pairs the criteria let through must
+    # not change it; the seeded ideals of the Fraction-reference test
+    # (every one finishes within 400 reductions both ways)
+    rng = random.Random(67)
+    for k in range(150):
+        order = PACKED_ORDERS[k % len(PACKED_ORDERS)]
+        gens = [random_poly(rng, R, max_terms=3, max_exp=3, max_den=6) for _ in range(3)]
+        gens = [g for g in gens if not g.is_zero()]
+        if gens:
+            gb = buchberger(gens, order, 400)
+            assert gb == with_reference_pairs(monkeypatch, buchberger, gens, order, 400), (order, gens)
+
+
+def test_gebauer_moller_toric_kernel_equals_reference_pairs(monkeypatch):
+    rng = random.Random(71)
+    for _ in range(40):
+        monos = [Monomial(tuple(rng.randint(0, 12) for _ in range(3))) for _ in range(rng.randint(2, 4))]
+        ker = toric_kernel(R, monos)
+        assert ker == with_reference_pairs(monkeypatch, toric_kernel, R, monos), monos
+
+
+def test_gebauer_moller_sagbi_insert_equals_reference_pairs(monkeypatch):
+    # each adjoined generator runs `_pairs` with start > 0 after `_ToricIdeal.insert`
+    starts = []
+    real_pairs = groebner._pairs
+
+    def recording(basis, start, limit):
+        starts.append(start)
+        return real_pairs(basis, start, limit)
+
+    gens = [R2.poly("x + y"), R2.poly("x*y"), R2.poly("x*y^2")]
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "_pairs", recording)
+        state = sagbi_complete(gens, DegLex(), 10)
+    assert len(state.gens) > len(gens) and max(starts) > 0, starts
+    assert state == with_reference_pairs(monkeypatch, sagbi_complete, gens, DegLex(), 10)
 
 
 @pytest.mark.parametrize("order", [Lex(), RevLex()], ids=["lex", "revlex"])
@@ -625,6 +722,10 @@ def test_step_limit():
     assert len(gb) == 4
     with pytest.raises(ValueError, match="step_limit must be a nonnegative integer, got -2"):
         buchberger([x**2 - y, x * y - z], Lex(), step_limit=-2)
+    # a bool is an int to isinstance, but not a budget
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=f"step_limit must be a nonnegative integer, got {flag}"):
+            buchberger([x**2 - y, x * y - z], Lex(), step_limit=flag)
 
 
 @pytest.mark.parametrize(
@@ -641,14 +742,16 @@ def test_step_limit():
             "u0 u1 u2 u3",
             KATSURA4,
             DegLex(),
-            19,
+            13,
         ),
-        ("x y z", BLOWUP, Lex(), 29),
+        ("x y z", BLOWUP, Lex(), 23),
+        ("x0 x1 x2 x3 x4", CYCLIC5, RevLex(), 107),
+        ("u0 u1 u2 u3 u4", KATSURA5, RevLex(), 30),
     ],
-    ids=["cyclic4-lex", "katsura4-deglex", "blowup-lex"],
+    ids=["cyclic4-lex", "katsura4-deglex", "blowup-lex", "cyclic5-revlex", "katsura5-revlex"],
 )
 def test_s_polynomial_reduction_count(names, gens, order, reductions):
-    # pair selection and both criteria fix how many S-polynomials get reduced
+    # pair selection and the Gebauer-Möller criteria fix how many S-polynomials get reduced
     ring = PolyRing(tuple(names.split()))
     polys = [ring.poly(g) for g in gens]
     with pytest.raises(StepLimitExceeded):
