@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add
 from typing import Iterator, Sequence
 
 from initalg.groebner import ReducedGroebnerBasis, buchberger
-from initalg.linalg import exact_rank_sparse
+from initalg.linalg import _reduce_into
 from initalg.orders import (
     ExtendedOrder,
     MonomialOrder,
@@ -98,46 +97,40 @@ def freeness_basis_check(family: HomogenizedFamily, degree_bound: int | None = N
     """Certify K[t]-freeness of the quotient up to a degree bound.
 
     The candidate basis is {t^e * m} with m a standard monomial of the base
-    initial ideal; in each extended degree its cardinality must match the
-    exact codimension of the total ideal's graded piece.
+    initial ideal; in each extended degree d its cardinality must match the
+    exact codimension of J_d, J the total ideal.  J_d = t*J_{d-1} + the sum
+    of R_{d - deg g}*g over the elements g, R the t-free monomials; since
+    multiplying by t is injective and keeps the order, t times the echelon
+    basis of J_{d-1} is one of t*J_{d-1}, and only the t-free multiples m*g
+    are reduced against it.  The rank does not assume a Gröbner basis.
     """
-    a = family.weight
-    n = family.extended_ring.n
+    a, n = family.weight, family.extended_ring.n
     if degree_bound is None:
-        top = max((weighted_degree(g, a) for g in family.base_gb), default=1)
-        degree_bound = 2 * top
+        degree_bound = 2 * max((weighted_degree(g, a) for g in family.base_gb), default=1)
+    if type(degree_bound) is not int:
+        raise ValueError(f"degree bound must be an integer, got {degree_bound!r}")
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
-    ini = family.base_gb.initial_ideal()
     a_ext = a.extend()
-    # every exponent is at most the degree bound, so the packed key is exact
-    pack = packing(family.total.order, n, max(degree_bound, 1).bit_length()).pack
-    # each element once: (weighted degree, integer terms); scaling keeps the rank
+    # every exponent used is at most the degree bound, so the packed words are exact
+    words = packing(family.total.order, n, max(degree_bound, 1).bit_length())
+    pack, t_word = words.pack, words.units[-1]
+    # each element once: (weighted degree, integer terms on words); scaling keeps the rank
     elements = []
     for g in family.total:
         scale = lcm(*(t.coeff.denominator for t in g.terms))
-        terms = [(t.mono.exponents, t.coeff.numerator * (scale // t.coeff.denominator))
-                 for t in g.terms]
-        elements.append((weighted_degree(g, a_ext), terms))
-    # the monomials of each weighted degree, ascending by exponents: columns and multipliers
-    monos = [monomials_of_weight(n, a_ext, d) for d in range(degree_bound + 1)]
-    rows = []
-    ok = True
-    standard = 0
+        elements.append((weighted_degree(g, a_ext), [
+            (pack(t.mono.exponents), t.coeff.numerator * (scale // t.coeff.denominator)) for t in g.terms]))
+    # generators of ini(I) above the bound divide no monomial checked here, nor fit the words
+    ini = [pack(m.exponents + (0,)) for m in family.base_gb.initial_ideal() if a.degree(m) <= degree_bound]
+    base: list[list[int]] = []  # the t-free monomials of each weighted degree, as words
+    rows, pivots, standard, columns = [], {}, 0, 0
     for d in range(degree_bound + 1):
-        standard += len(ini.standard_monomials(a, d))
-        # columns sorted by the extended order keep the rows near-echelon
-        ambient = sorted(monos[d], key=lambda m: pack(m.exponents))
-        index = {mono.exponents: i for i, mono in enumerate(ambient)}
-        sparse = []
-        for gd, terms in elements:
-            if gd > d:
-                continue
-            for mult in monos[d - gd]:
-                me = mult.exponents
-                sparse.append({index[tuple(map(add, me, e))]: c for e, c in terms})
-        dim = len(ambient) - exact_rank_sparse(sparse)
-        rows.append((d, standard, dim))
-        if standard != dim:
-            ok = False
-    return FreenessReport(ok, degree_bound, tuple(rows))
+        base.append([pack(m.exponents + (0,)) for m in monomials_of_weight(n - 1, a, d)])
+        columns += len(base[d])  # degree d holds t^(d-k) * m for every m in base[k]
+        standard += sum(1 for w in base[d] if not words.dividing(ini, w))
+        pivots = {lead + t_word: (c, [(k + t_word, v) for k, v in tail]) for lead, (c, tail) in pivots.items()}
+        _reduce_into(({m + w: c for w, c in terms} for gd, terms in elements if gd <= d for m in base[d - gd]),
+                     pivots)
+        rows.append((d, standard, columns - len(pivots)))
+    return FreenessReport(all(s == dim for _, s, dim in rows), degree_bound, tuple(rows))

@@ -1,9 +1,10 @@
 """Exact rank of rational matrices by fraction-free sparse elimination.
 
 Each row is cleared to integers once and reduced against primitive integer
-pivots, so no `Fraction` is built during elimination.  Dense rows take the
-same route; the dense Bareiss elimination (Bareiss 1968) that once ranked
-them is the reference of the tests.
+pivots, so no `Fraction` is built during elimination.  `_reduce_into` is the
+one elimination loop: `exact_rank_sparse` runs it from no pivots, the freeness
+check of `initalg.family` from pivots carried between degrees.  Dense rows take
+the same route; the dense Bareiss elimination (Bareiss 1968) is the tests' reference.
 """
 
 from __future__ import annotations
@@ -21,18 +22,24 @@ def exact_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
 
 
 def exact_rank_sparse(rows: Iterable[dict[int, Fraction | int]]) -> int:
-    """Rank over the rationals of sparsely stored rows, pivoting on the largest column.
-
-    Each row is cleared to integers once (by the lcm of its denominators)
-    and reduced against primitive integer pivots with a positive lead: with
-    pivot lead a and work entry c, g = gcd(a, c), the work row becomes
-    (a/g)*work - (c/g)*pivot.  A row that survives becomes a pivot after its
-    content is divided out.  The caller's dicts are not modified.
+    """Rank over the rationals of sparsely stored rows: `_reduce_into` from no pivots.
 
     Effective when rows are near-echelon for the chosen column numbering
     (e.g. graded pieces of an ideal with columns sorted by a monomial order).
     """
-    pivots: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+    return len(_reduce_into(rows, {}))
+
+
+def _reduce_into(rows: Iterable[dict[int, Fraction | int]], pivots: dict) -> dict:
+    """Reduce each row against `pivots`, pivoting on the largest column; returns `pivots`.
+
+    A pivot maps its lead column to (a, tail), a primitive integer row with
+    positive lead a.  Each row is cleared to integers once (by the lcm of its
+    denominators) and reduced: with pivot lead a and work entry c,
+    g = gcd(a, c), the work row becomes (a/g)*work - (c/g)*pivot.  A row that
+    survives becomes a pivot after its content is divided out, so the pivots
+    stay an echelon basis of the span.  The caller's row dicts are not modified.
+    """
     for row in rows:
         if all(type(v) is int for v in row.values()):
             work = {k: v for k, v in row.items() if v}
@@ -63,4 +70,4 @@ def exact_rank_sparse(rows: Iterable[dict[int, Fraction | int]]) -> int:
                     work[k] = nv
                 else:
                     del work[k]
-    return len(pivots)
+    return pivots

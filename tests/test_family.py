@@ -215,3 +215,33 @@ def test_freeness_rows_with_non_integer_coefficients_match_fraction_reference():
     assert rep.rows == _fraction_freeness_rows(fam, rep.bound)
     raw = _raw_family(gens, a)
     assert freeness_basis_check(raw, 8).rows == _fraction_freeness_rows(raw, 8)
+
+
+def test_freeness_rows_match_fraction_reference_on_random_families():
+    # homogenized bases are flat; homogenized raw generators (three of them) often are not
+    rng = random.Random(2003)
+    families = non_flat = 0
+    while families < 40:
+        ring = rng.choice([R2, R3])
+        a = random_weight(rng, ring.n)
+        raw = families % 2 == 1
+        gens = [random_poly(rng, ring, max_terms=3, max_exp=2, max_den=3) for _ in range(2 + raw)]
+        if any(g.is_zero() for g in gens):
+            continue
+        fam = _raw_family(gens, a) if raw else homogenize_ideal(gens, a, rng.choice([Lex(), DegLex(), RevLex()]))
+        bound = rng.randint(0, 9)
+        rep = freeness_basis_check(fam, bound)
+        assert rep.rows == _fraction_freeness_rows(fam, bound)
+        assert rep.ok == all(s == dim for _, s, dim in rep.rows) and rep.bound == bound
+        assert rep.ok or raw
+        non_flat += not rep.ok
+        families += 1
+    assert non_flat >= 8
+
+
+@pytest.mark.parametrize("bound", [True, False, 2.0, "3"])
+def test_freeness_bound_must_be_an_integer(bound):
+    # bool is an int subclass: True was once taken as a bound of 1
+    fam = homogenize_ideal([x**2 - y], WeightVector((1, 1)))
+    with pytest.raises(ValueError, match="degree bound must be an integer"):
+        freeness_basis_check(fam, bound)
