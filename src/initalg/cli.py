@@ -25,6 +25,7 @@ from initalg.family import fiber, freeness_basis_check, homogenize_ideal
 from initalg.groebner import (
     StepLimitExceeded,
     buchberger,
+    initial_ideal,
     initial_ideal_weight,
     presentation_kernel,
     toric_kernel,
@@ -227,6 +228,14 @@ def _require_gens(problem: Problem, kind: str | None = None) -> list[Polynomial]
     return problem.gens
 
 
+def _check_block_flags(problem: Problem, args) -> None:
+    """Refuse a flag the block does not read: --weight reads an ideal, --cap an algebra."""
+    if problem.block == "algebra" and args.weight:
+        raise CLIInputError("--weight: an algebra block reads no weight; it applies to an ideal")
+    if problem.block == "ideal" and args.cap is not None:
+        raise CLIInputError("--cap: an ideal block is not completed; it applies to an algebra")
+
+
 def _poly_lines(polys, order: MonomialOrder | None = None) -> list[str]:
     key = order.key if order is not None else None
     return [format_poly(f, key=key) for f in polys]
@@ -248,6 +257,7 @@ def cmd_gb(problem: Problem, args, out: list[str]) -> int:
 
 def cmd_ini(problem: Problem, args, out: list[str]) -> int:
     gens = _require_gens(problem)
+    _check_block_flags(problem, args)
     order = _active_order(problem)
     if problem.block == "algebra":
         if args.cap is not None:  # the first completion round is the Sagbi test
@@ -270,8 +280,7 @@ def cmd_ini(problem: Problem, args, out: list[str]) -> int:
         out.append(f"# initial forms under weight {entries}: {len(forms)} generators")
         out.extend(_poly_lines(forms, order))
     else:
-        gb = buchberger(gens, order)
-        ini = gb.initial_ideal()
+        ini = initial_ideal(gens, order)
         out.append(f"# initial ideal, order {describe_order(order, problem.ring)}: "
                    f"{len(ini.mingens)} minimal generators")
         out.extend(format_monomial(problem.ring, m) for m in ini.mingens)
@@ -339,6 +348,7 @@ def cmd_family(problem: Problem, args, out: list[str]) -> int:
 
 def cmd_hilbert(problem: Problem, args, out: list[str]) -> int:
     gens = _require_gens(problem)
+    _check_block_flags(problem, args)
     order = _active_order(problem)
     d_max = args.dmax
     if problem.block == "algebra":
@@ -351,8 +361,7 @@ def cmd_hilbert(problem: Problem, args, out: list[str]) -> int:
         return EXIT_OK
     if problem.weight is not None:
         order = WeightOrder(problem.weight, order)
-    gb = buchberger(gens, order)
-    series = hilbert_series_monomial(gb.initial_ideal(), weight=problem.grading)
+    series = hilbert_series_monomial(initial_ideal(gens, order), weight=problem.grading)
     out.append(f"series: {series}")
     out.append(f"reduced: {series.reduced()}")
     out.append("values: " + ",".join(str(v) for v in series.expand(d_max)))
@@ -361,8 +370,7 @@ def cmd_hilbert(problem: Problem, args, out: list[str]) -> int:
 
 def cmd_dim(problem: Problem, args, out: list[str]) -> int:
     gens = _require_gens(problem, "ideal")
-    gb = buchberger(gens, _active_order(problem))
-    out.append(f"dimension: {krull_dim_monomial(gb.initial_ideal())}")
+    out.append(f"dimension: {krull_dim_monomial(initial_ideal(gens, _active_order(problem)))}")
     return EXIT_OK
 
 
@@ -441,7 +449,7 @@ def _scenario_order_by_weight() -> Checks:
     ring = PolyRing(("x", "y", "z"))
     gens = [parse_poly(ring, s) for s in ("x^2 - y", "x*y - z")]
     a = represent_order_by_weight(gens, Lex())
-    regenerated = buchberger(gens, WeightOrder(a, Lex())).initial_ideal()
+    regenerated = initial_ideal(gens, WeightOrder(a, Lex()))
     want = {ring.monomial((2, 0, 0)), ring.monomial((1, 1, 0)),
             ring.monomial((1, 0, 1)), ring.monomial((0, 3, 0))}
     yield (set(regenerated.mingens) == want,
@@ -479,7 +487,7 @@ def _scenario_hilbert_transfer() -> Checks:
     gens = [parse_poly(ring, s) for s in ("x^2 - y*z", "x*y - z^2")]
     cmp = compare_hilbert(gens, Lex(), RevLex(), d_max=10)
     dims = {
-        krull_dim_monomial(buchberger(gens, o).initial_ideal())
+        krull_dim_monomial(initial_ideal(gens, o))
         for o in (Lex(), DegLex(), RevLex())
     }
     yield (cmp.ok and len(dims) == 1,
@@ -511,12 +519,10 @@ def _scenario_symmetry() -> Checks:
     images = [parse_poly(ring, s) for s in ("x^2 - z^2", "x*y", "y^2", "y*z")]
     kernel = presentation_kernel(images, names=_KERNEL_NAMES)
     # grade each presentation variable in degree 1 so the series is normalized
-    gb = buchberger(list(kernel.gens), DegLex())
-    series = hilbert_series_monomial(gb.initial_ideal()).reduced()
+    series = hilbert_series_monomial(initial_ideal(kernel.gens, DegLex())).reduced()
     sym = gorenstein_symmetry_check(series) and str(series) == "(1 + t) / (1-t)^3"
     counter = hilbert_series_monomial(
-        buchberger([parse_poly(PolyRing(("x", "y")), s) for s in ("x^2", "x*y")],
-                   DegLex()).initial_ideal()
+        initial_ideal([parse_poly(PolyRing(("x", "y")), s) for s in ("x^2", "x*y")], DegLex())
     )
     yield (sym and not gorenstein_symmetry_check(counter),
            f"normalized series {series} palindromic, counterexample rejected")

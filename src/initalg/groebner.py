@@ -473,41 +473,56 @@ def _pairs(basis, start: int, limit: int | None) -> Iterator[tuple[int, int]]:
         yield pair
 
 
+def _groebner_rows(
+    gens: Sequence[Polynomial], order: MonomialOrder, step_limit: int | None
+) -> _Reducer:
+    """A Gröbner basis of the ideal of `gens` as the rows of a `_Reducer`,
+    neither interreduced nor made monic: the pair loop of `buchberger`.
+
+    Pairs come from `_pairs` by the normal strategy (under lex it avoids the
+    coefficient swell of degree-first selection), pruned by the Gebauer-Möller
+    criteria as each new lead arrives.  Each element is a primitive integer
+    row: an S-pair is formed from two rows, reduced fraction-free against the
+    table by the same rule as `divide`, and a nonzero remainder is appended
+    as a primitive row.  The remainders are those of the Fraction route up
+    to a nonzero scalar, so the leads, the pairs and the basis are the same.
+
+    Monomials are packed words (`orders.Packing`): the order comparison, the
+    monomial product and the divisibility test are each one int operation,
+    and the pair criteria run on words too.  The rows a later lead divides
+    stay in the divisor table, though they pair with no later lead.  The
+    field width comes from the input's exponents; a step whose exponents
+    outgrow it sets a guard bit, and the reducer widens the packing, repacks
+    the rows and redoes the step, so no exponent is ever cut.  The step
+    budget (argument or the INITALG_STEP_LIMIT environment variable) bounds
+    the number of reductions.  When every generator is zero there is no row.
+    """
+    _check_gens(gens)
+    limit = _step_limit(step_limit)
+    basis = _Reducer(order, (g for g in gens if not g.is_zero()))
+    if basis:
+        for i, j in _pairs(basis, 0, limit):
+            r = basis.widening(lambda: basis.reduce_ints(basis.s_pair(i, j))[0])
+            if r:
+                basis.add_row(r)
+    return basis
+
+
 def buchberger(
     gens: Sequence[Polynomial], order: MonomialOrder, step_limit: int | None = None
 ) -> ReducedGroebnerBasis:
     """Reduced Gröbner basis of the ideal generated by `gens` under `order`.
 
-    Pairs come from `_pairs` by the normal strategy (under lex it avoids the
-    coefficient swell of degree-first selection), pruned by the Gebauer-Möller
-    criteria as each new lead arrives.  Inside the loop each element is a
-    primitive integer row of a `_Reducer`: an S-pair is formed from two rows,
-    reduced fraction-free against the table by the same rule as `divide`,
-    and a nonzero remainder is appended as a primitive row.  The
-    remainders are those of the Fraction route up to a nonzero scalar, so the
-    leads, the pairs and the basis are the same.
-
-    Monomials in the loop are packed words (`orders.Packing`): the order
-    comparison, the monomial product and the divisibility test are each one
-    int operation, and the pair criteria run on words too.  The rows a later
-    lead divides stay in the divisor table until interreduction, though they
-    pair with no later lead.  The field width comes from the input's
-    exponents; a step whose exponents outgrow it sets
-    a guard bit, and the reducer widens the packing, repacks the rows and
-    redoes the step, so no exponent is ever cut.  Words are unpacked once,
-    when the monic Fraction polynomials are built after interreduction.  The
-    step budget (argument or the INITALG_STEP_LIMIT environment variable)
-    bounds the number of reductions.
+    The pair loop `_groebner_rows` gives a Gröbner basis as integer rows on
+    packed words; one pass of `_interreduce` reduces it, and each row is
+    unpacked once into a monic Fraction polynomial.  `initial_ideal` runs
+    the same loop and stops before both, so the step budget (argument or
+    the INITALG_STEP_LIMIT environment variable) is spent on the same pairs.
     """
-    ring = _check_gens(gens)
-    limit = _step_limit(step_limit)
-    basis = _Reducer(order, (g for g in gens if not g.is_zero()))
+    basis = _groebner_rows(gens, order, step_limit)
+    ring = gens[0].ring
     if not basis:
         return ReducedGroebnerBasis(ring, order, ())
-    for i, j in _pairs(basis, 0, limit):
-        r = basis.widening(lambda: basis.reduce_ints(basis.s_pair(i, j))[0])
-        if r:
-            basis.add_row(r)
     reduced = basis.widening(lambda: _interreduce(basis))
     unpack = reduced.packing.unpack
     elements = tuple(_monic(ring, row, unpack) for row in reduced.rows)
@@ -515,8 +530,18 @@ def buchberger(
 
 
 def initial_ideal(gens: Sequence[Polynomial], order: MonomialOrder) -> MonomialIdeal:
-    """Minimal monomial generators of the initial ideal under `order`."""
-    return buchberger(gens, order).initial_ideal()
+    """Minimal monomial generators of the initial ideal under `order`.
+
+    ini(I) is generated by the leads of any Gröbner basis of I, so this runs
+    only the pair loop `_groebner_rows` of `buchberger`, with no
+    interreduction and no Fraction polynomial: each lead word is unpacked
+    once and `MonomialIdeal.from_monomials` keeps the minimal ones.  The
+    result, `mingens` in order, equals ``buchberger(gens, order).initial_ideal()``,
+    and the step budget runs out at the same pair.
+    """
+    basis = _groebner_rows(gens, order, None)
+    leads = (Monomial(basis.packing.unpack(word)) for word in basis.leads)
+    return MonomialIdeal.from_monomials(gens[0].ring, leads)
 
 
 def initial_ideal_weight(

@@ -15,14 +15,7 @@ from typing import Sequence
 
 from initalg.groebner import MonomialIdeal, initial_ideal
 from initalg.orders import MonomialOrder, leading_term
-from initalg.poly import (
-    Monomial,
-    PolyRing,
-    Polynomial,
-    WeightVector,
-    format_poly,
-    is_weight_homogeneous,
-)
+from initalg.poly import Monomial, Polynomial, WeightVector, is_weight_homogeneous
 from initalg.sagbi import SagbiState
 
 
@@ -110,11 +103,17 @@ class HilbertSeries:
         return HilbertSeries(num, tuple(kept))
 
     def __str__(self) -> str:
-        t_ring = PolyRing(("t",))
-        num = format_poly(
-            Polynomial.from_dict(t_ring, {Monomial((i,)): c for i, c in enumerate(self.numerator)}),
-            key=lambda mono: (-mono.degree(),),  # constant term first
-        )
+        terms = []  # constant term first, as `poly.format_poly` writes a polynomial in t
+        for i, c in enumerate(self.numerator):
+            if c:
+                if terms:
+                    head = " - " if c < 0 else " + "
+                else:
+                    head = "-" if c < 0 else ""
+                mag, power = abs(c), "t" if i == 1 else f"t^{i}"
+                body = str(mag) if i == 0 else power if mag == 1 else f"{mag}*{power}"
+                terms.append(head + body)
+        num = "".join(terms) or "0"
         if not self.denominator_degrees:
             return num
         parts = []

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import initalg
-from initalg import cli, sagbi, weights
+from initalg import cli, groebner, sagbi, weights
 from initalg.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
@@ -22,6 +22,7 @@ from initalg.cli import (
     run,
 )
 from initalg.family import FreenessReport
+from initalg.orders import Lex
 from initalg.poly import parse_poly
 
 LEX_IDEAL = """\
@@ -431,6 +432,26 @@ def test_weight_flag_only_on_commands_that_read_it(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
+    "command, text, flags, err",
+    [
+        ("ini", ALGEBRA, ["--weight", "2,1"],
+         "error: --weight: an algebra block reads no weight; it applies to an ideal\n"),
+        ("hilbert", ALGEBRA, ["--weight", "2,1"],
+         "error: --weight: an algebra block reads no weight; it applies to an ideal\n"),
+        ("ini", LEX_IDEAL, ["--cap", "3"],
+         "error: --cap: an ideal block is not completed; it applies to an algebra\n"),
+        ("hilbert", LEX_IDEAL, ["--cap", "3"],
+         "error: --cap: an ideal block is not completed; it applies to an algebra\n"),
+    ],
+    ids=["ini-algebra-weight", "hilbert-algebra-weight", "ini-ideal-cap", "hilbert-ideal-cap"],
+)
+def test_flag_the_block_does_not_read_exits_two(tmp_path, capsys, command, text, flags, err):
+    # each was once ignored: the report came out as if the flag were absent
+    assert run([command, write(tmp_path, text), *flags]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize(
     "value, text, args, code, err",
     [
         ("abc", LEX_IDEAL, ["gb"], EXIT_INPUT,
@@ -494,6 +515,35 @@ def test_no_exception_escapes_run(tmp_path, capsys):
                     assert code == 2, (command, path, flags)
                 assert code in (EXIT_OK, EXIT_MATH, EXIT_INPUT), (command, path, flags)
     capsys.readouterr()
+
+
+class Reduced(Exception):
+    """Raised by the patched `_interreduce` and `_monic`: a reduced basis was built."""
+
+
+def test_leads_only_commands_build_no_reduced_basis(tmp_path, capsys, monkeypatch):
+    # hilbert, dim and the order branch of ini read only ini(I), which the
+    # leads of the unreduced Buchberger loop generate; gb needs the reduced basis
+    path = write(tmp_path, LEX_IDEAL)
+    commands = [["hilbert", path], ["dim", path], ["ini", path]]
+    reports = []
+    for argv in commands:
+        assert run(argv) == EXIT_OK
+        reports.append(capsys.readouterr())
+
+    def refuse(*args):
+        raise Reduced
+
+    monkeypatch.setattr(groebner, "_interreduce", refuse)
+    monkeypatch.setattr(groebner, "_monic", refuse)
+    ring = parse_problem(LEX_IDEAL).ring
+    M = groebner.initial_ideal([parse_poly(ring, "x^2 - y"), parse_poly(ring, "x*y - z")], Lex())
+    assert len(M) == 4
+    for argv, report in zip(commands, reports):
+        assert run(argv) == EXIT_OK
+        assert capsys.readouterr() == report
+    with pytest.raises(Reduced):
+        run(["gb", path])
 
 
 def test_parser_is_built_once_and_reused(tmp_path, capsys):

@@ -428,6 +428,89 @@ def test_initial_ideal_examples():
     assert initial_ideal([x1 + x2 * x4 + x3**2], RevLex()).mingens == (Monomial((0, 0, 2, 0)),)
 
 
+def test_initial_ideal_equals_the_reduced_basis_initial_ideal(monkeypatch):
+    # the leads of the unreduced loop give ini(I) with `mingens` in the order
+    # of the reduced basis's, on every kind of packed order; a budget cuts
+    # both routes at the same inputs
+    monkeypatch.setenv("INITALG_STEP_LIMIT", "40")
+    rng = random.Random(83)
+    compared, cut = 0, 0
+    for k in range(150):
+        order = PACKED_ORDERS[k % len(PACKED_ORDERS)]
+        gens = [random_poly(rng, R, max_terms=3, max_exp=3, max_den=6) for _ in range(3)]
+        try:
+            want = buchberger(gens, order).initial_ideal()
+        except StepLimitExceeded:
+            with pytest.raises(StepLimitExceeded):
+                initial_ideal(gens, order)
+            cut += 1
+            continue
+        assert initial_ideal(gens, order) == want, (order, gens)
+        compared += 1
+    assert compared >= 130 and cut > 0, (compared, cut)
+
+
+def test_initial_ideal_widens_the_packing_as_buchberger_does(monkeypatch):
+    widths = []
+    real_use = groebner._Reducer._use
+
+    def recording(self, new):
+        widths.append(new.bits)
+        real_use(self, new)
+
+    monkeypatch.setattr(groebner._Reducer, "_use", recording)
+    # the first two start at 8 bits (exponents up to 255) and widen: z^294 - z
+    # outgrows the first packing, and an S-pair of the second sets a guard
+    # bit; x^(2^40) is packed wide from the start
+    for order, texts, bits, leads in [
+        (Lex(), ["x - y^7", "y - z^7", "x^6 - z"], 16,
+         [mono(0, 1, 0), mono(1, 0, 0), mono(0, 0, 294)]),
+        (Lex(), ["x*y - z^3", "x^5 - y", "y^7 - z"], 16, None),
+        (RevLex(), ["x^1099511627776*y - z", "y - 1"], 43,
+         [mono(0, 1, 0), mono(1099511627776, 0, 0)]),
+    ]:
+        gens = [R.poly(t) for t in texts]
+        widths.clear()
+        M = initial_ideal(gens, order)
+        assert max(widths) == bits, widths
+        assert M == buchberger(gens, order).initial_ideal()
+        assert leads is None or list(M.mingens) == leads
+
+
+def test_initial_ideal_edge_inputs():
+    # the unit ideal, the zero ideal, and the errors of buchberger
+    assert initial_ideal([x - 1, x], Lex()).mingens == (Monomial((0, 0, 0)),)
+    assert initial_ideal([x - 1, x], Lex()) == buchberger([x - 1, x], Lex()).initial_ideal()
+    assert initial_ideal([R.zero(), R.zero()], DegLex()) == MonomialIdeal(R, ())
+    assert initial_ideal([R.zero()], DegLex()) == buchberger([R.zero()], DegLex()).initial_ideal()
+    for gens, error in [([], ValueError), ([x, R2.poly("x")], RingMismatchError),
+                        ([R.zero(), R2.poly("x")], RingMismatchError)]:
+        with pytest.raises(error) as want:
+            buchberger(gens, Lex())
+        with pytest.raises(error) as got:
+            initial_ideal(gens, Lex())
+        assert str(got.value) == str(want.value)
+
+
+def test_initial_ideal_spends_the_step_budget_of_buchberger(monkeypatch):
+    gens = [R.poly(t) for t in BLOWUP[:2]] + [x**2 - y, x * y - z]
+
+    def passes(route):
+        try:
+            route()
+        except StepLimitExceeded:
+            return False
+        return True
+
+    k = next(k for k in range(200) if passes(lambda: buchberger(gens, Lex(), k)))
+    assert k > 1
+    monkeypatch.setenv("INITALG_STEP_LIMIT", str(k - 1))
+    with pytest.raises(StepLimitExceeded, match=f"exceeded {k - 1} S-polynomial"):
+        initial_ideal(gens, Lex())
+    monkeypatch.setenv("INITALG_STEP_LIMIT", str(k))
+    assert initial_ideal(gens, Lex()) == buchberger(gens, Lex(), k).initial_ideal()
+
+
 def test_monomial_ideal_minimalization():
     M = MonomialIdeal.from_monomials(R, [mono(2, 0, 0), mono(2, 1, 0), mono(0, 1, 0), mono(0, 1, 0)])
     assert M.mingens == (mono(0, 1, 0), mono(2, 0, 0))

@@ -15,7 +15,7 @@ from initalg.hilbert import (
     semigroup_counts,
 )
 from initalg.orders import DegLex, Lex, RevLex
-from initalg.poly import Monomial, PolyRing, WeightVector
+from initalg.poly import Monomial, PolyRing, Polynomial, WeightVector, format_poly
 from initalg.sagbi import initial_algebra_gens, sagbi_complete
 
 R2 = PolyRing(("x", "y"))
@@ -249,3 +249,38 @@ def test_series_str():
     assert str(HilbertSeries((1, 0, -2, 1), (1, 1))) == "(1 - 2*t^2 + t^3) / (1-t)^2"
     assert str(HilbertSeries((1, -1), ())) == "1 - t"
     assert str(HilbertSeries((1,), (1, 2, 2))) == "(1) / (1-t) (1-t^2)^2"
+
+
+def reference_series_str(series):
+    """The printer as a Fraction polynomial in t through `format_poly`, constant term first."""
+    t_ring = PolyRing(("t",))
+    num = format_poly(
+        Polynomial.from_dict(t_ring, {Monomial((i,)): c for i, c in enumerate(series.numerator)}),
+        key=lambda mono: (-mono.degree(),),
+    )
+    if not series.denominator_degrees:
+        return num
+    parts = []
+    for e in sorted(set(series.denominator_degrees)):
+        k = series.denominator_degrees.count(e)
+        base = "(1-t)" if e == 1 else f"(1-t^{e})"
+        parts.append(base if k == 1 else f"{base}^{k}")
+    return f"({num}) / " + " ".join(parts)
+
+
+def test_series_str_equals_the_polynomial_printer():
+    fixed = [
+        ((0,), ()), ((0,), (1, 1)), ((-3,), ()), ((-1,), (2,)), ((1,), (1, 1, 1)),
+        ((0, 1), ()), ((0, -1, 0, 0, 1), (3, 3, 1)), ((2, 0, 0, -1), ()), ((-1, 1, -1, 1), (1,)),
+        ((5, 0, -7, 0, 0, 12), (2, 2, 2, 4)),
+    ]
+    rng = random.Random(89)
+    drawn = [
+        (tuple(rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(rng.randint(1, 8))),
+         tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 5))))
+        for _ in range(300)
+    ]
+    for numerator, degrees in fixed + drawn:
+        series = HilbertSeries(numerator, degrees)
+        assert str(series) == reference_series_str(series), series
+        assert str(series.reduced()) == reference_series_str(series.reduced()), series
