@@ -1,15 +1,15 @@
-"""Monomial orders as key functions.
+"""Monomial orders as integer matrices.
 
-Every order exposes `key(mono)`; monomials compare by comparing keys, larger
-key means larger monomial.  Base orders (lex, deglex, revlex) take an optional
+Every order is an integer matrix order (Robbiano 1985): `matrix(n)` gives rows
+M, one column per variable, and a monomial with exponent vector a is smaller
+than one with b exactly when M a < M b lexicographically.  `key(mono)` is M e
+as a flat tuple of ints, so larger key means larger monomial;
+`key_function` compiles that map once per order and number of variables, and
+`packing` turns M e and e into one int per monomial, for the inner loops of
+Buchberger's algorithm.  Base orders (lex, deglex, revlex) take an optional
 variable priority permutation.  A weight order refines comparison of weighted
 degrees by a base order, and its extension to the homogenizing ring breaks
 degree ties in favour of the smaller power of the last variable.
-
-Every order here is also an integer matrix order (Robbiano 1985): `matrix(n)`
-gives rows M such that comparing keys is comparing the vectors M e
-lexicographically.  `packing` turns M e and e into one int per monomial, for
-the inner loops of Buchberger's algorithm.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from initalg.poly import (
     Monomial,
@@ -36,33 +36,22 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 class MonomialOrder:
-    def key(self, mono: Monomial):
-        raise NotImplementedError
-
     def matrix(self, n: int) -> Matrix:
-        """Integer rows M, one column per variable, that realize the order.
-
-        For monomials in n variables with exponent vectors a and b,
-        ``key(a) < key(b)`` exactly when M a < M b lexicographically: `key`
-        is M e with its rows grouped into nested tuples.  Raises
-        RingMismatchError when the order does not fit n variables.
-        """
+        """Integer rows M realizing the order on n variables; RingMismatchError if it does not fit."""
         raise NotImplementedError
+
+    @cached_property
+    def _key_functions(self) -> _KeyFunctions:
+        return _KeyFunctions(self)
+
+    def key(self, mono: Monomial) -> tuple[int, ...]:
+        """M e for the exponent vector e of `mono`, with M = ``self.matrix(len(e))``."""
+        e = mono.exponents
+        return self._key_functions[len(e)](e)
 
     def compare(self, a: Monomial, b: Monomial) -> int:
         ka, kb = self.key(a), self.key(b)
         return (ka > kb) - (ka < kb)
-
-
-def _permuted(exps: tuple[int, ...], perm: tuple[int, ...] | None) -> tuple[int, ...]:
-    if perm is None:
-        return exps
-    return tuple(exps[i] for i in perm)
-
-
-def _check_perm(perm, exps):
-    if perm is not None and len(perm) != len(exps):
-        raise RingMismatchError("order permutation does not match monomial arity")
 
 
 def _unit_rows(n: int, indices, sign: int = 1) -> Matrix:
@@ -93,20 +82,18 @@ class _PermutedOrder(MonomialOrder):
 
     def __post_init__(self):
         if self.perm is not None:
+            object.__setattr__(self, "perm", tuple(self.perm))
             _require_permutation(self.perm, "order permutation")
 
     def _priority(self, n: int) -> tuple[int, ...]:
-        _check_perm(self.perm, range(n))
+        if self.perm is not None and len(self.perm) != n:
+            raise RingMismatchError("order permutation does not match monomial arity")
         return tuple(range(n)) if self.perm is None else self.perm
 
 
 @dataclass(frozen=True)
 class Lex(_PermutedOrder):
     """Pure lexicographic; `perm` lists variable indices by descending priority."""
-
-    def key(self, mono: Monomial):
-        _check_perm(self.perm, mono.exponents)
-        return _permuted(mono.exponents, self.perm)
 
     def matrix(self, n: int) -> Matrix:
         return _unit_rows(n, self._priority(n))
@@ -116,10 +103,6 @@ class Lex(_PermutedOrder):
 class DegLex(_PermutedOrder):
     """Total degree first, then lexicographic."""
 
-    def key(self, mono: Monomial):
-        _check_perm(self.perm, mono.exponents)
-        return (mono.degree(), _permuted(mono.exponents, self.perm))
-
     def matrix(self, n: int) -> Matrix:
         return ((1,) * n,) + _unit_rows(n, self._priority(n))
 
@@ -127,11 +110,6 @@ class DegLex(_PermutedOrder):
 @dataclass(frozen=True)
 class RevLex(_PermutedOrder):
     """Degree reverse lexicographic: smaller power of the least variable wins ties."""
-
-    def key(self, mono: Monomial):
-        _check_perm(self.perm, mono.exponents)
-        p = _permuted(mono.exponents, self.perm)
-        return (mono.degree(), tuple(-e for e in reversed(p)))
 
     def matrix(self, n: int) -> Matrix:
         return ((1,) * n,) + _unit_rows(n, reversed(self._priority(n)), -1)
@@ -143,9 +121,6 @@ class WeightOrder(MonomialOrder):
 
     weight: WeightVector
     base: MonomialOrder = field(default_factory=RevLex)
-
-    def key(self, mono: Monomial):
-        return (self.weight.degree(mono), self.base.key(mono))
 
     def matrix(self, n: int) -> Matrix:
         if self.weight.n != n:
@@ -163,11 +138,6 @@ class ExtendedOrder(MonomialOrder):
 
     weight: WeightVector
     base: MonomialOrder = field(default_factory=RevLex)
-
-    def key(self, mono: Monomial):
-        r_part = Monomial(mono.exponents[:-1])
-        t = mono.exponents[-1]
-        return (self.weight.degree(r_part) + t, -t, self.base.key(r_part))
 
     def matrix(self, n: int) -> Matrix:
         if self.weight.n != n - 1:
@@ -192,15 +162,9 @@ class EliminationOrder(MonomialOrder):
     keep_order: MonomialOrder = field(default_factory=RevLex)
 
     def __post_init__(self):
+        object.__setattr__(self, "elim", tuple(self.elim))
+        object.__setattr__(self, "keep", tuple(self.keep))
         _require_permutation(self.elim + self.keep, "elim + keep")
-
-    def key(self, mono: Monomial):
-        e = mono.exponents
-        if len(e) != len(self.elim) + len(self.keep):
-            raise RingMismatchError("elimination blocks do not match monomial arity")
-        head = Monomial(tuple(e[i] for i in self.elim))
-        tail = Monomial(tuple(e[i] for i in self.keep))
-        return (self.elim_order.key(head), self.keep_order.key(tail))
 
     def matrix(self, n: int) -> Matrix:
         if n != len(self.elim) + len(self.keep):
@@ -208,6 +172,39 @@ class EliminationOrder(MonomialOrder):
         return _lifted(self.elim_order.matrix(len(self.elim)), self.elim, n) + _lifted(
             self.keep_order.matrix(len(self.keep)), self.keep, n
         )
+
+
+@lru_cache(maxsize=256)
+def _order_rows(order: MonomialOrder, n: int) -> Matrix:
+    """``order.matrix(n)``, cached for `key_function` and `packing`."""
+    return order.matrix(n)
+
+
+@lru_cache(maxsize=256)
+def key_function(order: MonomialOrder, n: int):
+    """``e -> M e`` for the rows M of `order` on n variables, compiled once.
+
+    Its body names only the nonzero entries of M: a key costs a few index
+    operations and additions, not a product for every entry of every row.
+    """
+    rows = _order_rows(order, n)
+    if rows == _unit_rows(n, range(n)):
+        return lambda e: e  # plain lex: M e is e itself, with no tuple to build
+    sign = {1: "", -1: "-"}
+    entries = (" + ".join(f"{sign.get(a, f'{a}*')}e[{j}]" for j, a in enumerate(row) if a) or "0"
+               for row in rows)
+    return eval(f"lambda e: ({''.join(x + ', ' for x in entries)})")
+
+
+class _KeyFunctions(dict):
+    """n -> ``key_function(order, n)``, kept on the order so a key skips hashing it."""
+
+    def __init__(self, order: MonomialOrder):
+        self.order = order
+
+    def __missing__(self, n: int):
+        fn = self[n] = key_function(self.order, n)
+        return fn
 
 
 class Packing:
@@ -273,17 +270,19 @@ class Packing:
 @lru_cache(maxsize=256)
 def packing(order: MonomialOrder, n: int, bits: int) -> Packing:
     """The `Packing` of `order` on n variables with `bits` value bits per exponent, cached."""
-    return Packing(order.matrix(n), bits)
+    return Packing(_order_rows(order, n), bits)
 
 
 def sorted_terms(f: Polynomial, order: MonomialOrder) -> tuple[Term, ...]:
-    return tuple(sorted(f.terms, key=lambda t: order.key(t.mono), reverse=True))
+    key = order._key_functions[f.ring.n]
+    return tuple(sorted(f.terms, key=lambda t: key(t.mono.exponents), reverse=True))
 
 
 def leading_term(f: Polynomial, order: MonomialOrder) -> Term:
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial has no leading term")
-    return max(f.terms, key=lambda t: order.key(t.mono))
+    key = order._key_functions[f.ring.n]
+    return max(f.terms, key=lambda t: key(t.mono.exponents))
 
 
 def leading_monomial(f: Polynomial, order: MonomialOrder) -> Monomial:
@@ -304,6 +303,7 @@ def monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
 # list, or  weight(w1,...,wn; <base spec>)
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_BASE_ORDERS = {"lex": Lex, "deglex": DegLex, "revlex": RevLex}
 
 
 def parse_order(text: str, ring: PolyRing) -> MonomialOrder:
@@ -342,7 +342,7 @@ def _parse_order_prefix(text: str, ring: PolyRing):
         if base_rest.strip():
             raise ParseError(f"trailing text in order spec: {base_rest.strip()!r}")
         return WeightOrder(w, base), rest
-    if name not in ("lex", "deglex", "revlex"):
+    if name not in _BASE_ORDERS:
         raise ParseError(f"unknown order {name!r}")
     perm = None
     if rest.startswith("("):
@@ -351,8 +351,7 @@ def _parse_order_prefix(text: str, ring: PolyRing):
         if sorted(names) != sorted(ring.names):
             raise ParseError("order variable list must be a permutation of the ring variables")
         perm = tuple(ring.var_index(v) for v in names)
-    cls = {"lex": Lex, "deglex": DegLex, "revlex": RevLex}[name]
-    return cls(perm), rest
+    return _BASE_ORDERS[name](perm), rest
 
 
 def _take_paren(text: str):
@@ -374,8 +373,7 @@ def describe_order(order: MonomialOrder, ring: PolyRing) -> str:
     if isinstance(order, WeightOrder):
         entries = ",".join(str(e) for e in order.weight.entries)
         return f"weight({entries}; {describe_order(order.base, ring)})"
-    names = {Lex: "lex", DegLex: "deglex", RevLex: "revlex"}
-    for cls, name in names.items():
+    for name, cls in _BASE_ORDERS.items():
         if type(order) is cls:
             if order.perm is None:
                 return name

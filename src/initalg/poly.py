@@ -171,9 +171,10 @@ class WeightVector:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
         if not self.entries:
             raise ValueError("weight vector must be nonempty")
-        if any(not isinstance(e, int) or e < 1 for e in self.entries):
+        if any(not isinstance(e, int) or isinstance(e, bool) or e < 1 for e in self.entries):
             raise ValueError("weight entries must be integers >= 1")
 
     @property

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from initalg.family import homogenize_ideal
+from initalg.groebner import buchberger
 from initalg.orders import (
     DegLex,
     EliminationOrder,
@@ -110,18 +112,41 @@ def test_extended_order_restricts_to_weight_order():
         assert ext.compare(ue, ve) == tau.compare(u, v)
 
 
+def _ref_key(order, e):
+    """The key each order's docstring defines, nested, written without `matrix`."""
+    if isinstance(order, (Lex, DegLex, RevLex)):
+        p = e if order.perm is None else tuple(e[i] for i in order.perm)
+        if type(order) is Lex:
+            return p
+        return (sum(e), p if type(order) is DegLex else tuple(-a for a in reversed(p)))
+    if isinstance(order, WeightOrder):
+        return (order.weight.degree(Monomial(e)), _ref_key(order.base, e))
+    if isinstance(order, ExtendedOrder):
+        t = e[-1]
+        return (order.weight.degree(Monomial(e[:-1])) + t, -t, _ref_key(order.base, e[:-1]))
+    return (_ref_key(order.elim_order, tuple(e[i] for i in order.elim)),
+            _ref_key(order.keep_order, tuple(e[i] for i in order.keep)))
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
 @pytest.mark.parametrize("base", [Lex(), DegLex(), RevLex()])
 def test_extended_order_key_matches_extended_weight_formula(base):
-    # the key sums the weight of the R part and the power of t instead of
-    # building the extended weight on R[t]; the values must not change
+    # the key is M e for the rows of `matrix`; the order it induces must be the
+    # one of the formula on R[t]: extended weight, then the smaller power of t,
+    # then the base order on the R part
     rng = random.Random(31)
+
+    def formula(a, m):
+        return (a.extend().degree(m), -m.exponents[-1], _ref_key(base, m.exponents[:-1]))
+
     for _ in range(200):
         a = WeightVector(tuple(rng.randint(1, 6) for _ in range(3)))
         ext = ExtendedOrder(a, base)
-        m = random_monomial(rng, 4, max_exp=5)
-        r_part = Monomial(m.exponents[:-1])
-        expected = (a.extend().degree(m), -m.exponents[-1], base.key(r_part))
-        assert ext.key(m) == expected
+        m, u = random_monomial(rng, 4, max_exp=5), random_monomial(rng, 4, max_exp=5)
+        assert _sign(ext.key(m), ext.key(u)) == _sign(formula(a, m), formula(a, u)), (a, m, u)
 
 
 def test_block_order_eliminates_first_block():
@@ -231,10 +256,11 @@ def test_packed_words_agree_with_key(order, n):
         b = tuple(rng.randrange(16) for _ in range(n))
         ka, kb = order.key(Monomial(a)), order.key(Monomial(b))
         pa, pb = P.pack(a), P.pack(b)
-        assert (pa > pb) - (pa < pb) == (ka > kb) - (ka < kb), (a, b)
+        assert _sign(pa, pb) == _sign(ka, kb), (a, b)
         ab = tuple(map(sum, zip(a, b)))
         assert P.pack(ab) == pa + pb and not (pa + pb) & P.guard
-        assert _flat(ka) == tuple(sum(r * e for r, e in zip(row, a)) for row in rows)
+        # the docstring formulas, nested, flatten to exactly M e
+        assert ka == _flat(_ref_key(order, a)), (a, rows)
         assert P.unpack(pa) == a
         assert (not (pb - pa) & P.guard) == Monomial(a).divides(Monomial(b))
         assert P.unpack(P.lcm(pa, pb)) == tuple(map(max, a, b))
@@ -257,8 +283,39 @@ def test_packed_sum_flags_an_exponent_that_outgrows_the_fields():
 def test_matrix_checks_the_number_of_variables():
     # a permutation, a weight or a pair of blocks fixes the number of variables
     for order, n in PACKED_ORDERS:
+        wider = Monomial((1,) * (n + 1))
         if order in (Lex(), DegLex(), RevLex()):
             assert len(order.matrix(n + 1)[0]) == n + 1
+            assert len(order.key(wider)) == len(order.matrix(n + 1))
             continue
         with pytest.raises(RingMismatchError):
             order.matrix(n + 1)
+        with pytest.raises(RingMismatchError):
+            order.key(wider)
+
+
+def test_orders_and_weights_built_from_lists():
+    # stored as tuples, so they hash and reach the cached rows and packings
+    orders = [
+        (Lex(perm=[1, 0, 2]), Lex(perm=(1, 0, 2))),
+        (EliminationOrder([0], [1, 2]), EliminationOrder((0,), (1, 2))),
+        (WeightOrder(WeightVector([3, 1, 2]), RevLex([2, 1, 0])),
+         WeightOrder(WeightVector((3, 1, 2)), RevLex((2, 1, 0)))),
+    ]
+    for built, expected in orders + [(WeightVector([1, 2, 3]), WeightVector((1, 2, 3)))]:
+        assert built == expected and hash(built) == hash(expected)
+    gens = [x**2 - y, x * y - z]
+    for built, expected in orders:
+        assert leading_term(gens[0], built) == leading_term(gens[0], expected)
+        assert buchberger(gens, built).elements == buchberger(gens, expected).elements
+    assert homogenize_ideal(gens, WeightVector([2, 1, 1]), Lex()) == homogenize_ideal(
+        gens, WeightVector((2, 1, 1)), Lex()
+    )
+
+
+def test_weight_vectors_reject_bool_entries():
+    # True would print as a weight entry that parse_order rejects
+    for entries in [(True, 2, 1), (1, False, 1), [2, 1, True]]:
+        with pytest.raises(ValueError, match="integers"):
+            WeightVector(entries)
+    assert describe_order(WeightOrder(WeightVector((1, 2, 1)), Lex()), R) == "weight(1,2,1; lex)"
