@@ -5,32 +5,26 @@ positive weight gives generators (in fact a Gröbner basis) of the total ideal
 in R[t]; its t=0 fiber is the ideal of initial forms and every t=c fiber with
 c nonzero is isomorphic to I.  Homogenizing arbitrary generators instead of a
 Gröbner basis can produce a strictly smaller ideal, hence the GB-first shape.
+Freeness over K[t] is certified degree by degree by comparing the Hilbert
+functions of two monomial ideals of R[t]: ini(I) R[t] and ini(J).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, Sequence
 
-from initalg.groebner import ReducedGroebnerBasis, buchberger
-from initalg.linalg import _reduce_into
-from initalg.orders import (
-    ExtendedOrder,
-    MonomialOrder,
-    RevLex,
-    WeightOrder,
-    leading_monomial,
-    packing,
-)
+from initalg.groebner import MonomialIdeal, ReducedGroebnerBasis, buchberger, initial_ideal
+from initalg.hilbert import hilbert_series_monomial
+from initalg.orders import ExtendedOrder, MonomialOrder, RevLex, WeightOrder, leading_monomial
 from initalg.poly import (
+    Monomial,
     PolyRing,
     Polynomial,
     Scalar,
     WeightVector,
     homogenize,
-    monomials_of_weight,
     specialize_t,
     weighted_degree,
 )
@@ -97,14 +91,15 @@ def freeness_basis_check(family: HomogenizedFamily, degree_bound: int | None = N
     """Certify K[t]-freeness of the quotient up to a degree bound.
 
     The candidate basis is {t^e * m} with m a standard monomial of the base
-    initial ideal; in each extended degree d its cardinality must match the
-    exact codimension of J_d, J the total ideal.  J_d = t*J_{d-1} + the sum
-    of R_{d - deg g}*g over the elements g, R the t-free monomials; since
-    multiplying by t is injective and keeps the order, t times the echelon
-    basis of J_{d-1} is one of t*J_{d-1}, and only the t-free multiples m*g
-    are reduced against it.  The rank does not assume a Gröbner basis.
+    initial ideal; in each extended degree d its cardinality is the Hilbert
+    function of R[t]/ini(I)R[t], and it must match dim (R[t]/J)_d, J the
+    total ideal.  J is homogeneous for the extended weight, which the total
+    order refines, so dim (R[t]/J)_d is the Hilbert function of R[t]/ini(J)
+    (Macaulay).  Both come from `hilbert_series_monomial`; ini(J) comes from
+    a Buchberger run on J's elements, so no step assumes that they are a
+    Gröbner basis.
     """
-    a, n = family.weight, family.extended_ring.n
+    a, ring_t = family.weight, family.extended_ring
     if degree_bound is None:
         degree_bound = 2 * max((weighted_degree(g, a) for g in family.base_gb), default=1)
     if type(degree_bound) is not int:
@@ -112,25 +107,11 @@ def freeness_basis_check(family: HomogenizedFamily, degree_bound: int | None = N
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
     a_ext = a.extend()
-    # every exponent used is at most the degree bound, so the packed words are exact
-    words = packing(family.total.order, n, max(degree_bound, 1).bit_length())
-    pack, t_word = words.pack, words.units[-1]
-    # each element once: (weighted degree, integer terms on words); scaling keeps the rank
-    elements = []
-    for g in family.total:
-        scale = lcm(*(t.coeff.denominator for t in g.terms))
-        elements.append((weighted_degree(g, a_ext), [
-            (pack(t.mono.exponents), t.coeff.numerator * (scale // t.coeff.denominator)) for t in g.terms]))
-    # generators of ini(I) above the bound divide no monomial checked here, nor fit the words
-    ini = [pack(m.exponents + (0,)) for m in family.base_gb.initial_ideal() if a.degree(m) <= degree_bound]
-    base: list[list[int]] = []  # the t-free monomials of each weighted degree, as words
-    rows, pivots, standard, columns = [], {}, 0, 0
-    for d in range(degree_bound + 1):
-        base.append([pack(m.exponents + (0,)) for m in monomials_of_weight(n - 1, a, d)])
-        columns += len(base[d])  # degree d holds t^(d-k) * m for every m in base[k]
-        standard += sum(1 for w in base[d] if not words.dividing(ini, w))
-        pivots = {lead + t_word: (c, [(k + t_word, v) for k, v in tail]) for lead, (c, tail) in pivots.items()}
-        _reduce_into(({m + w: c for w, c in terms} for gd, terms in elements if gd <= d for m in base[d - gd]),
-                     pivots)
-        rows.append((d, standard, columns - len(pivots)))
-    return FreenessReport(all(s == dim for _, s, dim in rows), degree_bound, tuple(rows))
+    lifted = MonomialIdeal.from_monomials(
+        ring_t, (Monomial(m.exponents + (0,)) for m in family.base_gb.initial_ideal()))
+    gens = family.total.elements  # none for the zero ideal, whose initial ideal is (0)
+    total = initial_ideal(gens, family.total.order) if gens else MonomialIdeal(ring_t, ())
+    standard = hilbert_series_monomial(lifted, a_ext).expand(degree_bound)
+    dims = hilbert_series_monomial(total, a_ext).expand(degree_bound)
+    rows = tuple(zip(range(degree_bound + 1), standard, dims))
+    return FreenessReport(all(s == dim for _, s, dim in rows), degree_bound, rows)

@@ -588,19 +588,6 @@ class AlgebraKernel:
     gens: tuple[Polynomial, ...]  # reduced revlex GB of the kernel in `ring`, ascending
 
 
-def _fresh_names(k: int, source: PolyRing, names: Sequence[str] | None) -> tuple[str, ...]:
-    if names is None:
-        names = tuple(f"Y{i + 1}" for i in range(k))
-    else:
-        names = tuple(names)
-        if len(names) != k:
-            raise ValueError("need one fresh name per image")
-    clash = set(names) & set(source.names)
-    if clash:
-        raise ValueError(f"fresh names collide with ring variables: {sorted(clash)}")
-    return names
-
-
 def presentation_kernel(
     images: Sequence[Polynomial], names: Sequence[str] | None = None
 ) -> AlgebraKernel:
@@ -622,7 +609,12 @@ def presentation_kernel(
     if any(g.is_zero() for g in images):
         raise ZeroPolynomialError("kernel images must be nonzero")
     k = len(images)
-    fresh = _fresh_names(k, source, names)
+    fresh = tuple(f"Y{i + 1}" for i in range(k)) if names is None else tuple(names)
+    if len(fresh) != k:
+        raise ValueError("need one fresh name per image")
+    clash = set(fresh) & set(source.names)
+    if clash:
+        raise ValueError(f"fresh names collide with ring variables: {sorted(clash)}")
     big = PolyRing(source.names + fresh)
     n = source.n
 
@@ -654,9 +646,9 @@ class _ToricIdeal:
 
     The variables are x, then Y, under the order of `presentation_kernel`
     for graded images (weight w(x) = 1, w(Y_i) = deg a_i, then DegLex on x,
-    then RevLex on Y), whose integer rows give an `orders.Packing`; a
-    constant image gets weight 0, which rows allow and `WeightVector` does
-    not.  X^lead - X^tail is the pair of words (lead, tail), lead > tail; a
+    then RevLex on Y), whose `orders.packing` gives the words; the images
+    are nonconstant, as Sagbi generators are, so every weight is positive.
+    X^lead - X^tail is the pair of words (lead, tail), lead > tail; a
     reduction step takes X^m to X^(m - lead + tail) when the guard mask
     shows that lead divides m.  J is w-homogeneous, so its Y-only elements
     are the reduced revlex basis of the toric kernel (Sturmfels 1996,
@@ -679,8 +671,8 @@ class _ToricIdeal:
         """Repack the basis with `bits` value bits (and a new variable `at`)."""
         n, k, old = self.n, len(self.images), self.packing
         elim = EliminationOrder(tuple(range(n)), tuple(range(n, n + k)), DegLex(), RevLex())
-        w = (1,) * n + tuple(map(sum, self.images))
-        new = self.packing = Packing((w,) + elim.matrix(n + k), bits)
+        w = WeightVector((1,) * n + tuple(map(sum, self.images)))
+        new = self.packing = packing(WeightOrder(w, elim), n + k, bits)
 
         def move(word: int) -> int:  # called only when there is a basis, so an old packing
             e = old.unpack(word)
@@ -766,16 +758,9 @@ def toric_kernel(
 ) -> AlgebraKernel:
     """Kernel of the monomial map Y_i -> m_i: its reduced revlex GB of binomials Y^u - Y^v.
 
-    Computed by `_ToricIdeal` on packed binomials; `presentation_kernel` gives
-    the same kernel through Fraction polynomials, the route for other images.
+    The `presentation_kernel` of the monomials as polynomials with coefficient 1.
     """
-    images = [Polynomial.from_dict(ring, {m: 1}) for m in monomials]
-    _check_gens(images)
-    target = PolyRing(_fresh_names(len(images), ring, names))
-    ideal = _ToricIdeal(ring.n, [m.exponents for m in monomials])
-    gens = tuple(Polynomial.from_dict(target, {Monomial(u): 1, Monomial(v): -1})
-                 for u, v in ideal.kernel())
-    return AlgebraKernel(target, tuple(images), gens)
+    return presentation_kernel([Polynomial.from_dict(ring, {m: 1}) for m in monomials], names)
 
 
 def quadratic_initial_certificate(gens: Sequence[Polynomial], order: MonomialOrder) -> bool:

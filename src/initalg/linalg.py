@@ -1,10 +1,9 @@
 """Exact rank of rational matrices by fraction-free sparse elimination.
 
 Each row is cleared to integers once and reduced against primitive integer
-pivots, so no `Fraction` is built during elimination.  `_reduce_into` is the
-one elimination loop: `exact_rank_sparse` runs it from no pivots, the freeness
-check of `initalg.family` from pivots carried between degrees.  Dense rows take
-the same route; the dense Bareiss elimination (Bareiss 1968) is the tests' reference.
+pivots, so no `Fraction` is built during elimination.  `exact_rank_sparse` is
+the one elimination loop, and dense rows take the same route; the dense
+Bareiss elimination (Bareiss 1968) is the tests' reference.
 """
 
 from __future__ import annotations
@@ -22,17 +21,10 @@ def exact_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
 
 
 def exact_rank_sparse(rows: Iterable[dict[int, Fraction | int]]) -> int:
-    """Rank over the rationals of sparsely stored rows: `_reduce_into` from no pivots.
+    """Rank over the rationals of sparsely stored rows, pivoting on the largest column.
 
     Effective when rows are near-echelon for the chosen column numbering
     (e.g. graded pieces of an ideal with columns sorted by a monomial order).
-    """
-    return len(_reduce_into(rows, {}))
-
-
-def _reduce_into(rows: Iterable[dict[int, Fraction | int]], pivots: dict) -> dict:
-    """Reduce each row against `pivots`, pivoting on the largest column; returns `pivots`.
-
     A pivot maps its lead column to (a, tail), a primitive integer row with
     positive lead a.  Each row is cleared to integers once (by the lcm of its
     denominators) and reduced: with pivot lead a and work entry c,
@@ -40,6 +32,7 @@ def _reduce_into(rows: Iterable[dict[int, Fraction | int]], pivots: dict) -> dic
     survives becomes a pivot after its content is divided out, so the pivots
     stay an echelon basis of the span.  The caller's row dicts are not modified.
     """
+    pivots: dict[int, tuple[int, list[tuple[int, int]]]] = {}
     for row in rows:
         if all(type(v) is int for v in row.values()):
             work = {k: v for k, v in row.items() if v}
@@ -70,4 +63,4 @@ def _reduce_into(rows: Iterable[dict[int, Fraction | int]], pivots: dict) -> dic
                     work[k] = nv
                 else:
                     del work[k]
-    return pivots
+    return len(pivots)

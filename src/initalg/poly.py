@@ -42,6 +42,8 @@ class PolyRing:
     homvar: str | None = None
 
     def __post_init__(self):
+        if type(self.names) is not tuple:
+            object.__setattr__(self, "names", tuple(self.names))
         if not self.names:
             raise ValueError("ring needs at least one variable")
         if len(set(self.names)) != len(self.names):
@@ -119,6 +121,8 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.exponents) is not tuple:  # one check on the hot path
+            object.__setattr__(self, "exponents", tuple(self.exponents))
         if any(e < 0 for e in self.exponents):
             raise ValueError("exponents must be nonnegative")
 

@@ -364,3 +364,10 @@ def test_squarefree_transfer_check_raises_on_a_mismatch():
     quotient = BettiTable(R, {(0, 0): 1, (1, 2): 1}, 3, True)
     with pytest.raises(BettiInconsistencyError, match="projective dimension 1 != 2"):
         betti._check_squarefree_transfer(quotient, initial)
+
+
+@pytest.mark.parametrize("j_max", [-1, -4])
+def test_negative_degree_bound_is_refused(j_max):
+    R = PolyRing(("x", "y"))
+    with pytest.raises(ValueError, match="j_max must be nonnegative"):
+        graded_betti(_polys(R, "x^2", "x*y"), j_max)

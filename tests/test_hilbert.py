@@ -284,3 +284,13 @@ def test_series_str_equals_the_polynomial_printer():
         series = HilbertSeries(numerator, degrees)
         assert str(series) == reference_series_str(series), series
         assert str(series.reduced()) == reference_series_str(series.reduced()), series
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: hilbert_series_monomial(mi(R2, m(1, 0)), WeightVector((1, 1, 1))), "weight arity does not match ring"),
+    (lambda: semigroup_counts([m(1, 0)], [1, 2], 3), "one degree per generator"),
+    (lambda: semigroup_counts([m(1, 0), m(0, 1)], [1, 0], 3), "generator degrees must be positive"),
+])
+def test_series_input_validation(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

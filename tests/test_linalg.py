@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import bareiss_rank
-from initalg.linalg import _reduce_into, exact_rank, exact_rank_sparse
+from initalg.linalg import exact_rank, exact_rank_sparse
 
 
 def to_sparse(rows):
@@ -94,29 +94,3 @@ def test_sparse_matches_dense_reference_on_rational_matrices():
             [type(v) for v in r.values()] for r in before
         ]
     assert exact_rank_sparse(to_sparse(matrices[-1])) == 10
-
-
-def test_reduce_into_seeded_pivots_match_rank_of_union():
-    # as in the freeness check: pivots of A, every column shifted by one constant
-    # (the word of a monomial), then the rows B reduced against them
-    rng = random.Random(1993)
-    for _ in range(120):
-        width = rng.randint(1, 10)
-        a_rows = [{j: rng.randint(-4, 4) for j in rng.sample(range(width), rng.randint(0, width))}
-                  for _ in range(rng.randint(0, 8))]
-        shift = rng.randint(0, 5)
-        shifted = [{k + shift: v for k, v in row.items()} for row in a_rows]
-        b_rows = [{j: _random_entry(rng) for j in rng.sample(range(width + shift), rng.randint(0, min(4, width + shift)))}
-                  for _ in range(rng.randint(0, 8))]
-        if b_rows and rng.random() < 0.5:
-            b_rows.append({k: 3 * v for k, v in shifted[0].items()} if shifted else dict(b_rows[0]))
-        seed = {lead + shift: (a, [(k + shift, v) for k, v in tail])
-                for lead, (a, tail) in _reduce_into(a_rows, {}).items()}
-        pivots = _reduce_into(b_rows, seed)
-        assert pivots is seed
-        assert len(pivots) == exact_rank_sparse(shifted + b_rows)
-        for lead, (a, tail) in pivots.items():
-            assert a > 0 and all(k < lead and v for k, v in tail)
-        # the pivots span shift(A) and B: adding them adds nothing to the rank
-        pivot_rows = [{lead: a, **dict(tail)} for lead, (a, tail) in pivots.items()]
-        assert exact_rank_sparse(pivot_rows + shifted + b_rows) == len(pivots)

@@ -61,6 +61,17 @@ def test_structural_equality_and_hash():
     assert len({f, g}) == 1
 
 
+@pytest.mark.parametrize("make, value, stored", [
+    (Monomial, [1, 2], (1, 2)),
+    (Monomial, iter((1, 2)), (1, 2)),
+    (PolyRing, ["x", "y"], ("x", "y")),
+])
+def test_sequence_fields_are_stored_as_tuples(make, value, stored):
+    # a list field made the frozen dataclass unhashable and unequal to its tuple form
+    obj = make(value)
+    assert obj == make(stored) and hash(obj) == hash(make(stored)) and len({obj, make(stored)}) == 1
+
+
 def test_ring_mismatch():
     S = PolyRing(("a", "b"))
     with pytest.raises(RingMismatchError):

@@ -8,7 +8,7 @@ from conftest import random_poly
 from initalg import groebner, sagbi
 from initalg.groebner import presentation_kernel
 from initalg.orders import DegLex, Lex, RevLex, WeightOrder, leading_monomial, leading_term, monic
-from initalg.poly import Monomial, PolyRing, Polynomial, WeightVector, power_product
+from initalg.poly import Monomial, PolyRing, Polynomial, RingMismatchError, WeightVector, power_product
 from initalg.sagbi import (
     SagbiState,
     factor_over_monomials,
@@ -333,3 +333,16 @@ def test_kernel_initial_check_trivial_cases():
     rep2 = kernel_initial_check([x + y, x - y], WeightVector((1, 1)))
     assert rep2.ok
     assert rep2.kernel.gens == () and rep2.initial_kernel.gens == ()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: subduct(x, [], DegLex()), ValueError, "need at least one subalgebra generator"),
+    (lambda: subduct(x, [x, X], DegLex()), RingMismatchError, "generators from different rings"),
+    (lambda: subduct(x, [x, R2.const(3)], DegLex()), ValueError, "subalgebra generators must be nonconstant"),
+    (lambda: subduct(X, [x, y], DegLex()), RingMismatchError, "polynomial and generators from different rings"),
+    (lambda: kernel_initial_check([x, y], WeightVector((1, 1, 1))), RingMismatchError,
+     "weight arity does not match ring"),
+])
+def test_subalgebra_input_validation(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
