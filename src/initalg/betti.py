@@ -1,10 +1,16 @@
-"""Graded Betti numbers: the table of ini(I) over its lcm lattice, corrected to R/I.
+"""Graded Betti numbers: the table of ini(I), in closed form or over its lcm
+lattice, corrected to R/I.
 
-beta_{i,j} = dim Tor_i(R/I, K)_j.  The table of R/ini(I) comes first: only
-elements b of the lcm lattice of its minimal generators carry nonzero
-multigraded Betti numbers (Gasharov-Peeva-Welker 1999), and beta_{i,b} is the
-reduced homology of the upper Koszul complex K^b (Miller-Sturmfels 2005,
-Thm 1.34), ranked on small ±1 boundary matrices.
+beta_{i,j} = dim Tor_i(R/I, K)_j.  The table of R/ini(I) comes first.  When
+the minimal generators u_1, ..., u_m of ini(I), in non-decreasing degree,
+have linear quotients (each colon (u_1, ..., u_{k-1}) : u_k is generated by
+r_k variables), beta_{i+1,i+deg u_k} sums C(r_k, i) over k (Herzog-Takayama
+2002; Herzog-Hibi, Monomial Ideals, Cor. 8.2.2).  When a greedy search finds
+no such order, only elements b of the lcm lattice carry nonzero multigraded
+Betti numbers (Gasharov-Peeva-Welker 1999), and beta_{i,b} is the reduced
+homology of the upper Koszul complex K^b (Miller-Sturmfels 2005, Thm 1.34),
+ranked on small ±1 boundary matrices.  Either way, the alternating sum of
+each degree must equal the Hilbert numerator of ini(I), computed apart.
 
 R/I and R/ini(I) have the same Hilbert function, so the degree-j strands of
 the Koszul complex on the variables tensored with either quotient have the
@@ -13,18 +19,21 @@ drop, and the two tables differ only by those drops, which are possible only
 where beta_{i,j}(ini) and beta_{i-1,j}(ini) are both nonzero (consecutive
 cancellation, Peeva 2004).  Only those strands of R/I are ranked, exactly,
 with quotient arithmetic by normal forms against a reduced Gröbner basis.
-No free resolution is ever built.
+One Buchberger pair loop serves both: ini(I) is read from the leads of its
+rows, and the reduced basis is built from the same rows only when a strand
+is ranked.  No free resolution is ever built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from initalg.groebner import MonomialIdeal, ReducedGroebnerBasis, buchberger
+from initalg.groebner import MonomialIdeal, _groebner_rows, _lead_ideal, _reduced_basis
 from initalg.hilbert import UnitIdealError, hilbert_series_monomial
 from initalg.linalg import exact_rank_sparse
 from initalg.orders import MonomialOrder, RevLex
@@ -100,8 +109,13 @@ def graded_betti(
     """
     if not gens:
         raise ValueError("need generators (possibly the zero polynomial)")
+    if j_max is not None:
+        if not isinstance(j_max, int) or isinstance(j_max, bool):
+            raise ValueError(f"j_max must be an integer, got {j_max!r}")
+        if j_max < 0:
+            raise ValueError("j_max must be nonnegative")
     _check_standard_graded(gens)
-    return _betti_tables(buchberger(gens, RevLex() if order is None else order), j_max)[0]
+    return _betti_tables(gens, RevLex() if order is None else order, j_max)[0]
 
 
 def _lcm_lattice(gens: Sequence[tuple[int, ...]], j_max: int) -> list[tuple[int, ...]]:
@@ -130,20 +144,15 @@ def _upper_koszul_betti(b: tuple[int, ...], gens: Sequence[tuple[int, ...]]) -> 
 
     x^{b-F} is in M when a generator g divides x^b and F avoids every k with
     g_k = b_k, so K^b is generated by one facet (a bitmask of variables) per
-    generator dividing x^b.  A cone, where all facets share a vertex, is
-    acyclic.  The reduced homology comes from the ranks of the ±1 boundary
-    maps, by face size.
+    generator dividing x^b.  b is an lcm of generators, so each variable of
+    b is missing from some facet: K^b is never a cone.  The reduced homology
+    comes from the ranks of the ±1 boundary maps, by face size.
     """
     masks = {
         sum(1 << k for k, (a, e) in enumerate(zip(g, b)) if a < e)
         for g in gens
         if all(a <= e for a, e in zip(g, b))
     }
-    common = -1
-    for f in masks:
-        common &= f
-    if common:
-        return []
     faces = {0}
     for f in masks:
         sub = f
@@ -170,44 +179,91 @@ def _upper_koszul_betti(b: tuple[int, ...], gens: Sequence[tuple[int, ...]]) -> 
     return [len(by_size[s]) - ranks[s] - ranks[s + 1] for s in range(len(by_size))]
 
 
-def _initial_entries(ini: MonomialIdeal, j_max: int) -> dict[tuple[int, int], int]:
-    """Graded Betti numbers of R/ini in internal degrees <= j_max, from its lcm lattice.
-
-    Only elements of the lcm lattice carry nonzero multigraded Betti numbers
-    (Gasharov-Peeva-Welker 1999); beta_{i,b} is the reduced homology of the
-    upper Koszul complex K^b (Miller-Sturmfels 2005, Thm 1.34).
-    """
-    gens = [m.exponents for m in ini.mingens]
+def _lattice_entries(gens: Sequence[tuple[int, ...]], j_max: int) -> dict[tuple[int, int], int]:
+    """Graded Betti numbers of R/(gens) in degrees <= j_max, summed over the lcm lattice."""
     entries = {(0, 0): 1}
     for b in _lcm_lattice(gens, j_max):
         j = sum(b)
         for i, beta in enumerate(_upper_koszul_betti(b, gens), start=1):
             if beta:
                 entries[(i, j)] = entries.get((i, j), 0) + beta
+    return entries
+
+
+def _linear_quotients(gens: Sequence[tuple[int, ...]]) -> list[tuple[int, int]] | None:
+    """(deg u_k, r_k) along an order of `gens` with linear quotients, or None.
+
+    `gens` is a minimal generating set.  The colon (u_1, ..., u_{k-1}) : u_k
+    is generated by the quotients u_i / gcd(u_i, u_k); it is generated by
+    variables when each quotient is divisible by one that is a variable, and
+    r_k counts those variables.  The search is greedy in non-decreasing
+    degree: it places the first generator of the lowest degree left whose
+    colon is generated by variables, and gives up when there is none.
+    """
+    placed: list[tuple[int, ...]] = []
+    found = []
+    left = sorted(gens, key=sum)
+    while left:
+        low = sum(left[0])
+        for pos, u in enumerate(left):
+            if sum(u) > low:
+                return None
+            linear, supports = 0, []
+            for p in placed:
+                diff = [(v, a - b) for v, (a, b) in enumerate(zip(p, u)) if a > b]
+                if len(diff) == 1 and diff[0][1] == 1:
+                    linear |= 1 << diff[0][0]
+                supports.append(sum(1 << v for v, _ in diff))
+            if all(mask & linear for mask in supports):
+                break
+        else:
+            return None
+        placed.append(left.pop(pos))
+        found.append((low, bin(linear).count("1")))
+    return found
+
+
+def _initial_entries(ini: MonomialIdeal, j_max: int) -> dict[tuple[int, int], int]:
+    """Graded Betti numbers of R/ini in degrees <= j_max: the closed form, else the lattice.
+
+    A generator of degree > j_max divides no monomial of degree <= j_max.
+    """
+    gens = [m.exponents for m in ini.mingens if m.degree() <= j_max]
+    quotients = _linear_quotients(gens)
+    if quotients is None:
+        entries = _lattice_entries(gens, j_max)
+    else:
+        entries = {(0, 0): 1}
+        for d, r in quotients:
+            for i in range(min(r, j_max - d) + 1):
+                entries[(i + 1, i + d)] = entries.get((i + 1, i + d), 0) + comb(r, i)
     return dict(sorted(entries.items(), key=lambda e: (e[0][1], e[0][0])))
 
 
-def _betti_tables(gb: ReducedGroebnerBasis, j_max: int | None) -> tuple[BettiTable, BettiTable]:
-    """Tables of R/I and of R/ini(I), where `gb` is the reduced Gröbner basis of I.
+def _betti_tables(
+    gens: Sequence[Polynomial], order: MonomialOrder, j_max: int | None
+) -> tuple[BettiTable, BettiTable]:
+    """Tables of R/I and of R/ini(I), I = (gens), ini taken under `order`.
 
-    The ini table comes from the lcm lattice.  R/I and R/ini have the same
-    Hilbert function, so their Koszul strands K_{i,j} have the same
-    dimensions, and the ini table fixes every ini strand rank r_{i,j}
-    (downward in i from r_{n+1,j} = 0).  With delta_{i,j} = rank_I - r_{i,j},
+    ini(I) comes from the leads of one Buchberger pair loop, and the reduced
+    basis from its rows, on the first normal form a strand needs.  R/I and
+    R/ini have the same Hilbert function, so their Koszul strands K_{i,j}
+    have the same dimensions, and the ini table fixes every ini strand rank
+    r_{i,j} (downward in i from r_{n+1,j} = 0).  With delta_{i,j} = rank_I - r_{i,j},
     beta_{i,j}(R/I) = beta_{i,j}(ini) - delta_{i,j} - delta_{i+1,j}; a
     strand of R/I is ranked only where beta_{i,j}(ini) and
     beta_{i-1,j}(ini) are both nonzero, since delta_{i,j} = 0 elsewhere.
     """
-    ring = gb.ring
+    ring = gens[0].ring
     n = ring.n
-    ini = gb.initial_ideal()
+    rows = _groebner_rows(gens, order, None)
+    ini = _lead_ideal(ring, rows)
     if any(m.is_one() for m in ini.mingens):
         raise UnitIdealError("unit ideal: the quotient is the zero ring")
     taylor = default_internal_degree_bound(ini)
     if j_max is None:
         j_max = taylor
-    if j_max < 0:
-        raise ValueError("j_max must be nonnegative")
+    reduced_basis = cache(lambda: _reduced_basis(ring, order, rows))
 
     series = hilbert_series_monomial(ini)
     hf = series.expand(j_max)
@@ -235,7 +291,8 @@ def _betti_tables(gb: ReducedGroebnerBasis, j_max: int | None) -> tuple[BettiTab
             if shifted in target:  # standard: its own normal form
                 frag = [(target[shifted], 1)]
             else:
-                nf = gb.normal_form(Polynomial.from_dict(ring, {Monomial(shifted): Fraction(1)}))
+                nf = reduced_basis().normal_form(
+                    Polynomial.from_dict(ring, {Monomial(shifted): Fraction(1)}))
                 frag = [
                     (target[t.mono.exponents],
                      t.coeff.numerator if t.coeff.denominator == 1 else t.coeff)
@@ -335,7 +392,7 @@ def betti_comparison(
     """Tables for R/I and R/ini(I); the quotient's numbers never exceed the monomial ones.
 
     Both tables run to the Taylor bound of ini(I), which covers every nonzero
-    entry, and come from one Gröbner basis and one pass over the lcm lattice.
+    entry, and come from one Buchberger pair loop and one table of ini(I).
 
     The quotient's table is the initial one minus strand rank drops, and a
     negative drop raises an internal error, so the entrywise inequality (and
@@ -346,7 +403,7 @@ def betti_comparison(
     if not gens:
         raise ValueError("need generators")
     _check_standard_graded(gens)
-    quotient, initial = _betti_tables(buchberger(gens, order), None)
+    quotient, initial = _betti_tables(gens, order, None)
     pd = (quotient.projective_dimension(), initial.projective_dimension())
     rg = (quotient.regularity(), initial.regularity())
     return BettiComparison(quotient, initial, pd, rg)

@@ -519,8 +519,12 @@ def buchberger(
     the same loop and stops before both, so the step budget (argument or
     the INITALG_STEP_LIMIT environment variable) is spent on the same pairs.
     """
-    basis = _groebner_rows(gens, order, step_limit)
-    ring = gens[0].ring
+    basis = _groebner_rows(gens, order, step_limit)  # checks gens before gens[0] is read
+    return _reduced_basis(gens[0].ring, order, basis)
+
+
+def _reduced_basis(ring: PolyRing, order: MonomialOrder, basis: _Reducer) -> ReducedGroebnerBasis:
+    """The reduced Gröbner basis from the rows of `_groebner_rows`."""
     if not basis:
         return ReducedGroebnerBasis(ring, order, ())
     reduced = basis.widening(lambda: _interreduce(basis))
@@ -540,8 +544,13 @@ def initial_ideal(gens: Sequence[Polynomial], order: MonomialOrder) -> MonomialI
     and the step budget runs out at the same pair.
     """
     basis = _groebner_rows(gens, order, None)
+    return _lead_ideal(gens[0].ring, basis)
+
+
+def _lead_ideal(ring: PolyRing, basis: _Reducer) -> MonomialIdeal:
+    """The ideal of the leads of the rows of `_groebner_rows`, each unpacked once."""
     leads = (Monomial(basis.packing.unpack(word)) for word in basis.leads)
-    return MonomialIdeal.from_monomials(gens[0].ring, leads)
+    return MonomialIdeal.from_monomials(ring, leads)
 
 
 def initial_ideal_weight(

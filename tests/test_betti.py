@@ -20,7 +20,7 @@ from initalg.betti import (
     format_betti_table,
     graded_betti,
 )
-from initalg.groebner import buchberger
+from initalg.groebner import MonomialIdeal, buchberger
 from initalg.hilbert import UnitIdealError, hilbert_series_monomial
 from initalg.linalg import exact_rank_sparse
 from initalg.orders import DegLex, Lex, RevLex
@@ -41,9 +41,18 @@ def test_variables_give_koszul_diagonal():
     assert (T.projective_dimension(), T.regularity()) == (2, 0)
 
 
+def _unreachable(*args):
+    raise AssertionError("this route must not run")
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-def test_rational_normal_curve_matches_eagon_northcott(d):
-    # the 2x2 minors of the 2 x d catalecticant: beta_{i,i+1} = i * C(d, i+1)
+def test_rational_normal_curve_matches_eagon_northcott(d, monkeypatch):
+    # the 2x2 minors of the 2 x d catalecticant: beta_{i,i+1} = i * C(d, i+1);
+    # the revlex ini(I), all quadrics in x1..x_{d-1}, has linear quotients,
+    # and no strand of R/I is ranked, so neither the lcm lattice nor the
+    # reduced basis is needed
+    monkeypatch.setattr(betti, "_lattice_entries", _unreachable)
+    monkeypatch.setattr(betti, "_reduced_basis", _unreachable)
     R = PolyRing(tuple(f"x{i}" for i in range(d + 1)))
     minors = [f"x{i}*x{j + 1} - x{j}*x{i + 1}" for i in range(d) for j in range(i + 1, d)]
     T = graded_betti(_polys(R, *minors))
@@ -151,18 +160,27 @@ def test_strict_inequality_case():
 
 
 def test_comparison_computes_the_basis_of_i_once(monkeypatch):
-    # one run for I: both tables come from its basis and one lcm-lattice pass
+    # one pair loop for I: ini(I) comes from its leads, and the reduced basis
+    # that ranks the strands is built once, from the same rows
     R = PolyRing(("x", "y", "z"))
     gens = _polys(R, "x^2 - y*z", "x*y")
-    calls = []
+    loops, reductions = [], []
+    pair_loop, reduced_basis = betti._groebner_rows, betti._reduced_basis
 
-    def counting(polys, order, *args, **kwargs):
-        calls.append(order)
-        return buchberger(polys, order, *args, **kwargs)
+    def counting_loop(polys, order, step_limit):
+        loops.append(pair_loop(polys, order, step_limit))
+        return loops[-1]
 
-    monkeypatch.setattr(betti, "buchberger", counting)
+    def counting_reduction(ring, order, rows):
+        reductions.append(rows)
+        return reduced_basis(ring, order, rows)
+
+    monkeypatch.setattr(betti, "_groebner_rows", counting_loop)
+    monkeypatch.setattr(betti, "_reduced_basis", counting_reduction)
     comp = betti_comparison(gens, DegLex())
-    assert calls == [DegLex()]
+    assert len(loops) == 1 and loops[0].order == DegLex()
+    assert len(reductions) == 1 and reductions[0] is loops[0]
+    assert comp.quotient != comp.initial  # a strand of R/I was ranked
     monkeypatch.undo()
     ini = buchberger(gens, DegLex()).initial_ideal()
     assert comp.quotient == graded_betti(gens, order=DegLex())
@@ -217,6 +235,8 @@ def test_format_betti_table_layout():
     assert lines[0].split() == ["0", "1", "2"]
     assert lines[1].split() == ["0", "1", ".", "."]
     assert lines[2].split() == ["1", ".", "2", "1"]
+    # graded_betti always has beta_{0,0} = 1; only a table built by hand is empty
+    assert format_betti_table(BettiTable(R, {}, 0, True)) == "(zero table)"
 
 
 def test_complete_intersection_quadrics():
@@ -304,21 +324,70 @@ def test_lattice_route_matches_strand_reference_on_random_ideals():
 
 
 @pytest.mark.parametrize(
-    "names, texts, expected",
+    "names, texts, expected, linear",
     [
-        (("x", "y"), ("x^2", "y^2"), {(0, 0): 1, (1, 2): 2, (2, 4): 1}),
-        (("x", "y"), ("x^2", "x*y"), {(0, 0): 1, (1, 2): 2, (2, 3): 1}),
+        # no linear quotients: y^2 / gcd(x^2, y^2) = y^2, and likewise z*w
+        (("x", "y"), ("x^2", "y^2"), {(0, 0): 1, (1, 2): 2, (2, 4): 1}, False),
+        (("x", "y", "z", "w"), ("x*y", "z*w"), {(0, 0): 1, (1, 2): 2, (2, 4): 1}, False),
+        (("x", "y"), ("x^2", "x*y"), {(0, 0): 1, (1, 2): 2, (2, 3): 1}, True),
         # Stanley-Reisner ideal of the 5-cycle a-b-c-d-e: its non-edges
         (("a", "b", "c", "d", "e"), ("a*c", "a*d", "b*d", "b*e", "c*e"),
-         {(0, 0): 1, (1, 2): 5, (2, 3): 5, (3, 5): 1}),
+         {(0, 0): 1, (1, 2): 5, (2, 3): 5, (3, 5): 1}, False),
     ],
-    ids=["complete-intersection", "x2-xy", "five-cycle"],
+    ids=["complete-intersection", "two-disjoint-products", "x2-xy", "five-cycle"],
 )
-def test_lcm_lattice_route_on_known_monomial_tables(names, texts, expected):
+def test_lcm_lattice_route_on_known_monomial_tables(names, texts, expected, linear, monkeypatch):
     R = PolyRing(names)
     ini = buchberger(_polys(R, *texts), RevLex()).initial_ideal()
-    assert betti._initial_entries(ini, default_internal_degree_bound(ini)) == expected
+    gens = [m.exponents for m in ini.mingens]
+    bound = default_internal_degree_bound(ini)
+    assert betti._lattice_entries(gens, bound) == expected
+    assert (betti._linear_quotients(gens) is not None) == linear
+    # the lattice route runs exactly when the search finds no order
+    calls = []
+    lattice = betti._lattice_entries
+    monkeypatch.setattr(betti, "_lattice_entries",
+                        lambda gens, j_max: calls.append(gens) or lattice(gens, j_max))
+    assert betti._initial_entries(ini, bound) == expected
     assert graded_betti(_polys(R, *texts)).entries == expected
+    assert len(calls) == (0 if linear else 2)
+
+
+def test_closed_form_matches_lattice_route_on_random_monomial_ideals():
+    rng = random.Random(2002)
+    names = ("x", "y", "z", "w")
+    closed = lattice = 0
+    for _ in range(200):
+        R = PolyRing(names[: rng.randint(2, 4)])
+        monos = [Monomial(tuple(rng.randint(0, 3) for _ in range(R.n)))
+                 for _ in range(rng.randint(1, 6))]
+        ini = MonomialIdeal.from_monomials(R, [m for m in monos if m.degree()])
+        gens = [m.exponents for m in ini.mingens]
+        taylor = default_internal_degree_bound(ini)
+        for j_max in (taylor, rng.randint(0, taylor)):
+            assert betti._initial_entries(ini, j_max) == betti._lattice_entries(gens, j_max)
+        if betti._linear_quotients(gens) is None:
+            lattice += 1
+        else:
+            closed += 1
+            # through graded_betti, whose per-degree Euler check against the
+            # Hilbert numerator must accept the closed form
+            assert graded_betti(list(ini.polynomials()) or [R.zero()]).entries == \
+                betti._lattice_entries(gens, taylor)
+    # both routes are exercised
+    assert closed >= 100 and lattice >= 20
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_wrong_closed_form_fails_the_euler_check(shift, monkeypatch):
+    # (x^2, x*y) has r = 0, 1; a wrong r_k changes the alternating sum of a degree
+    R = PolyRing(("x", "y"))
+    search = betti._linear_quotients
+    assert search([(2, 0), (1, 1)]) == [(2, 0), (2, 1)]
+    monkeypatch.setattr(betti, "_linear_quotients",
+                        lambda gens: [(d, r + shift * (k == 1)) for k, (d, r) in enumerate(search(gens))])
+    with pytest.raises(BettiInconsistencyError, match="Euler check failed in degree 3"):
+        graded_betti(_polys(R, "x^2", "x*y"))
 
 
 def _scaled_minors(rng, rows, cols):
@@ -371,3 +440,25 @@ def test_negative_degree_bound_is_refused(j_max):
     R = PolyRing(("x", "y"))
     with pytest.raises(ValueError, match="j_max must be nonnegative"):
         graded_betti(_polys(R, "x^2", "x*y"), j_max)
+
+
+@pytest.mark.parametrize("j_max", [True, False, 2.5, "3", Fraction(3)])
+def test_non_integer_degree_bound_is_refused(j_max):
+    # True used to give a table cut at degree 1, and 2.5 or "3" a TypeError
+    R = PolyRing(("x", "y"))
+    with pytest.raises(ValueError, match="j_max must be an integer"):
+        graded_betti(_polys(R, "x^2", "x*y"), j_max)
+
+
+def test_empty_generator_list_is_refused():
+    with pytest.raises(ValueError, match="need generators"):
+        graded_betti([])
+    with pytest.raises(ValueError, match="need generators"):
+        betti_comparison([])
+
+
+def test_comparison_defaults_to_revlex():
+    R = PolyRing(("x", "y", "z"))
+    gens = _polys(R, "x^2 - y*z", "x*y - z^2")
+    assert betti_comparison(gens) == betti_comparison(gens, RevLex())
+    assert betti_comparison(gens) != betti_comparison(gens, Lex())
