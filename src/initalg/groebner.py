@@ -108,16 +108,7 @@ def _cleared(f: Polynomial) -> tuple[_IntPoly, int]:
 
 
 class _Overflow(Exception):
-    """An exponent outgrew the packing; `_widening` repacks and retries."""
-
-
-def _widening(step, widen):
-    """step(), retried after widen() each time it overflows."""
-    while True:
-        try:
-            return step()
-        except _Overflow:
-            widen()
+    """An exponent outgrew the packing; `_Reducer.widening` repacks and retries."""
 
 
 def _first_bits(top: int) -> int:
@@ -159,11 +150,16 @@ class _Reducer:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _use(self, new: Packing) -> None:
-        """Switch to the packing `new`, repacking the rows in place."""
+    def _use(self, new: Packing, at: int | None = None) -> None:
+        """Switch to the packing `new`, repacking the rows in place; with `at`,
+        every exponent vector gains a zero entry at `at` (a new variable)."""
         old, self.packing = self.packing, new
         if self.rows:
-            pack, unpack = new.pack, old.unpack
+            unpack = old.unpack
+
+            def pack(e: tuple[int, ...]) -> int:
+                return new.pack(e if at is None else e[:at] + (0,) + e[at:])
+
             for k, (lead, a, tail) in enumerate(self.rows):
                 word = pack(unpack(lead))
                 tail = tuple((pack(unpack(lead + off)) - word, b) for off, b in tail)
@@ -182,8 +178,11 @@ class _Reducer:
 
     def widening(self, step):
         """step(), retried with twice the field width while it overflows."""
-        return _widening(step, lambda: self._use(
-            packing(self.order, self.packing.n, 2 * self.packing.bits)))
+        while True:
+            try:
+                return step()
+            except _Overflow:
+                self._use(packing(self.order, self.packing.n, 2 * self.packing.bits))
 
     def _packed(self, coeffs: _IntPoly) -> _IntPoly:
         """`coeffs` keyed by words; `_Overflow` if an exponent does not fit."""
@@ -201,7 +200,8 @@ class _Reducer:
         self.add_row(self.widening(lambda: self._packed(coeffs)))
 
     def add_row(self, coeffs: _IntPoly) -> None:
-        """Append the primitive multiple, with positive lead, of nonzero integer `coeffs`."""
+        """Append the primitive multiple, with positive lead, of nonzero integer
+        `coeffs` (keyed by word), which is consumed."""
         lead = max(coeffs)
         content = math.gcd(*coeffs.values())
         if coeffs[lead] < 0:
@@ -232,15 +232,15 @@ class _Reducer:
             raise _Overflow
         return acc
 
-    def reduce_ints(self, work: _IntPoly) -> tuple[_IntPoly, Fraction]:
-        """(r, s) with r integer, s > 0 rational, and r / s the remainder of
-        `work` (keyed by word) by `divide`'s rule.  `work` is consumed.
+    def reduce_ints(self, work: _IntPoly) -> tuple[_IntPoly, int, int]:
+        """(r, num, den) with r integer, num, den > 0, and r * den / num the
+        remainder of `work` (keyed by word) by `divide`'s rule.  `work` is consumed.
 
         Fraction-free: to cancel c X^t by a row (a, tail) with lead l, work
         and the remainder kept so far are scaled by k = a / g, g = gcd(a, c),
         and (c / g) X^(t - l) tail is subtracted.  A step that scales first
         divides out the content h of work, remainder and c / g, so common
-        factors do not pile up; s is the product of the factors k / h.
+        factors do not pile up; num / den is the product of the factors k / h.
         The heap holds negated words, so it pops the largest monomial first.
         """
         table, guard = self.table, self.packing.guard
@@ -280,14 +280,14 @@ class _Reducer:
                     break
             else:
                 kept[t] = c
-        return kept, Fraction(num, den)
+        return kept, num, den
 
     def reduce(self, f: Polynomial) -> Polynomial:
         """Remainder of f by `divide`'s rule: denominators cleared, reduced on integers."""
         self._take(f, "polynomials from different rings")
         coeffs, d = _cleared(f)
-        r, s = self.widening(lambda: self.reduce_ints(self._packed(coeffs)))
-        s *= d
+        r, num, den = self.widening(lambda: self.reduce_ints(self._packed(coeffs)))
+        s = Fraction(num * d, den)
         unpack = self.packing.unpack
         return Polynomial.from_dict(f.ring, {Monomial(unpack(m)): c / s for m, c in r.items()})
 
@@ -391,15 +391,17 @@ class ReducedGroebnerBasis:
 
 def _interreduce(basis: _Reducer) -> _Reducer:
     # one pass ascending by lead, dropping a row when a kept lead divides its
-    # lead; a lead dividing a monomial of the row is at most that monomial, so
-    # reducing the row once by the reduced prefix is final and keeps its lead
+    # lead; a lead dividing a monomial of the tail is at most that monomial,
+    # so reducing the tail once by the reduced prefix is final.  The tail
+    # reduces to r * den / num, so the row becomes a num X^lead + den r
     reduced = _Reducer(basis.order)
     reduced._use(basis.packing)
     for lead, a, tail in sorted(basis.rows, key=operator.itemgetter(0)):
         if not reduced.packing.dividing(reduced.leads, lead):
-            work = {lead + off: b for off, b in tail}
-            work[lead] = a
-            reduced.add_row(reduced.reduce_ints(work)[0])
+            r, num, den = reduced.reduce_ints({lead + off: b for off, b in tail})
+            row = {m: den * c for m, c in r.items()}
+            row[lead] = a * num
+            reduced.add_row(row)
     return reduced
 
 
@@ -501,11 +503,18 @@ def _groebner_rows(
     limit = _step_limit(step_limit)
     basis = _Reducer(order, (g for g in gens if not g.is_zero()))
     if basis:
-        for i, j in _pairs(basis, 0, limit):
-            r = basis.widening(lambda: basis.reduce_ints(basis.s_pair(i, j))[0])
-            if r:
-                basis.add_row(r)
+        _complete_rows(basis, 0, limit)
     return basis
+
+
+def _complete_rows(basis: _Reducer, start: int, limit: int | None) -> None:
+    """Append rows to `basis` until they form a Gröbner basis, the rows before
+    `start` being one already: each S-pair from `_pairs` is reduced against
+    the table, and a nonzero remainder is appended as a primitive row."""
+    for i, j in _pairs(basis, start, limit):
+        r = basis.widening(lambda: basis.reduce_ints(basis.s_pair(i, j))[0])
+        if r:
+            basis.add_row(r)
 
 
 def buchberger(
@@ -651,59 +660,32 @@ def presentation_kernel(
 
 
 class _ToricIdeal:
-    """Reduced Gröbner basis of J = (Y_i - x^{a_i}) in K[x, Y], on packed words.
+    """Reduced Gröbner basis of J = (x^{a_i} - Y_i) in K[x, Y] as the rows of
+    a `_Reducer`.
 
     The variables are x, then Y, under the order of `presentation_kernel`
     for graded images (weight w(x) = 1, w(Y_i) = deg a_i, then DegLex on x,
-    then RevLex on Y), whose `orders.packing` gives the words; the images
-    are nonconstant, as Sagbi generators are, so every weight is positive.
-    X^lead - X^tail is the pair of words (lead, tail), lead > tail; a
-    reduction step takes X^m to X^(m - lead + tail) when the guard mask
-    shows that lead divides m.  J is w-homogeneous, so its Y-only elements
-    are the reduced revlex basis of the toric kernel (Sturmfels 1996,
-    ch. 4).  Binomials with coefficients +-1 stay such under S-pairs and
-    reduction, so Buchberger (`_pairs`, its Gebauer-Möller criteria and its
-    budget) reduces both monomials of an S-pair and keeps them when they
-    differ; one pass by ascending lead interreduces.  After `insert` only
-    the pairs with the new binomials are installed, the old basis counting
-    as finished.  A step that sets a guard bit, or whose image does not fit,
-    widens the packing and is retried, as in `_Reducer`.
+    then RevLex on Y); the images are nonconstant, as Sagbi generators are,
+    so every weight is positive.  J is w-homogeneous, so its Y-only elements
+    are the reduced revlex basis of the toric kernel (Sturmfels 1996, ch. 4).
+    S-pairs and remainders of binomials X^u - X^v stay such binomials, so
+    every row is (lead, 1, ((tail - lead, -1),)), and the loop of
+    `buchberger` completes them: `_complete_rows`, then `_interreduce`.
+    After `insert` only the pairs with the new binomial are formed, the old
+    basis counting as finished.
     """
 
     def __init__(self, n: int, monomials: Sequence[tuple[int, ...]]):
         self.n, self.images = n, [tuple(a) for a in monomials]
-        self.basis, self.leads, self.packing = [], [], None  # binomials (lead, tail), their leads
-        self._use(_first_bits(max(map(max, self.images))))
+        self.basis = _Reducer(self._order())
+        bits = _first_bits(max(map(max, self.images)))
+        self.basis._use(packing(self.basis.order, n + len(self.images), bits))
         self._complete(range(len(self.images)))
 
-    def _use(self, bits: int, at: int | None = None) -> None:
-        """Repack the basis with `bits` value bits (and a new variable `at`)."""
-        n, k, old = self.n, len(self.images), self.packing
+    def _order(self) -> MonomialOrder:
+        n, k = self.n, len(self.images)
         elim = EliminationOrder(tuple(range(n)), tuple(range(n, n + k)), DegLex(), RevLex())
-        w = WeightVector((1,) * n + tuple(map(sum, self.images)))
-        new = self.packing = packing(WeightOrder(w, elim), n + k, bits)
-
-        def move(word: int) -> int:  # called only when there is a basis, so an old packing
-            e = old.unpack(word)
-            return new.pack(e if at is None else e[:at] + (0,) + e[at:])
-
-        self.basis[:] = [(move(lead), move(tail)) for lead, tail in self.basis]
-        self.leads[:] = [lead for lead, _ in self.basis]
-
-    def _widening(self, step):
-        return _widening(step, lambda: self._use(2 * self.packing.bits))
-
-    def _reduce(self, m: int, basis: Sequence[tuple[int, int]]) -> int:
-        """Normal form of the word m by `basis`, the first divisor in list order acting."""
-        guard = self.packing.guard
-        while not m & guard:
-            for lead, tail in basis:
-                if not (m - lead) & guard:
-                    m = m - lead + tail
-                    break
-            else:
-                return m
-        raise _Overflow
+        return WeightOrder(WeightVector((1,) * n + tuple(map(sum, self.images))), elim)
 
     def insert(self, pos: int, exps: tuple[int, ...]) -> None:
         """Adjoin Y at position `pos` with image x^exps and complete the basis again.
@@ -714,48 +696,27 @@ class _ToricIdeal:
         last variable in which two monomials differ, never the new one).
         """
         self.images.insert(pos, tuple(exps))
-        self._use(self.packing.bits, self.n + pos)
+        basis = self.basis
+        basis.order = self._order()
+        basis._use(packing(basis.order, basis.packing.n + 1, basis.packing.bits), self.n + pos)
         self._complete((pos,))
 
     def _complete(self, fresh: Iterable[int]) -> None:
-        basis, leads = self.basis, self.leads
-
-        def add(m1: int, m2: int) -> None:
-            tail, lead = sorted((self._reduce(m1, basis), self._reduce(m2, basis)))
-            if lead != tail:
-                basis.append((lead, tail))
-                leads.append(lead)
-
-        def image(i: int) -> None:  # x^{a_i} - Y_i
-            P = self.packing
-            if max(self.images[i]) >> P.bits:
-                raise _Overflow
-            add(P.pack(self.images[i] + (0,) * len(self.images)), P.units[self.n + i])
-
-        def s_pair(i: int, j: int) -> None:
-            (li, ti), (lj, tj) = basis[i], basis[j]
-            L = self.packing.lcm(li, lj)
-            add(L - li + ti, L - lj + tj)
-
+        basis, n, k = self.basis, self.n, len(self.images)
         start = len(basis)  # the old basis is a Gröbner basis: its own pairs reduce to 0
-        for i in fresh:
-            self._widening(lambda: image(i))
-        for i, j in _pairs(self, start, _step_limit(None)):
-            self._widening(lambda: s_pair(i, j))
-        basis[:] = self._widening(self._interreduced)
-        leads[:] = [lead for lead, _ in basis]
-
-    def _interreduced(self) -> list[tuple[int, int]]:
-        reduced: list[tuple[int, int]] = []
-        for lead, tail in sorted(self.basis):
-            if not self.packing.dividing([l for l, _ in reduced], lead):
-                reduced.append((lead, self._reduce(tail, reduced)))
-        return reduced
+        for i in fresh:  # x^{a_i} - Y_i, reduced by the rows so far
+            y = tuple(int(j == i) for j in range(k))
+            coeffs = {self.images[i] + (0,) * k: 1, (0,) * n + y: -1}
+            r = basis.widening(lambda: basis.reduce_ints(basis._packed(coeffs))[0])
+            if r:
+                basis.add_row(r)
+        _complete_rows(basis, start, _step_limit(None))
+        self.basis = basis.widening(lambda: _interreduce(basis))
 
     def kernel(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The Y-only elements as (lead, tail) exponent pairs, ascending by revlex lead."""
-        n, unpack, ykey = self.n, self.packing.unpack, RevLex().key
-        pairs = [(unpack(lead), unpack(tail)) for lead, tail in self.basis]
+        n, unpack, ykey = self.n, self.basis.packing.unpack, RevLex().key
+        pairs = [(unpack(lead), unpack(lead + off)) for lead, _, ((off, _),) in self.basis.rows]
         pairs = [(lead[n:], tail[n:]) for lead, tail in pairs if not any(lead[:n])]
         return sorted(pairs, key=lambda p: ykey(Monomial(p[0])))
 

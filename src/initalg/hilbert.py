@@ -75,6 +75,8 @@ class HilbertSeries:
 
     def expand(self, d_max: int) -> tuple[int, ...]:
         """Power-series coefficients in degrees 0..d_max."""
+        if type(d_max) is not int:
+            raise ValueError(f"d_max must be an integer, got {d_max!r}")
         if d_max < 0:
             raise ValueError("d_max must be nonnegative")
         c = [0] * (d_max + 1)
@@ -219,6 +221,8 @@ def hilbert_series_subalgebra(
     """
     if not isinstance(state, SagbiState):
         raise TypeError("hilbert_series_subalgebra takes the SagbiState from sagbi_complete")
+    if type(d_max) is not int:
+        raise ValueError(f"d_max must be an integer, got {d_max!r}")
     if state.truncated_at is not None and d_max > state.truncated_at:
         raise ValueError(
             f"Sagbi state truncated at degree {state.truncated_at}: "

@@ -258,8 +258,13 @@ class Packing:
         ahead = ((ea | self.guard) - eb) & self.guard
         behind = ~(ahead - (ahead >> self.bits))
         excess = (eb & behind) - (ea & behind)  # b_j - a_j where b_j > a_j
-        mask = self.mask
-        return a + sum([((excess >> s) & mask) * u for s, u in zip(self.shifts, self.units)])
+        shifts, units, field, mask = self.shifts, self.units, self.bits + 1, self.mask
+        while excess:  # add the word of each nonzero field, lowest first
+            j = ((excess & -excess).bit_length() - 1) // field
+            e = (excess >> shifts[j]) & mask
+            a += e * units[j]
+            excess -= e << shifts[j]
+        return a
 
     def dividing(self, words: list[int], word: int) -> list[int]:
         """Indices of the entries of `words` that divide `word`."""

@@ -380,8 +380,6 @@ def substitute(f: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
     """Evaluate f at polynomial images of its variables (one image per variable)."""
     if len(images) != f.ring.n:
         raise RingMismatchError("need one image per variable")
-    if not images:
-        raise ValueError("no images")
     target = images[0].ring
     if any(g.ring != target for g in images):
         raise RingMismatchError("images from different rings")

@@ -231,6 +231,8 @@ def sagbi_complete(
     round, as more generators can change its remainder.
     """
     _check_subalgebra_gens(gens)
+    if type(degree_cap) is not int:
+        raise ValueError(f"degree cap must be an integer, got {degree_cap!r}")
     if degree_cap < 1:
         raise ValueError("degree cap must be positive")
     if degree_cap < max(g.total_degree() for g in gens):

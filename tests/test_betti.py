@@ -295,7 +295,10 @@ def _strand_reference(gens, order, j_max=None):
     return entries, j_max
 
 
-def test_lattice_route_matches_strand_reference_on_random_ideals():
+def test_lattice_route_matches_strand_reference_on_random_ideals(monkeypatch):
+    # the closed form is refused, so every ini(I) goes through the lcm lattice
+    refused = []
+    monkeypatch.setattr(betti, "_linear_quotients", lambda gens: refused.append(gens))
     rng = random.Random(1313)
     orders = (Lex(), DegLex(), RevLex())
     cancelled = 0
@@ -320,7 +323,7 @@ def test_lattice_route_matches_strand_reference_on_random_ideals():
         # the Hilbert numerator has already ended
         assert not T.complete
     # the correction from ini(I) to I is exercised, not only the lattice route
-    assert cancelled >= 10
+    assert cancelled >= 10 and len(refused) >= 120
 
 
 @pytest.mark.parametrize(

@@ -738,38 +738,40 @@ def test_toric_ideal_insert_equals_fresh_build():
             adjoined.append(i)
             ideal.insert(sorted(adjoined).index(i), monos[i])
         fresh = groebner._ToricIdeal(ring.n, monos)
-        assert ideal.basis == fresh.basis and ideal.kernel() == fresh.kernel(), monos
+        assert ideal.basis.rows == fresh.basis.rows and ideal.kernel() == fresh.kernel(), monos
 
 
 def test_toric_exponents_outgrowing_the_packing_widen_it(monkeypatch):
     widths = []
-    real_use = groebner._ToricIdeal._use
+    real_use = groebner._Reducer._use
 
-    def recording(self, bits, at=None):
-        widths.append(bits)
-        real_use(self, bits, at)
+    def recording(self, new, at=None):
+        widths.append(new.bits)
+        real_use(self, new, at)
 
-    monkeypatch.setattr(groebner._ToricIdeal, "_use", recording)
-    # x^300 does not fit the 8 value bits of the ideal of x alone: the step
-    # that adds its binomial overflows, the packing widens and the step is retried
+    monkeypatch.setattr(groebner._Reducer, "_use", recording)
+    # each build and insert repacks the basis (8 bits, then 8 with the new
+    # variable), and each interreduction takes the basis's packing: x^300
+    # does not fit the 8 value bits of the ideal of x alone, so the step that
+    # adds its binomial overflows, the packing widens and the step is retried
     ideal = groebner._ToricIdeal(1, [(1,)])
     ideal.insert(1, (300,))
-    assert widths == [8, 8, 16]
+    assert widths == [8, 8, 8, 16, 16]
     assert ideal.kernel() == groebner._ToricIdeal(1, [(1,), (300,)]).kernel() == [((300, 0), (0, 1))]
     # packed into 8 bits, x^600 would carry past the guard bit into the next
     # field unseen: the step checks that the image fits before packing it
     widths.clear()
     ideal = groebner._ToricIdeal(1, [(1,)])
     ideal.insert(1, (600,))
-    assert widths == [8, 8, 16] and ideal.kernel() == [((600, 0), (0, 1))]
+    assert widths == [8, 8, 8, 16, 16] and ideal.kernel() == [((600, 0), (0, 1))]
     # these images fit 8 bits, but the kernel element Y1^408*Y2 - Y3^4 does
-    # not: a reduction step sets a guard bit mid-run
+    # not: in the second insert a reduction step sets a guard bit mid-run
     widths.clear()
     monos = [Monomial(e) for e in ((0, 1), (4, 92), (1, 125))]
     ideal = groebner._ToricIdeal(2, [monos[0].exponents])
     ideal.insert(1, monos[1].exponents)
     ideal.insert(2, monos[2].exponents)
-    assert widths == [8, 8, 8, 16]
+    assert widths == [8, 8, 8, 8, 8, 16, 16]
     assert ideal.kernel() == [((408, 1, 0), (0, 0, 4))]
     ref = presentation_kernel([Polynomial.from_dict(R2, {m: 1}) for m in monos])
     assert toric_kernel(R2, monos).gens == ref.gens

@@ -10,6 +10,7 @@ from initalg.poly import (
     PolyRing,
     Polynomial,
     RingMismatchError,
+    Term,
     WeightVector,
     ZeroPolynomialError,
     format_poly,
@@ -18,6 +19,7 @@ from initalg.poly import (
     is_weight_homogeneous,
     parse_poly,
     specialize_t,
+    substitute,
     weighted_degree,
 )
 
@@ -235,3 +237,36 @@ def test_weight_vector_validation():
         WeightVector(())
     assert WeightVector.ones(3).entries == (1, 1, 1)
     assert WeightVector((3, 2, 1)).extend().entries == (3, 2, 1, 1)
+
+
+S = PolyRing(("a", "b"))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: PolyRing(()), ValueError, "ring needs at least one variable"),
+    (lambda: PolyRing(("x", "x")), ValueError, "variable names must be distinct"),
+    (lambda: PolyRing(("x", "")), ValueError, "variable names must be nonempty"),
+    (lambda: PolyRing(("t", "x"), "t"), ValueError, "homogenizing variable must be the last variable"),
+    (lambda: R.var_index("w"), KeyError, "unknown variable 'w'"),
+    (lambda: R.monomial((1, 2)), RingMismatchError, "exponent vector has wrong length"),
+    (lambda: Monomial((1, -1)), ValueError, "exponents must be nonnegative"),
+    (lambda: Term(Fraction(0), Monomial((1, 0, 0))), ValueError, "term coefficient must be nonzero"),
+    (lambda: Monomial((1, 0)).divide(Monomial((0, 1))), ValueError, "not divisible"),
+    (lambda: WeightVector((1, 1)).degree(Monomial((1, 0, 0))), RingMismatchError,
+     "weight arity does not match monomial"),
+    (lambda: Polynomial.from_dict(R, {Monomial((1, 0)): 1}), RingMismatchError,
+     "monomial arity does not match ring"),
+    (lambda: R.zero().total_degree(), ZeroPolynomialError, "zero polynomial has no degree"),
+    (lambda: x**-1, ValueError, "negative power"),
+    (lambda: homogenize(R.zero(), WeightVector.ones(3)), ZeroPolynomialError,
+     "cannot homogenize the zero polynomial"),
+    (lambda: homogenize(x, WeightVector.ones(3), S.extend()), RingMismatchError,
+     "target ring does not extend the source ring"),
+    (lambda: homogenize(x, WeightVector.ones(3), PolyRing(("x", "y", "z", "t"))), RingMismatchError,
+     "target ring does not extend the source ring"),
+    (lambda: substitute(x, [x, y]), RingMismatchError, "need one image per variable"),
+    (lambda: substitute(x, [x, y, S.gens()[0]]), RingMismatchError, "images from different rings"),
+])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -266,6 +267,13 @@ def test_sagbi_complete_validates_cap():
         sagbi_complete(list(F_INF), DegLex(), 2)  # below generator degree 3
     with pytest.raises(ValueError):
         sagbi_complete([x], DegLex(), 0)
+
+
+@pytest.mark.parametrize("cap", [4.5, True, 4.0, "4", None])
+def test_sagbi_complete_rejects_a_non_integer_cap(cap):
+    # a float cap used to end in a state truncated at that float
+    with pytest.raises(ValueError, match=re.escape(f"degree cap must be an integer, got {cap!r}")):
+        sagbi_complete(list(F_INF), DegLex(), cap)
 
 
 def test_initial_algebra_gens_quadrics():
