@@ -290,7 +290,7 @@ def test_series_str_equals_the_polynomial_printer():
     (lambda: hilbert_series_monomial(mi(R2, m(1, 0)), WeightVector((1, 1, 1))), "weight arity does not match ring"),
     (lambda: semigroup_counts([m(1, 0)], [1, 2], 3), "one degree per generator"),
     (lambda: semigroup_counts([m(1, 0), m(0, 1)], [1, 0], 3), "generator degrees must be positive"),
-    # True was taken as 1, and a float raised a bare TypeError
+    # True is not a d_max of 1, and a float gets a ValueError, not a TypeError
     (lambda: HilbertSeries((1,), (1, 1)).expand(True), "d_max must be an integer, got True"),
     (lambda: HilbertSeries((1,), (1, 1)).expand(2.5), "d_max must be an integer, got 2.5"),
     (lambda: hilbert_series_subalgebra(sagbi_complete([x + y, x * y], DegLex(), 2), d_max=True),

@@ -271,7 +271,7 @@ def test_sagbi_complete_validates_cap():
 
 @pytest.mark.parametrize("cap", [4.5, True, 4.0, "4", None])
 def test_sagbi_complete_rejects_a_non_integer_cap(cap):
-    # a float cap used to end in a state truncated at that float
+    # no state may be truncated at a float, and True is not a cap of 1
     with pytest.raises(ValueError, match=re.escape(f"degree cap must be an integer, got {cap!r}")):
         sagbi_complete(list(F_INF), DegLex(), cap)
 
