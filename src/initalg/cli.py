@@ -17,7 +17,6 @@ import functools
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from initalg.betti import betti_comparison, graded_betti
@@ -201,10 +200,16 @@ def parse_problem(text: str) -> Problem:
 
 
 def _load(args) -> Problem:
+    """The problem file, read as UTF-8 whatever the locale; a leading BOM is dropped."""
     try:
-        text = Path(args.file).read_text()
+        with open(args.file, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise CLIInputError(f"cannot read {args.file}: {exc.strerror or exc}")
+    try:
+        text = data.decode().removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise CLIInputError(f"cannot read {args.file}: invalid UTF-8 at byte offset {exc.start}")
     problem = parse_problem(text)
     if getattr(args, "order", None):
         try:
@@ -613,13 +618,20 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run built-in verification scenarios")
     pv.add_argument("scenarios", nargs="*", help=f"subset of: {', '.join(SCENARIOS)}")
     pv.set_defaults(func=cmd_verify)
+    parser.commands = sub.choices  # command name -> its subparser, for `run`
     return parser
 
 
 def run(argv: Sequence[str]) -> int:
     """Execute one command; returns the exit code, printing the report to stdout."""
-    parser = _build_parser()
-    args = parser.parse_args(list(argv))
+    argv, parser = list(argv), _build_parser()
+    # a known command goes straight to its subparser; when that leaves an
+    # argument over, the full parser runs and reports it with its own usage
+    command = parser.commands.get(argv[0]) if argv else None
+    args, extra = (command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+                   if command else (None, True))
+    if extra:
+        args = parser.parse_args(argv)
     out: list[str] = []
     try:
         code = args.func(args, out)

@@ -414,97 +414,78 @@ def specialize_t(f: Polynomial, c: Scalar) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# text format:  terms joined by + and -, a term is rational and var^exp
-# factors joined by * (the star after a rational is optional)
+# text format:  terms joined by + and -, a term is factors joined by an
+# optional *, and a factor is an integer p, a rational p/q, a variable or
+# var^exp.  One match reads a factor with the signs or the star before it;
+# group 7 takes the character where no factor starts.
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))")
+_BAD = re.compile(r"[^\s\dA-Za-z_+\-*/^()]")
+_FACTOR = re.compile(r"\s*(?:([-+][-+\s]*)|(\*)\s*)?(?:(\d+)(?:\s*/\s*(\d+))?"
+                     r"|([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(\d+))?|(\S?))")
+_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|\S")  # the tokens of a text _BAD passed
+# (lastindex of the factor before, next character): a '/' after a bare
+# integer, a '^' after a bare name
+_EXPECTED = {(3, "/"): "expected denominator", (5, "^"): "expected exponent"}
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest) + 1)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind) + 1))
-        pos = m.end()
-    return tokens
+def _factor_error(text: str, m: re.Match, prev: re.Match | None) -> ParseError:
+    """The error at a match that read no factor, or a star before the first factor."""
+    signs, star, other = m.group(1, 2, 7)
+    if star and prev is None:
+        return ParseError("unexpected '*'", m.start(2) + 1)
+    if other in ("", "+", "-"):  # dangling errors name the column of the text's last token
+        *_, last = _TOKEN.finditer(text, m.pos)
+        return ParseError("dangling sign" if signs else "dangling '*'", last.start() + 1)
+    expected = prev is not None and not (signs or star) and _EXPECTED.get((prev.lastindex, other))
+    return ParseError(expected or f"unexpected {other!r}", m.start(7) + 1)
 
 
 def parse_poly(ring: PolyRing, text: str) -> Polynomial:
-    """Parse the plain text polynomial grammar, e.g. ``x^2 - 2*x*y + 1/3``; errors name a column."""
-    tokens = _tokenize(text)
-    if not tokens:
+    """Parse the plain text polynomial grammar, e.g. ``x^2 - 2*x*y + 1/3``; errors name a column.
+
+    A character outside the grammar is reported before any other error.
+    """
+    bad = _BAD.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start() + 1)
+    end = len(text.rstrip())
+    if not end:
         raise ParseError("empty polynomial")
-    acc: dict[Monomial, Fraction] = {}
-    i = 0
-
-    def err(msg, tok=None):
-        raise ParseError(msg, (tok or tokens[-1])[2])
-
-    while i < len(tokens):
-        sign = 1
-        while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= len(tokens):
-            err("dangling sign")
-        coeff = Fraction(sign)
-        exps = [0] * ring.n
-        expect_factor = True
-        while i < len(tokens):
-            kind, val, col = tokens[i]
-            if kind == "op" and val in "+-":
-                break
-            if kind == "op" and val == "*":
-                if expect_factor:
-                    err("unexpected '*'", tokens[i])
-                i += 1
-                expect_factor = True
-                continue
-            if kind == "int":
-                num = int(val)
-                i += 1
-                if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "/":
-                    i += 1
-                    if i >= len(tokens) or tokens[i][0] != "int":
-                        err("expected denominator", tokens[i - 1])
-                    den = int(tokens[i][1])
-                    if den == 0:
-                        err("zero denominator", tokens[i])
-                    i += 1
-                    coeff *= Fraction(num, den)
-                else:
-                    coeff *= num
-            elif kind == "name":
-                try:
-                    vi = ring.var_index(val)
-                except KeyError:
-                    err(f"unknown variable {val!r}", tokens[i])
-                i += 1
-                e = 1
-                if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "^":
-                    i += 1
-                    if i >= len(tokens) or tokens[i][0] != "int":
-                        err("expected exponent", tokens[i - 1] if i <= len(tokens) else None)
-                    e = int(tokens[i][1])
-                    i += 1
-                exps[vi] += e
-            else:
-                err(f"unexpected {val!r}", tokens[i])
-            expect_factor = False
-        if expect_factor:
-            err("dangling '*'")
-        if coeff != 0:
-            m = Monomial(tuple(exps))
-            acc[m] = acc.get(m, Fraction(0)) + coeff
-    return Polynomial.from_dict(ring, acc)
+    names, n = ring.names, ring.n
+    terms = []  # (numerator, denominator, exponents) of each term
+    pos, prev = 0, None
+    while pos < end:
+        m = _FACTOR.match(text, pos)
+        signs, star, p, q, name, e, other = m.groups()
+        if other is not None or (star and prev is None):
+            raise _factor_error(text, m, prev)
+        if signs or prev is None:  # signs, or the start of the text, open a term
+            if prev is not None:
+                terms.append((num, den, exps))
+            num, den, exps = -1 if signs and signs.count("-") % 2 else 1, 1, [0] * n
+        if p is not None:
+            num *= int(p)
+            if q is not None:
+                q = int(q)
+                if not q:
+                    raise ParseError("zero denominator", m.start(4) + 1)
+                den *= q
+        else:
+            try:
+                i = names.index(name)
+            except ValueError:
+                raise ParseError(f"unknown variable {name!r}", m.start(5) + 1) from None
+            exps[i] += 1 if e is None else int(e)
+        pos, prev = m.end(), m
+    terms.append((num, den, exps))
+    acc: dict[tuple[int, ...], tuple[int, int]] = {}
+    for num, den, exps in terms:
+        if num:
+            key = tuple(exps)
+            a, b = acc.get(key, (0, 1))
+            acc[key] = (a * den + num * b, b * den)
+    items = sorted(acc.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)  # as _canon_key
+    return Polynomial(ring, tuple(Term(Fraction(a, b), Monomial(k)) for k, (a, b) in items if a))
 
 
 def format_monomial(ring: PolyRing, mono: Monomial) -> str:

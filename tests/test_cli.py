@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,6 +47,9 @@ x*y
 x*y^2
 end
 """
+
+
+NOT_UTF8 = b"ring x, y\nideal\nx - \xe9\nend\n"  # Latin-1 e-acute at byte offset 20
 
 
 def write(tmp_path, text, name="problem.txt"):
@@ -403,6 +409,38 @@ def test_parse_error_columns_count_from_the_file_line(tmp_path, capsys):
         assert capsys.readouterr() == ("", err)
 
 
+def test_a_leading_bom_is_dropped(tmp_path, capsys):
+    assert run(["gb", write(tmp_path, LEX_IDEAL)]) == EXIT_OK
+    expected = capsys.readouterr()
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + LEX_IDEAL.encode())
+    assert run(["gb", str(path)]) == EXIT_OK
+    assert capsys.readouterr() == expected
+
+
+def test_undecodable_bytes_exit_two_with_the_offset(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(NOT_UTF8)
+    assert run(["gb", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: cannot read {path}: invalid UTF-8 at byte offset 20\n")
+
+
+def test_problem_files_are_utf8_under_any_locale(tmp_path, capsys):
+    # under LC_ALL=C without UTF-8 mode the locale encoding is ASCII
+    assert run(["gb", write(tmp_path, LEX_IDEAL)]) == EXIT_OK
+    expected = capsys.readouterr().out
+    good, bad = tmp_path / "cafe.txt", tmp_path / "latin1.txt"
+    good.write_bytes("# café\n".encode() + LEX_IDEAL.encode())
+    bad.write_bytes(NOT_UTF8)
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0"}
+    ok, fail = (subprocess.run([sys.executable, "-m", "initalg", "gb", str(p)],
+                               capture_output=True, env=env, check=False) for p in (good, bad))
+    assert (ok.returncode, ok.stderr) == (EXIT_OK, b"")
+    assert ok.stdout.decode() == expected
+    assert (fail.returncode, fail.stdout) == (EXIT_INPUT, b"")
+    assert fail.stderr.decode() == f"error: cannot read {bad}: invalid UTF-8 at byte offset 20\n"
+
+
 def test_missing_file_exits_two(capsys):
     assert run(["gb", "/nonexistent/path.txt"]) == EXIT_INPUT
     capsys.readouterr()
@@ -557,6 +595,38 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
     capsys.readouterr()
     assert run(["gb", path]) == EXIT_OK
     assert capsys.readouterr().out == first
+
+
+# argv, and how many times `run` falls back to the full parser for it
+DISPATCH = [
+    ([], 1), (["nonsense"], 1), (["-h"], 1), (["gb", "-h"], 0), (["gb"], 0),
+    (["sagbi", "FILE", "--cap", "x"], 0), (["gb", "FILE", "--weight", "5,7"], 1),
+    (["gb", "FILE", "--order", "lex"], 0), (["hilbert", "FILE", "--dmax", "3"], 0),
+    (["verify", "lead-terms"], 0),
+]
+
+
+def outcome(argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv, full_parses", DISPATCH,
+                         ids=[" ".join(argv) or "no arguments" for argv, _ in DISPATCH])
+def test_direct_dispatch_equals_the_full_parser(tmp_path, capsys, monkeypatch, argv, full_parses):
+    # exit code, stdout and stderr as if `_build_parser().parse_args` parsed argv
+    argv = [write(tmp_path, LEX_IDEAL) if a == "FILE" else a for a in argv]
+    parser, calls = _build_parser(), []
+    full_parse = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda args: calls.append(args) or full_parse(args))
+    direct = outcome(argv, capsys)
+    assert len(calls) == full_parses
+    monkeypatch.setattr(parser, "commands", {})  # every argv through the full parser
+    assert outcome(argv, capsys) == direct
+    assert len(calls) == full_parses + 1
 
 
 def test_unknown_scenario_exits_two(capsys):

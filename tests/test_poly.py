@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -193,6 +194,177 @@ def test_parser_on_every_short_input():
                 parsed += 1
                 assert parse_poly(ring, format_poly(f)) == f, text
     assert parsed == 1320
+
+
+# --- the token-loop parser, kept as the reference for parse_poly ----------
+
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))")
+
+
+def _tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            rest = text[pos:].lstrip()
+            if not rest:
+                break
+            raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest) + 1)
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind) + 1))
+        pos = m.end()
+    return tokens
+
+
+def reference_parse_poly(ring, text):
+    """The parser that `parse_poly` replaced: one regex call per token and one
+    Fraction operation per factor, with the same results, messages and columns."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty polynomial")
+    acc = {}
+    i = 0
+
+    def err(msg, tok=None):
+        raise ParseError(msg, (tok or tokens[-1])[2])
+
+    while i < len(tokens):
+        sign = 1
+        while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
+            if tokens[i][1] == "-":
+                sign = -sign
+            i += 1
+        if i >= len(tokens):
+            err("dangling sign")
+        coeff = Fraction(sign)
+        exps = [0] * ring.n
+        expect_factor = True
+        while i < len(tokens):
+            kind, val, col = tokens[i]
+            if kind == "op" and val in "+-":
+                break
+            if kind == "op" and val == "*":
+                if expect_factor:
+                    err("unexpected '*'", tokens[i])
+                i += 1
+                expect_factor = True
+                continue
+            if kind == "int":
+                num = int(val)
+                i += 1
+                if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "/":
+                    i += 1
+                    if i >= len(tokens) or tokens[i][0] != "int":
+                        err("expected denominator", tokens[i - 1])
+                    den = int(tokens[i][1])
+                    if den == 0:
+                        err("zero denominator", tokens[i])
+                    i += 1
+                    coeff *= Fraction(num, den)
+                else:
+                    coeff *= num
+            elif kind == "name":
+                try:
+                    vi = ring.var_index(val)
+                except KeyError:
+                    err(f"unknown variable {val!r}", tokens[i])
+                i += 1
+                e = 1
+                if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "^":
+                    i += 1
+                    if i >= len(tokens) or tokens[i][0] != "int":
+                        err("expected exponent", tokens[i - 1] if i <= len(tokens) else None)
+                    e = int(tokens[i][1])
+                    i += 1
+                exps[vi] += e
+            else:
+                err(f"unexpected {val!r}", tokens[i])
+            expect_factor = False
+        if expect_factor:
+            err("dangling '*'")
+        if coeff != 0:
+            m = Monomial(tuple(exps))
+            acc[m] = acc.get(m, Fraction(0)) + coeff
+    return Polynomial.from_dict(ring, acc)
+
+
+def parse_outcome(parse, ring, text):
+    """The polynomial, or the message and column of the ParseError."""
+    try:
+        return parse(ring, text)
+    except ParseError as exc:
+        return str(exc), exc.column
+
+
+SWEEP_RING = PolyRing(("x", "y", "z", "x2", "_"))
+SWEEP_ALPHABET = "xyz20+-*/^()&_. ٣"  # U+0663 ARABIC-INDIC DIGIT THREE is a \d
+
+
+def parser_differential_sweep(seed, trials):
+    """`parse_poly` against `reference_parse_poly` on `trials` seeded strings of
+    up to 12 characters; returns how many parsed and the strings where the
+    polynomial or the (message, column) differ."""
+    rng = random.Random(seed)
+    parsed, mismatches = 0, []
+    for _ in range(trials):
+        text = "".join(rng.choice(SWEEP_ALPHABET) for _ in range(rng.randint(0, 12)))
+        got = parse_outcome(parse_poly, SWEEP_RING, text)
+        parsed += isinstance(got, Polynomial)
+        if got != parse_outcome(reference_parse_poly, SWEEP_RING, text):
+            mismatches.append(text)
+    return parsed, mismatches
+
+
+def test_parser_matches_the_token_reference():
+    ring = PolyRing(("x", "y"))
+    for length in range(1, 5):  # the strings of test_parser_on_every_short_input
+        for chars in itertools.product("xy20+-*/^( &", repeat=length):
+            text = "".join(chars)
+            expected = parse_outcome(reference_parse_poly, ring, text)
+            assert parse_outcome(parse_poly, ring, text) == expected, text
+    parsed, mismatches = parser_differential_sweep(seed=25, trials=10000)
+    assert mismatches == []
+    assert parsed > 500
+
+
+@pytest.mark.parametrize("text, message, column", [
+    ("x & y", "unexpected character '&'", 3),
+    ("x^ + q & y", "unexpected character '&'", 8),  # before any grammar error
+    (" \t ", "empty polynomial", None),
+    ("* x", "unexpected '*'", 1),
+    ("*", "unexpected '*'", 1),
+    ("x + * y", "unexpected '*'", 5),
+    ("x ** y", "unexpected '*'", 4),
+    ("x -", "dangling sign", 3),
+    ("- -", "dangling sign", 3),
+    ("x *", "dangling '*'", 3),
+    ("x * - y^2", "dangling '*'", 9),  # the column of the text's last token
+    ("1/x", "expected denominator", 2),
+    ("2 /", "expected denominator", 3),
+    ("x ^ -2", "expected exponent", 3),
+    ("x^2^3", "unexpected '^'", 4),
+    ("2^3", "unexpected '^'", 2),
+    ("x/2", "unexpected '/'", 2),
+    ("1/2/3", "unexpected '/'", 4),
+    ("x + /2", "unexpected '/'", 5),
+    ("x * (y)", "unexpected '('", 5),
+    (")", "unexpected ')'", 1),
+    ("3/0*x", "zero denominator", 3),
+    ("x*q^2", "unknown variable 'q'", 3),
+    ("q^", "unknown variable 'q'", 1),
+])
+def test_parse_error_messages_and_columns(text, message, column):
+    expected = (message if column is None else f"{message} (column {column})", column)
+    assert parse_outcome(parse_poly, R, text) == expected
+    assert parse_outcome(reference_parse_poly, R, text) == expected
+
+
+def test_parse_collects_each_monomial_once():
+    # equal monomials from different terms sum; juxtaposed factors multiply
+    assert R.poly("1/2*x*y + 1/3*y*x - 5/6*x y + 2 3 z - 0*x") == 6 * z
+    assert R.poly("x٣ + - 2/4 \t x") == Fraction(5, 2) * x
+    assert R.poly("x^0 + y^1 - 1") == y
 
 
 def test_format_roundtrip():
