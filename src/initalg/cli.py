@@ -127,7 +127,8 @@ def parse_problem(text: str) -> Problem:
     """Parse the line-oriented problem format (ring/order/weight/grading + one block)."""
     problem = Problem()
     mode: str | None = None  # None, "ideal", "algebra", "pairs"
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # lines end at \n alone (strip() drops a \r), not at every break splitlines() knows
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -156,7 +157,7 @@ def parse_problem(text: str) -> Problem:
             except ParseError as exc:
                 raise CLIInputError(f"line {line_no}: {exc}")
             continue
-        keyword, _, rest = line.partition(" ")
+        keyword, rest = (line.split(maxsplit=1) + [""])[:2]
         if keyword == "ring":
             if problem.ring is not None:
                 raise CLIInputError(f"line {line_no}: duplicate ring declaration")

@@ -611,17 +611,9 @@ def presentation_kernel(
 ) -> AlgebraKernel:
     """All polynomial relations among `images`: Ker(K[Y] -> R, Y_i -> f_i).
 
-    One Buchberger run on (Y_i - f_i) eliminates the original variables:
-    its elements free of them, projected to a fresh ring and sorted by the
-    elimination order, are the reduced revlex Gröbner basis of the kernel.
-    `eliminate` computes the same.
-
-    When every f_i is homogeneous of positive degree, the run uses the
-    elimination order refined by the grading w with w(x) = 1 and
-    w(Y_i) = deg f_i, so pairs are taken degree by degree.  Each Y_i - f_i
-    is w-homogeneous, so the ideal is, and on w-homogeneous polynomials both
-    orders pick the same leading terms: the reduced bases are equal.
-    Otherwise the run uses the elimination order itself.
+    The Y-only rows of `_Presentation`, made monic in a fresh ring: the
+    reduced revlex Gröbner basis of the kernel, ascending by lead.
+    `eliminate` computes the same on Fraction polynomials.
     """
     source = _check_gens(images)
     if any(g.is_zero() for g in images):
@@ -633,70 +625,62 @@ def presentation_kernel(
     clash = set(fresh) & set(source.names)
     if clash:
         raise ValueError(f"fresh names collide with ring variables: {sorted(clash)}")
-    big = PolyRing(source.names + fresh)
-    n = source.n
-
-    def lift(f: Polynomial) -> Polynomial:
-        return Polynomial.from_dict(
-            big, {Monomial(t.mono.exponents + (0,) * k): t.coeff for t in f.terms}
-        )
-
-    gens = [big.var(n + i) - lift(images[i]) for i in range(k)]
-    elim = EliminationOrder(tuple(range(n)), tuple(range(n, n + k)), DegLex(), RevLex())
-    degrees = [f.total_degree() for f in images]
-    ones = WeightVector.ones(n)
-    graded = all(d > 0 and is_weight_homogeneous(f, ones) for f, d in zip(images, degrees))
-    order = WeightOrder(WeightVector((1,) * n + tuple(degrees)), elim) if graded else elim
-    kept = sorted(
-        (g for g in buchberger(gens, order) if not any(any(t.mono.exponents[:n]) for t in g.terms)),
-        key=lambda g: elim.key(leading_monomial(g, elim)),
-    )
     target = PolyRing(fresh)
-    projected = tuple(
-        Polynomial.from_dict(target, {Monomial(t.mono.exponents[n:]): t.coeff for t in g.terms})
-        for g in kept
+    gens = tuple(
+        Polynomial.from_dict(target, {Monomial(u): 1} | {Monomial(v): Fraction(b, a) for v, b in tail})
+        for u, a, tail in _Presentation(source.n, map(_cleared, images)).kernel()
     )
-    return AlgebraKernel(target, tuple(images), projected)
+    return AlgebraKernel(target, tuple(images), gens)
 
 
-class _ToricIdeal:
-    """Reduced Gröbner basis of J = (x^{a_i} - Y_i) in K[x, Y] as the rows of
-    a `_Reducer`.
+class _Presentation:
+    """Reduced Gröbner basis of (d_i Y_i - F_i) in K[x, Y] as the rows of a
+    `_Reducer`, for nonzero images f_i = F_i / d_i cleared as by `_cleared`:
+    the kernel engine of `presentation_kernel`, `toric_kernel` and Sagbi
+    completion.
 
-    The variables are x, then Y, under the order of `presentation_kernel`
-    for graded images (weight w(x) = 1, w(Y_i) = deg a_i, then DegLex on x,
-    then RevLex on Y); the images are nonconstant, as Sagbi generators are,
-    so every weight is positive.  J is w-homogeneous, so its Y-only elements
-    are the reduced revlex basis of the toric kernel (Sturmfels 1996, ch. 4).
-    S-pairs and remainders of binomials X^u - X^v stay such binomials, so
-    every row is (lead, 1, ((tail - lead, -1),)), and the loop of
-    `buchberger` completes them: `_complete_rows`, then `_interreduce`.
-    After `insert` only the pairs with the new binomial are formed, the old
-    basis counting as finished.
+    The variables are x, then Y, under `_order`: the elimination order
+    (DegLex on x, then RevLex on Y), refined by the grading w(x) = 1,
+    w(Y_i) = deg f_i when every image is homogeneous of positive degree, so
+    pairs are taken degree by degree.  Each generator is then w-homogeneous,
+    so the ideal is, and on w-homogeneous polynomials both orders pick the
+    same leading terms: either way the Y-only rows are the reduced revlex
+    basis of the kernel (Sturmfels 1996, ch. 4).  The loop of `buchberger`
+    completes the rows, `_complete_rows` under the step budget of
+    INITALG_STEP_LIMIT, then `_interreduce`.  For monomial images every row
+    stays a binomial X^u - X^v, (lead, 1, ((tail - lead, -1),)).  After
+    `insert` only the pairs with the new generator are formed, the old basis
+    counting as finished.
     """
 
-    def __init__(self, n: int, monomials: Sequence[tuple[int, ...]]):
-        self.n, self.images = n, [tuple(a) for a in monomials]
+    def __init__(self, n: int, images: Iterable[tuple[_IntPoly, int]]):
+        self.n, self.images = n, list(images)
         self.basis = _Reducer(self._order())
-        bits = _first_bits(max(map(max, self.images)))
-        self.basis._use(packing(self.basis.order, n + len(self.images), bits))
+        top = max((e for F, _ in self.images for m in F for e in m), default=0)
+        self.basis._use(packing(self.basis.order, n + len(self.images), _first_bits(top)))
         self._complete(range(len(self.images)))
 
     def _order(self) -> MonomialOrder:
         n, k = self.n, len(self.images)
         elim = EliminationOrder(tuple(range(n)), tuple(range(n, n + k)), DegLex(), RevLex())
-        return WeightOrder(WeightVector((1,) * n + tuple(map(sum, self.images))), elim)
+        degrees = [{sum(m) for m in F} for F, _ in self.images]
+        if all(len(ds) == 1 and 0 not in ds for ds in degrees):
+            return WeightOrder(WeightVector((1,) * n + tuple(ds.pop() for ds in degrees)), elim)
+        return elim
 
     def insert(self, pos: int, exps: tuple[int, ...]) -> None:
         """Adjoin Y at position `pos` with image x^exps and complete the basis again.
 
-        Only pairs with the new binomial are formed: the old basis stays a
+        Only pairs with the new generator are formed: the old basis stays a
         Gröbner basis, as the order on monomials free of the new variable is
         unchanged (so are their weighted degrees, and revlex decides by the
         last variable in which two monomials differ, never the new one).
+        A constant image would drop the grading, so graded images refuse it.
         """
-        self.images.insert(pos, tuple(exps))
         basis = self.basis
+        if not any(exps) and isinstance(basis.order, WeightOrder):
+            raise ValueError("a constant image would drop the grading of the kernel order")
+        self.images.insert(pos, ({tuple(exps): 1}, 1))
         basis.order = self._order()
         basis._use(packing(basis.order, basis.packing.n + 1, basis.packing.bits), self.n + pos)
         self._complete((pos,))
@@ -704,21 +688,30 @@ class _ToricIdeal:
     def _complete(self, fresh: Iterable[int]) -> None:
         basis, n, k = self.basis, self.n, len(self.images)
         start = len(basis)  # the old basis is a Gröbner basis: its own pairs reduce to 0
-        for i in fresh:  # x^{a_i} - Y_i, reduced by the rows so far
-            y = tuple(int(j == i) for j in range(k))
-            coeffs = {self.images[i] + (0,) * k: 1, (0,) * n + y: -1}
-            r = basis.widening(lambda: basis.reduce_ints(basis._packed(coeffs))[0])
+        # d Y_i - F: a fresh build takes them as they are, as `buchberger` takes
+        # its generators, and an adjoined one is reduced by the finished basis
+        for i in fresh:
+            F, d = self.images[i]
+            coeffs = {m + (0,) * k: -c for m, c in F.items()}
+            coeffs[(0,) * n + tuple(int(j == i) for j in range(k))] = d
+            r = basis.widening(
+                lambda: basis.reduce_ints(basis._packed(coeffs))[0] if start else basis._packed(coeffs)
+            )
             if r:
                 basis.add_row(r)
         _complete_rows(basis, start, _step_limit(None))
         self.basis = basis.widening(lambda: _interreduce(basis))
 
-    def kernel(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """The Y-only elements as (lead, tail) exponent pairs, ascending by revlex lead."""
+    def kernel(self) -> list[tuple[tuple[int, ...], int, tuple]]:
+        """The Y-only rows as (u, a, ((v, b), ...)), for a Y^u + sum b Y^v,
+        ascending by the revlex order of the leads Y^u."""
         n, unpack, ykey = self.n, self.basis.packing.unpack, RevLex().key
-        pairs = [(unpack(lead), unpack(lead + off)) for lead, _, ((off, _),) in self.basis.rows]
-        pairs = [(lead[n:], tail[n:]) for lead, tail in pairs if not any(lead[:n])]
-        return sorted(pairs, key=lambda p: ykey(Monomial(p[0])))
+        rows = []
+        for lead, a, tail in self.basis.rows:
+            u = unpack(lead)
+            if not any(u[:n]):  # the lead is x-free, so the whole row is
+                rows.append((u[n:], a, tuple((unpack(lead + off)[n:], b) for off, b in tail)))
+        return sorted(rows, key=lambda row: ykey(Monomial(row[0])))
 
 
 def toric_kernel(

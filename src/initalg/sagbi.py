@@ -16,7 +16,7 @@ from typing import Sequence
 
 from initalg.groebner import (
     AlgebraKernel,
-    _ToricIdeal,
+    _Presentation,
     buchberger,
     initial_ideal_weight,
     presentation_kernel,
@@ -124,7 +124,7 @@ class _Kept:
 
     def __init__(self, gens: Sequence[Polynomial], order: MonomialOrder):
         exps = [leading_term(g, order).mono.exponents for g in gens]
-        self.ideal = _ToricIdeal(gens[0].ring.n, exps)
+        self.ideal = _Presentation(gens[0].ring.n, [({e: 1}, 1) for e in exps])
         self.powers: dict[int, list[Polynomial]] = {}
         self.products: dict[tuple, Polynomial] = {}
         self.lifts: dict[tuple, Polynomial] = {}
@@ -188,7 +188,7 @@ def _sagbi_round(
     monic(f^u) - monic(f^v).  The lift and its products come from `kept`.
     """
     witnesses = []
-    for u, v in kept.ideal.kernel():
+    for u, _, ((v, _),) in kept.ideal.kernel():
         key = tuple(tuple((id(g), e) for g, e in zip(gens, exps) if e) for exps in (u, v))
         if key not in kept.lifts:
             fu, fv = kept.product(gens, u), kept.product(gens, v)

@@ -392,6 +392,9 @@ def test_parse_error_exits_two(tmp_path, capsys):
         ("ring x, y\n\nideal\nx*q\nend\n", [], "error: line 4: unknown variable 'q' (column 3)\n"),
         ("ring x, y\norder foo\n", [], "error: line 2: unknown order 'foo'\n"),
         (LEX_IDEAL, ["--order", "foo"], "error: --order: unknown order 'foo'\n"),
+        # a tab after a keyword separates it as a blank does
+        ("ring\tx, y\norder\tfoo\n", [], "error: line 2: unknown order 'foo'\n"),
+        ("ring x, y\nideal\t\nx*q\nend\n", [], "error: line 3: unknown variable 'q' (column 3)\n"),
     ]:
         assert run(["gb", write(tmp_path, text), *flags]) == EXIT_INPUT
         assert capsys.readouterr() == ("", err)
@@ -407,6 +410,24 @@ def test_parse_error_columns_count_from_the_file_line(tmp_path, capsys):
     ]:
         assert run(["gb", write(tmp_path, text)]) == EXIT_INPUT
         assert capsys.readouterr() == ("", err)
+
+
+def test_only_newlines_end_problem_lines(tmp_path, capsys):
+    # str.splitlines() also broke lines at \f, \v, U+0085 and more: a form
+    # feed made two generators of x^2 - y, and each U+0085 added one to every
+    # later line number.  A \r before the \n is a blank, and so is a tab
+    path = tmp_path / "lines.txt"
+    assert run(["gb", write(tmp_path, "ring x, y\norder lex\nideal\nx^2 - y\nend\n")]) == EXIT_OK
+    expected = capsys.readouterr()
+    for text in ("ring x, y\norder lex\nideal\nx^2\f- y\nend\n",
+                 "ring x, y\r\norder lex\r\nideal\r\nx^2 - y\r\nend\r\n",
+                 "ring\tx, y\norder\tlex\nideal\nx^2 - y\nend\n"):
+        path.write_bytes(text.encode())
+        assert run(["gb", str(path)]) == EXIT_OK
+        assert capsys.readouterr() == expected, text
+    path.write_bytes("ring x, y\nideal\nx^2 \u0085 - y\nx*q\nend\n".encode())
+    assert run(["gb", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", "error: line 4: unknown variable 'q' (column 3)\n")
 
 
 def test_a_leading_bom_is_dropped(tmp_path, capsys):
@@ -520,11 +541,30 @@ FAMILY_IDEAL = "ring x, y, z\nweight 2, 1, 1\nideal\nx^2 - y\nx*y - z\nend\n"
         (ALGEBRA, ["hilbert", "--dmax", "-3"], "error: d_max must be nonnegative\n"),
         (FAMILY_IDEAL, ["family", "--fiber", "abc"], "error: --fiber: not a rational number: 'abc'\n"),
         (FAMILY_IDEAL, ["family", "--freeness-bound", "-2"], "error: degree bound must be nonnegative\n"),
+        # the checks of the problem file and of the flags read with it
+        ("ring x, y\nweight 0, 1\nideal\nx\nend\n", ["gb"],
+         "error: line 2: weight entries must be integers >= 1\n"),
+        ("ring x, y\npairs\nx\nend\n", ["weight"], "error: line 3: pairs lines read 'mono > mono'\n"),
+        ("ring ,\n", ["gb"], "error: line 1: ring needs at least one variable\n"),
+        ("ring x, x\n", ["gb"], "error: line 1: variable names must be distinct\n"),
+        ("order lex\nring x\n", ["gb"], "error: line 1: ring must precede order\n"),
+        ("ring x\nideal x\nend\n", ["gb"], "error: line 2: generators go on the following lines\n"),
+        ("ring x, y\npairs\nend\npairs\nend\n", ["weight"],
+         "error: line 4: only one pairs block is allowed\n"),
+        ("# no ring\n", ["gb"], "error: problem file declares no ring\n"),
+        ("ring x, y\n", ["gb"], "error: this command needs a nonempty ideal or algebra block\n"),
+        (LEX_IDEAL, ["gb", "--order", "weight 1"], "error: --order: weight order needs (entries; base)\n"),
+        (LEX_IDEAL, ["gb", "--order", "weight(1,1,1; lex x)"],
+         "error: --order: trailing text in order spec: 'x'\n"),
     ],
-    ids=["hilbert-dmax", "hilbert-dmax-algebra", "family-fiber", "family-freeness-bound"],
+    ids=["hilbert-dmax", "hilbert-dmax-algebra", "family-fiber", "family-freeness-bound",
+         "weight-entry", "pairs-line", "empty-ring", "repeated-variable", "order-before-ring",
+         "generators-on-block-line", "second-pairs-block", "no-ring", "no-block",
+         "weight-order-entries", "weight-order-base-tail"],
 )
 def test_failed_command_leaves_stdout_empty(tmp_path, capsys, text, args, err):
-    # these fail after part of the report is built; none of it may be printed
+    # these fail after part of the report is built, or while the file and its
+    # flags are read; none of the report may be printed
     path = write(tmp_path, text)
     assert run([args[0], path, *args[1:]]) == EXIT_INPUT
     captured = capsys.readouterr()

@@ -653,24 +653,33 @@ def eliminated_kernel(images):
 
 @pytest.fixture
 def kernel_orders(monkeypatch):
-    """Orders `buchberger` is called with, recorded through the module global."""
+    """Orders the kernel engine picks, recorded from `_Presentation._order`."""
     seen = []
-    real = groebner.buchberger
+    real = groebner._Presentation._order
 
-    def recording(gens, order, step_limit=None):
-        seen.append(order)
-        return real(gens, order, step_limit)
+    def recording(self):
+        seen.append(real(self))
+        return seen[-1]
 
-    monkeypatch.setattr(groebner, "buchberger", recording)
+    monkeypatch.setattr(groebner._Presentation, "_order", recording)
     return seen
 
 
+def is_graded(images):
+    """Every image homogeneous of positive degree: the engine's graded case."""
+    return all(len({t.mono.degree() for t in f.terms}) == 1 and f.total_degree() > 0 for f in images)
+
+
 def test_graded_kernel_equals_elimination(kernel_orders):
-    # homogeneous images of positive degree, nonconstant monomials among them,
-    # are eliminated under their grading; the reduced basis and its element
-    # order must be the elimination's
+    # the seeded differential test of the kernel engine against plain
+    # elimination.  Homogeneous images of positive degree, nonconstant
+    # monomials among them, are eliminated under their grading; ungraded
+    # polynomial images (rational coefficients too) and monomial sets holding
+    # the constant 1 under the plain elimination order.  The reduced basis and
+    # its element order must be the elimination's either way
     rng = random.Random(71)
-    for trial in range(36):
+    ungraded = 0
+    for trial in range(60):
         kernel_orders.clear()
         if trial < 24:  # monomial sets in two and three variables
             ring = (R2, R)[trial // 3 % 2]
@@ -680,11 +689,24 @@ def test_graded_kernel_equals_elimination(kernel_orders):
                 if m.degree() > 0:
                     monos.append(m)
             ker = toric_kernel(ring, monos)
-        else:
+        elif trial < 36:
             images = [random_homogeneous_poly(rng, R2, rng.randint(1, 2)) for _ in range(rng.randint(3, 4))]
             ker = presentation_kernel(images)
-        assert [type(o) for o in kernel_orders] == [WeightOrder]
+        elif trial < 48:  # the constant 1 among nonconstant monomials
+            ring = (R2, R)[trial % 2]
+            monos = [m for m in (random_monomial(rng, ring.n, max_exp=2) for _ in range(rng.randint(2, 4)))
+                     if m.degree() > 0]
+            monos.insert(rng.randint(0, len(monos)), Monomial((0,) * ring.n))
+            ker = toric_kernel(ring, monos)
+        else:
+            images = [random_poly(rng, R2, max_terms=3, max_exp=2, max_den=3) for _ in range(rng.randint(2, 3))]
+            images = [f for f in images if not f.is_zero()] or [R2.poly("x + 1")]
+            ker = presentation_kernel(images)
+        graded = is_graded(ker.images)
+        ungraded += not graded
+        assert [type(o) for o in kernel_orders] == [WeightOrder if graded else EliminationOrder]
         assert ker.gens == eliminated_kernel(ker.images), (trial, ker.images)
+    assert ungraded >= 20, ungraded
 
 
 def test_ungraded_kernel_route(kernel_orders):
@@ -714,17 +736,26 @@ def random_monomial_images(rng, ring, count):
     return monos
 
 
+def toric_engine(n, exps):
+    """The kernel engine on the monomial images x^e, as Sagbi completion builds it."""
+    return groebner._Presentation(n, [({tuple(e): 1}, 1) for e in exps])
+
+
 def test_toric_kernel_equals_presentation_kernel():
-    # the binomial route of Sagbi completion against the polynomial route on the same images
+    # the engine's rows on monomial images, the toric ideal of Sagbi
+    # completion, are binomials Y^u - Y^v giving plain elimination's kernel
     rng = random.Random(131)
     rings = [PolyRing(tuple(f"x{i}" for i in range(n))) for n in (1, 2, 3, 4)]
     for trial in range(60):
         ring = rings[trial % 4]
         monos = random_monomial_images(rng, ring, rng.randint(1, 5))
-        ref = presentation_kernel([Polynomial.from_dict(ring, {m: 1}) for m in monos])
-        gens = tuple(Polynomial.from_dict(ref.ring, {Monomial(u): 1, Monomial(v): -1})
-                     for u, v in groebner._ToricIdeal(ring.n, [m.exponents for m in monos]).kernel())
-        assert gens == ref.gens, monos
+        ref = eliminated_kernel([Polynomial.from_dict(ring, {m: 1}) for m in monos])
+        rows = toric_engine(ring.n, [m.exponents for m in monos]).kernel()
+        assert all(a == 1 and len(tail) == 1 and tail[0][1] == -1 for _, a, tail in rows), monos
+        target = PolyRing(tuple(f"Y{i + 1}" for i in range(len(monos))))
+        gens = tuple(Polynomial.from_dict(target, {Monomial(u): 1, Monomial(v): -1})
+                     for u, _, ((v, _),) in rows)
+        assert gens == ref, monos
 
 
 def test_toric_ideal_insert_equals_fresh_build():
@@ -733,11 +764,11 @@ def test_toric_ideal_insert_equals_fresh_build():
         ring = (R2, R)[trial % 2]
         monos = [m.exponents for m in random_monomial_images(rng, ring, rng.randint(2, 6))]
         adjoined = [rng.randrange(len(monos))]
-        ideal = groebner._ToricIdeal(ring.n, [monos[adjoined[0]]])
+        ideal = toric_engine(ring.n, [monos[adjoined[0]]])
         for i in rng.sample([i for i in range(len(monos)) if i != adjoined[0]], len(monos) - 1):
             adjoined.append(i)
             ideal.insert(sorted(adjoined).index(i), monos[i])
-        fresh = groebner._ToricIdeal(ring.n, monos)
+        fresh = toric_engine(ring.n, monos)
         assert ideal.basis.rows == fresh.basis.rows and ideal.kernel() == fresh.kernel(), monos
 
 
@@ -754,27 +785,27 @@ def test_toric_exponents_outgrowing_the_packing_widen_it(monkeypatch):
     # variable), and each interreduction takes the basis's packing: x^300
     # does not fit the 8 value bits of the ideal of x alone, so the step that
     # adds its binomial overflows, the packing widens and the step is retried
-    ideal = groebner._ToricIdeal(1, [(1,)])
+    ideal = toric_engine(1, [(1,)])
     ideal.insert(1, (300,))
     assert widths == [8, 8, 8, 16, 16]
-    assert ideal.kernel() == groebner._ToricIdeal(1, [(1,), (300,)]).kernel() == [((300, 0), (0, 1))]
+    assert ideal.kernel() == toric_engine(1, [(1,), (300,)]).kernel() == [((300, 0), 1, (((0, 1), -1),))]
     # packed into 8 bits, x^600 would carry past the guard bit into the next
     # field unseen: the step checks that the image fits before packing it
     widths.clear()
-    ideal = groebner._ToricIdeal(1, [(1,)])
+    ideal = toric_engine(1, [(1,)])
     ideal.insert(1, (600,))
-    assert widths == [8, 8, 8, 16, 16] and ideal.kernel() == [((600, 0), (0, 1))]
+    assert widths == [8, 8, 8, 16, 16] and ideal.kernel() == [((600, 0), 1, (((0, 1), -1),))]
     # these images fit 8 bits, but the kernel element Y1^408*Y2 - Y3^4 does
     # not: in the second insert a reduction step sets a guard bit mid-run
     widths.clear()
     monos = [Monomial(e) for e in ((0, 1), (4, 92), (1, 125))]
-    ideal = groebner._ToricIdeal(2, [monos[0].exponents])
+    ideal = toric_engine(2, [monos[0].exponents])
     ideal.insert(1, monos[1].exponents)
     ideal.insert(2, monos[2].exponents)
     assert widths == [8, 8, 8, 8, 8, 16, 16]
-    assert ideal.kernel() == [((408, 1, 0), (0, 0, 4))]
-    ref = presentation_kernel([Polynomial.from_dict(R2, {m: 1}) for m in monos])
-    assert toric_kernel(R2, monos).gens == ref.gens
+    assert ideal.kernel() == [((408, 1, 0), 1, (((0, 0, 4), -1),))]
+    ref = eliminated_kernel([Polynomial.from_dict(R2, {m: 1}) for m in monos])
+    assert toric_kernel(R2, monos).gens == ref
 
 
 def test_toric_kernel_validation():
@@ -903,6 +934,8 @@ def test_buchberger_matches_sympy_on_lex_swell_cases(gens):
     (lambda: eliminate([x - y], keep=(-1,)), ValueError, "kept variable out of range"),
     (lambda: presentation_kernel([x, y], names=("A",)), ValueError, "need one fresh name per image"),
     (lambda: presentation_kernel([x, R.zero()]), ZeroPolynomialError, "kernel images must be nonzero"),
+    # a constant would drop the grading that the finished basis was built under
+    (lambda: toric_engine(1, [(1,)]).insert(0, (0,)), ValueError, "constant image"),
 ])
 def test_elimination_and_kernel_input_validation(call, error, message):
     with pytest.raises(error, match=message):

@@ -298,6 +298,7 @@ def test_series_str_equals_the_polynomial_printer():
     # checked before the truncation degree 2, which 2.5 would otherwise exceed
     (lambda: hilbert_series_subalgebra(sagbi_complete([x + y, x * y], DegLex(), 2), d_max=2.5),
      "d_max must be an integer, got 2.5"),
+    (lambda: compare_hilbert([], Lex(), RevLex()), "need generators"),
 ])
 def test_series_input_validation(call, message):
     with pytest.raises(ValueError, match=message):

@@ -116,6 +116,11 @@ def test_lp_lexicographic_tail_matches_fixed_rows():
 def test_lp_rejects_objective_arity_mismatch():
     with pytest.raises(ValueError, match="objective arity"):
         linear_program([1, 1], [([1, 1], GE, 1)], then=[[1]])
+    # the constraints are checked the same way, and so is each sense
+    with pytest.raises(ValueError, match="constraint arity"):
+        linear_program([1, 1], [([1], GE, 1)])
+    with pytest.raises(ValueError, match="bad sense"):
+        linear_program([1, 1], [([1, 1], "<", 1)])
 
 
 # --- test-local reference: the simplex on a Fraction tableau ---------------
@@ -334,8 +339,11 @@ def test_find_weight_empty_is_ones():
 
 
 def test_find_weight_rejects_equal_pair():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="equal monomials"):
         find_weight([(m(1, 0, 0), m(1, 0, 0))])
+    # a pair of another arity than the first is refused as well
+    with pytest.raises(ValueError, match="arity mismatch"):
+        find_weight([(m(1, 0, 0), m(0, 1, 0)), (m(1, 0), m(0, 1))])
 
 
 def test_find_weight_infeasible_certificate():
