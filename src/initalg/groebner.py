@@ -20,6 +20,7 @@ from initalg.orders import (
     Packing,
     RevLex,
     WeightOrder,
+    _order_rows,
     leading_coeff,
     leading_monomial,
     leading_term,
@@ -135,6 +136,9 @@ class _Reducer:
     the field width, repacks every row and retries the step, so exponents of
     any size stay exact.  Only the reducer holds its current `packing`.
     Pass a reducer as `G` to `normal_form` to reuse its table.
+
+    `sigs` maps the index of a row to its signature word while the signature
+    route of `_groebner_rows` runs, and is empty otherwise.
     """
 
     def __init__(self, order: MonomialOrder, polys: Iterable[Polynomial] = ()):
@@ -143,6 +147,7 @@ class _Reducer:
         self.rows: list[tuple] = []
         self.leads: list[int] = []
         self.table: list[tuple] = []
+        self.sigs: dict[int, int] = {}
         self.packing = None
         for p in polys:
             self.add(p)
@@ -165,7 +170,7 @@ class _Reducer:
                 tail = tuple((pack(unpack(lead + off)) - word, b) for off, b in tail)
                 self.rows[k] = (word, a, tail)
                 self.leads[k] = word
-            self.table = sorted((row[0], k) + row[1:] for k, row in enumerate(self.rows))
+        self.table = sorted((row[0], k) + row[1:] for k, row in enumerate(self.rows))
 
     def _take(self, f: Polynomial, mismatch: str) -> None:
         """Check f's ring (the first one is taken, with the first packing)."""
@@ -176,12 +181,15 @@ class _Reducer:
         elif f.ring != self.ring:
             raise RingMismatchError(mismatch)
 
-    def widening(self, step):
-        """step(), retried with twice the field width while it overflows."""
+    def widening(self, step, keep: int | None = None):
+        """step(), retried with twice the field width while it overflows; with
+        `keep`, the rows past the first `keep` are dropped before each retry."""
         while True:
             try:
                 return step()
             except _Overflow:
+                if keep is not None:
+                    del self.rows[keep:], self.leads[keep:]
                 self._use(packing(self.order, self.packing.n, 2 * self.packing.bits))
 
     def _packed(self, coeffs: _IntPoly) -> _IntPoly:
@@ -212,12 +220,13 @@ class _Reducer:
         self.leads.append(lead)
         self.rows.append((lead, a, tail))
 
-    def s_pair(self, i: int, j: int) -> _IntPoly:
+    def s_pair(self, i: int, j: int, L: int | None = None) -> _IntPoly:
         """(a_j/g) X^(L-l_i) tail_i - (a_i/g) X^(L-l_j) tail_j of rows i and j,
-        g = gcd(a_i, a_j), L = lcm(l_i, l_j): a_i a_j / g times the
-        S-polynomial of the two monic divisors."""
+        g = gcd(a_i, a_j), L = lcm(l_i, l_j) or a given multiple of it: a_i a_j / g
+        times the S-polynomial of the two monic divisors, times X^L / lcm."""
         (li, ai, ti), (lj, aj, tj) = self.rows[i], self.rows[j]
-        L = self.packing.lcm(li, lj)
+        if L is None:
+            L = self.packing.lcm(li, lj)
         g = math.gcd(ai, aj)
         acc: _IntPoly = {}
         for tail, c in ((ti, aj // g), (tj, -(ai // g))):
@@ -232,9 +241,12 @@ class _Reducer:
             raise _Overflow
         return acc
 
-    def reduce_ints(self, work: _IntPoly) -> tuple[_IntPoly, int, int]:
+    def reduce_ints(self, work: _IntPoly, bound: int | None = None) -> tuple[_IntPoly, int, int]:
         """(r, num, den) with r integer, num, den > 0, and r * den / num the
         remainder of `work` (keyed by word) by `divide`'s rule.  `work` is consumed.
+        With a signature word `bound`, a row k with a signature in `sigs` is
+        skipped where its multiple's signature X^(t - l) sigs[k] is not below
+        it, and a signature word that sets a guard bit raises `_Overflow`.
 
         Fraction-free: to cancel c X^t by a row (a, tail) with lead l, work
         and the remainder kept so far are scaled by k = a / g, g = gcd(a, c),
@@ -243,7 +255,7 @@ class _Reducer:
         factors do not pile up; num / den is the product of the factors k / h.
         The heap holds negated words, so it pops the largest monomial first.
         """
-        table, guard = self.table, self.packing.guard
+        table, guard, sigs = self.table, self.packing.guard, self.sigs
         heap = [-m for m in work]
         heapq.heapify(heap)
         kept: _IntPoly = {}
@@ -253,8 +265,14 @@ class _Reducer:
             c = work.pop(t, None)
             if c is None:  # cancelled after it was pushed
                 continue
-            for lead, _, a, tail in table:
+            for lead, k, a, tail in table:
                 if not (t - lead) & guard:
+                    if bound is not None and k in sigs:
+                        s = t - lead + sigs[k]
+                        if s & guard:
+                            raise _Overflow
+                        if s >= bound:
+                            continue
                     g = math.gcd(a, c)
                     c //= g
                     if g != a:
@@ -481,36 +499,185 @@ def _groebner_rows(
     """A Gröbner basis of the ideal of `gens` as the rows of a `_Reducer`,
     neither interreduced nor made monic: the pair loop of `buchberger`.
 
-    Pairs come from `_pairs` by the normal strategy (under lex it avoids the
-    coefficient swell of degree-first selection), pruned by the Gebauer-Möller
-    criteria as each new lead arrives.  Each element is a primitive integer
-    row: an S-pair is formed from two rows, reduced fraction-free against the
-    table by the same rule as `divide`, and a nonzero remainder is appended
-    as a primitive row.  The remainders are those of the Fraction route up
-    to a nonzero scalar, so the leads, the pairs and the basis are the same.
+    Each element is a primitive integer row, reduced fraction-free against
+    the table by the same rule as `divide`, and a nonzero remainder is
+    appended as a primitive row.  Monomials are packed words
+    (`orders.Packing`): the order comparison, the monomial product and the
+    divisibility test are each one int operation, and the pair criteria run
+    on words too.  The field width comes from the input's exponents; a step
+    whose exponents outgrow it sets a guard bit, and the reducer widens the
+    packing, repacks the rows and redoes the step, so no exponent is ever
+    cut.  The step budget (argument or the INITALG_STEP_LIMIT environment
+    variable) bounds the number of S-polynomial reductions.  When every
+    generator is zero there is no row.
 
-    Monomials are packed words (`orders.Packing`): the order comparison, the
-    monomial product and the divisibility test are each one int operation,
-    and the pair criteria run on words too.  The rows a later lead divides
-    stay in the divisor table, though they pair with no later lead.  The
-    field width comes from the input's exponents; a step whose exponents
-    outgrow it sets a guard bit, and the reducer widens the packing, repacks
-    the rows and redoes the step, so no exponent is ever cut.  The step
-    budget (argument or the INITALG_STEP_LIMIT environment variable) bounds
-    the number of reductions.  When every generator is zero there is no row.
+    Two routes give the same leads, hence the same reduced basis.  When
+    every generator is homogeneous (`_homogeneous`), `_complete_rows` takes
+    pairs by the normal strategy, pruned by the Gebauer-Möller criteria;
+    otherwise `_signature_rows` adjoins the generators one at a time by a
+    signature loop.  The rule is a measured crossover: the signature loop
+    makes no zero reduction on cyclic-5 and katsura-5, but twice the
+    reductions of Gebauer-Möller on the quadrics of rational normal curves
+    and on the total ideal of a flat family.
     """
     _check_gens(gens)
     limit = _step_limit(step_limit)
-    basis = _Reducer(order, (g for g in gens if not g.is_zero()))
-    if basis:
+    basis = _Reducer(order)
+    polys = [g for g in gens if not g.is_zero()]
+    if not polys:
+        return basis
+    basis._take(polys[0], "generators from different rings")
+    cleared = [_cleared(g)[0] for g in polys]
+    if _homogeneous(cleared, order, basis.packing.n):
+        for F in cleared:
+            basis.add_row(basis.widening(lambda: basis._packed(F)))
         _complete_rows(basis, 0, limit)
+    else:
+        _signature_rows(basis, [(max(map(sum, F)), F) for F in cleared], limit)
     return basis
+
+
+def _homogeneous(rows: list[_IntPoly], order: MonomialOrder, n: int) -> bool:
+    """Whether every integer polynomial of `rows` (keyed by exponent vector) is
+    homogeneous under the standard grading, or under the first row w of the
+    order's matrix when w is a positive weight other than the total degree (a
+    weight order's, or the extended weight of a flat family's total order),
+    which the normal strategy then follows degree by degree."""
+    if all(len(set(map(sum, F))) == 1 for F in rows):
+        return True
+    w = _order_rows(order, n)[0]
+    return min(w) > 0 and max(w) > 1 and all(
+        len({sum(map(operator.mul, e, w)) for e in F}) == 1 for F in rows)
+
+
+def _signature_rows(basis: _Reducer, gens: list[tuple[int, _IntPoly]], limit: int | None) -> None:
+    """Append to the empty `basis` the rows of a Gröbner basis of the ideal of
+    the integer polynomials F (keyed by exponent vector) of `gens`, given as
+    (total degree, F), adjoining them one at a time: ascending by total
+    degree, the larger lead first on a tie.
+
+    Each generator f is reduced by the rows already there, which form a
+    Gröbner basis G of the earlier generators, and is then completed by an
+    incremental signature loop (position over term; Faugère's F5, ISSAC 2002;
+    Eder-Faugère, JSC 2017).  A new row h stands for u f + (an element of
+    (G)), and its signature is the lead of u, a word of the reducer's
+    packing.  The candidates are the signatures of the S-pairs of the new
+    rows with each other and with the rows of G that have a minimal lead,
+    the larger of the two sides, taken smallest first.  A candidate s is
+    dropped when a known syzygy signature divides it: the lead of a row of G
+    (f g - g f is a syzygy), or an earlier zero reduction.  Otherwise it is
+    rewritten as the multiple X^(s - s_c) h_c of the latest row c whose
+    signature divides s (the rewrite criterion of F5).  If no other row
+    reduces its lead with a signature below s, c covers s and nothing is
+    reduced; else it is reduced only by such multiples, and a remainder
+    whose lead a new row reduces with signature exactly s is dropped.  A
+    step that overflows the packing drops its rows and is redone wider.  The
+    budget `limit` counts the candidates reduced.
+    """
+    packed = basis.widening(lambda: [(d, -max(f), F, f) for d, F in gens for f in [basis._packed(F)]])
+    packed.sort(key=operator.itemgetter(0, 1))
+    first, used = basis.packing, 0
+    for _, _, F, f in packed:
+        # f is consumed by the step, and a retried step has a wider packing
+        step = lambda: _signature_step(
+            basis, f if basis.packing is first else basis._packed(F), limit, used)
+        used = basis.widening(step, len(basis))
+
+
+def _signature_step(basis: _Reducer, f: _IntPoly, limit: int | None, used: int) -> int:
+    """One generator f (keyed by word, consumed) of `_signature_rows`;
+    returns `used` plus the candidates reduced."""
+    if not basis:  # the first generator: no pair, nothing to reduce by
+        basis.add_row(f)
+        return used
+    f = basis.reduce_ints(f)[0]
+    if not f:
+        return used
+    P, leads = basis.packing, basis.leads
+    guard, lcm = P.guard, P.lcm
+    old = len(leads)
+    basis.sigs = sigs = {}
+    # lead(g) e for the rows g of G with a minimal lead, one per lead: the
+    # Koszul syzygies, and the rows a new row pairs with (a Gröbner basis too)
+    syzygies: list[int] = []  # the minimal known syzygy signatures
+    partners = []
+    for z, j in sorted(zip(leads, range(old))):  # a divisor comes first
+        if all((z - y) & guard for y in syzygies):
+            syzygies.append(z)
+            partners.append(j)
+    queue: list[int] = []  # candidate signatures
+
+    def note(z: int) -> None:
+        if all((z - y) & guard for y in syzygies):
+            syzygies[:] = [y for y in syzygies if (y - z) & guard]
+            syzygies.append(z)
+
+    def adjoin(row: _IntPoly, sig: int) -> None:
+        k = len(leads)
+        basis.add_row(row)
+        sigs[k] = sig
+        h = leads[k]
+        for j in partners:
+            s = lcm(leads[j], h) - h + sig
+            if s & guard:
+                raise _Overflow
+            heapq.heappush(queue, s)
+        for j in range(old, k):
+            L = lcm(leads[j], h)
+            s, r = L - h + sig, L - leads[j] + sigs[j]
+            if (r | s) & guard:
+                raise _Overflow
+            if r != s:
+                heapq.heappush(queue, max(r, s))
+
+    adjoin(f, 0)
+    last = None
+    while queue:
+        s = heapq.heappop(queue)
+        if s == last:
+            continue
+        last = s
+        if not all((s - z) & guard for z in syzygies):
+            continue
+        # rewritten as the multiple of the latest row whose signature divides s
+        c = next(k for k in reversed(sigs) if not (s - sigs[k]) & guard)
+        m = s - sigs[c] + leads[c]
+        if m & guard:
+            raise _Overflow
+        for l, k, _, _ in basis.table:  # the first row reducing X^m below s, as in reduce_ints
+            if not (m - l) & guard:
+                if k not in sigs:
+                    break
+                u = m - l + sigs[k]
+                if u & guard:
+                    raise _Overflow
+                if u < s:
+                    break
+        else:
+            continue  # only row c reduces it: row c covers s
+        used += 1
+        if limit is not None and used > limit:
+            raise StepLimitExceeded(f"exceeded {limit} S-polynomial reductions")
+        r = basis.reduce_ints(basis.s_pair(c, k, m), s)[0]
+        if not r:
+            note(s)
+            continue
+        t = max(r)
+        if all((t - leads[k]) & guard or t - leads[k] + sigs[k] != s for k in sigs):
+            adjoin(r, s)
+    basis.sigs = {}
+    return used
 
 
 def _complete_rows(basis: _Reducer, start: int, limit: int | None) -> None:
     """Append rows to `basis` until they form a Gröbner basis, the rows before
     `start` being one already: each S-pair from `_pairs` is reduced against
-    the table, and a nonzero remainder is appended as a primitive row."""
+    the table, and a nonzero remainder is appended as a primitive row.
+
+    Pairs come by the normal strategy (under lex it avoids the coefficient
+    swell of degree-first selection), pruned by the Gebauer-Möller criteria
+    as each new lead arrives.  The rows a later lead divides stay in the
+    divisor table, though they pair with no later lead."""
     for i, j in _pairs(basis, start, limit):
         r = basis.widening(lambda: basis.reduce_ints(basis.s_pair(i, j))[0])
         if r:

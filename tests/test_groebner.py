@@ -1,5 +1,6 @@
 import heapq
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import random_homogeneous_poly, random_monomial, random_poly, sample_orders
 from initalg import groebner
+from initalg.family import homogenize_ideal
 from initalg.groebner import (
     MonomialIdeal,
     ReducedGroebnerBasis,
@@ -65,6 +67,12 @@ CYCLIC5 = ["x0 + x1 + x2 + x3 + x4", "x0*x1 + x1*x2 + x2*x3 + x3*x4 + x4*x0",
            "x0*x1*x2*x3 + x1*x2*x3*x4 + x2*x3*x4*x0 + x3*x4*x0*x1 + x4*x0*x1*x2",
            "x0*x1*x2*x3*x4 - 1"]
 
+# every row of the signature route fits the first 8-bit packing (exponents up
+# to 143), and the Gebauer-Möller loop runs in it, but in the second
+# generator's step the pair of new rows with leads x*y^143*z and x^79*z^66
+# has the candidate signature y^143 times y^132*z, with y^275
+SIGNATURE_OVERFLOW = ["y^43*z^2 - x", "x^75*y^40*z^73 - x*y^11*z"]
+
 
 def mono(*exps):
     return Monomial(exps)
@@ -107,10 +115,10 @@ def test_interreduce_reduces_each_element_once(monkeypatch):
     prefix_sizes, sizes = [], []
     real_reduce, real_interreduce = groebner._Reducer.reduce_ints, groebner._interreduce
 
-    def counting(self, work):
+    def counting(self, work, bound=None):
         if sizes:
             prefix_sizes.append(len(self))
-        return real_reduce(self, work)
+        return real_reduce(self, work, bound)
 
     def interreduce(basis):
         sizes.append(len(basis))
@@ -213,7 +221,9 @@ def test_integer_buchberger_equals_fraction_reference():
             cut.add(k)
         elif ref is not None:
             assert gb.elements == ref, (order, gens)
-    assert cut == cut_ref and 0 < len(cut) < 15, (cut, cut_ref)
+    # the budget counts each route's own reductions: the signature route's
+    # candidates for these inhomogeneous ideals, the reference's S-pairs
+    assert (len(cut), len(cut_ref)) == (1, 6), (cut, cut_ref)
     assert rational >= 100 and negative >= 50, (rational, negative)
 
 
@@ -268,15 +278,16 @@ def with_reference_pairs(monkeypatch, route, *args):
 def test_gebauer_moller_buchberger_equals_reference_pairs(monkeypatch):
     # the reduced basis is unique, so the pairs the criteria let through must
     # not change it; the seeded ideals of the Fraction-reference test
-    # (every one finishes within 400 reductions both ways)
+    # (every one finishes within 400 reductions both ways), on the
+    # Gebauer-Möller route, which `buchberger` takes for homogeneous input only
     rng = random.Random(67)
     for k in range(150):
         order = PACKED_ORDERS[k % len(PACKED_ORDERS)]
         gens = [random_poly(rng, R, max_terms=3, max_exp=3, max_den=6) for _ in range(3)]
         gens = [g for g in gens if not g.is_zero()]
         if gens:
-            gb = buchberger(gens, order, 400)
-            assert gb == with_reference_pairs(monkeypatch, buchberger, gens, order, 400), (order, gens)
+            gb = gebauer_moller_basis(gens, order, 400)
+            assert gb == with_reference_pairs(monkeypatch, gebauer_moller_basis, gens, order, 400), (order, gens)
 
 
 def test_gebauer_moller_toric_kernel_equals_reference_pairs(monkeypatch):
@@ -336,15 +347,143 @@ def test_exponents_outgrowing_the_packing_widen_it(monkeypatch):
     widths.clear()
     assert gb.normal_form(R.poly("x*y^7")) == R.poly("x*z^2100")
     assert widths == [11, 22]
-    # an S-pair of the run sets a guard bit before its reduction starts
+    # an S-pair of the Gebauer-Möller loop sets a guard bit before its
+    # reduction starts (the signature route, which `buchberger` takes for
+    # these inhomogeneous generators, never forms that pair)
     widths.clear()
     gens = [R.poly("x*y - z^3"), R.poly("x^5 - y"), R.poly("y^7 - z")]
-    assert buchberger(gens, Lex()).elements == fraction_buchberger(gens, Lex(), None)
+    assert gebauer_moller_basis(gens, Lex(), None).elements == fraction_buchberger(gens, Lex(), None)
     assert widths == [8, 16, 16]
     # an input exponent too wide for the basis's packing widens it as it is packed
     widths.clear()
     assert buchberger([x - y], Lex()).normal_form(x**1000) == y**1000
     assert widths == [8, 8, 8, 16]  # the run, its interreduction, the basis's reducer
+
+
+@pytest.mark.parametrize("texts, order, fits", [
+    (SIGNATURE_OVERFLOW, RevLex(), True),
+    # the candidate signature of a new row and a row of the earlier generators
+    (["y^23*z - x*z^61", "x^2*y*z^2 - x^83*z"], DegLex(), True),
+    # the lead of a candidate rewritten as a multiple of a row
+    (["x^12*y*z - y^80*z^2", "x^49*y^2*z^13 - x*z^87"], Lex(), True),
+    # the signature of a row that reduces that lead
+    (["x^49*z - x^2*y*z", "y^55*z^39 - y^30", "y*z - x^2"], Lex(), True),
+    # the signature of a divisor in reduce_ints, before any row outgrows
+    (["x^33*z - x^70*z^27", "x^68*y^2*z^68 - x^69*z^2"], Lex(), False),
+], ids=["new-pair", "old-pair", "rewritten-lead", "reducer", "reduce-ints"])
+def test_signature_words_outgrowing_the_packing_widen_it(monkeypatch, texts, order, fits):
+    # the step that overflows drops the rows it added, and is redone in a
+    # packing of twice the width.  Where the rows fit the first packing, and
+    # the Gebauer-Möller loop runs in it, only a signature word outgrew it
+    widths = []
+    real_use = groebner._Reducer._use
+
+    def recording(self, new, at=None):
+        widths.append(new.bits)
+        real_use(self, new, at)
+
+    monkeypatch.setattr(groebner._Reducer, "_use", recording)
+    gens = [R.poly(t) for t in texts]
+    rows = groebner._groebner_rows(gens, order, None)
+    bits = widths[0]
+    assert widths == [bits, 2 * bits]
+    unpack = rows.packing.unpack
+    top = max(e for lead, _, tail in rows.rows
+              for m in (lead, *(lead + off for off, _ in tail)) for e in unpack(m))
+    assert (top < 2**bits) == fits, top
+    if fits:
+        widths.clear()
+        groebner._complete_rows(groebner._Reducer(order, gens), 0, None)
+        assert widths == [bits]
+    assert buchberger(gens, order).elements == fraction_buchberger(gens, order, None)
+
+
+def gebauer_moller_basis(gens, order, limit):
+    """The reduced basis from `_complete_rows` on the rows of `gens`, the
+    route `_groebner_rows` takes for homogeneous generators."""
+    basis = groebner._Reducer(order, [g for g in gens if not g.is_zero()])
+    groebner._complete_rows(basis, 0, limit)
+    return groebner._reduced_basis(gens[0].ring, order, basis)
+
+
+def signature_differential_sweep(seed, trials):
+    """The signature route of `_groebner_rows` against `gebauer_moller_basis`
+    on `trials` seeded inhomogeneous ideals of 2 or 3 generators in x, y, z,
+    over every `PACKED_ORDERS` order in turn, with rational coefficients of
+    both signs.  Each route has a budget of 100 reductions.  Returns a
+    Counter (compared, cut, rational, negative) and the (order, generators)
+    whose reduced bases differ."""
+    rng = random.Random(seed)
+    stats, mismatches = Counter(), []
+    for k in range(trials):
+        order = PACKED_ORDERS[k % len(PACKED_ORDERS)]
+        gens = []
+        while not gens or all(len({t.mono.degree() for t in g.terms}) == 1 for g in gens):
+            gens = [random_poly(rng, R, max_terms=3, max_exp=3, max_den=6)
+                    for _ in range(rng.randint(2, 3))]
+            gens = [g for g in gens if not g.is_zero()]
+        stats["rational"] += any(t.coeff.denominator > 1 for g in gens for t in g.terms)
+        stats["negative"] += any(leading_term(g, order).coeff < 0 for g in gens)
+        try:
+            got = groebner._reduced_basis(R, order, groebner._groebner_rows(gens, order, 100))
+            want = gebauer_moller_basis(gens, order, 100)
+        except StepLimitExceeded:
+            stats["cut"] += 1
+            continue
+        stats["compared"] += 1
+        if got != want:
+            mismatches.append((order, gens))
+    return stats, mismatches
+
+
+def test_signature_route_equals_gebauer_moller_route():
+    stats, mismatches = signature_differential_sweep(seed=2002, trials=320)
+    assert mismatches == []
+    assert stats["compared"] >= 300 and stats["rational"] >= 250 and stats["negative"] >= 100, stats
+
+
+def test_signature_route_makes_no_zero_reduction(monkeypatch):
+    # every candidate of katsura-5 and cyclic-5 under revlex reduces to a new
+    # row: the syzygy and rewrite criteria drop each pair that reduces to zero.
+    # Cyclic-6 makes 8 zero reductions (37 without their syzygies), and drops
+    # 6 remainders that a row reduces with the same signature
+    calls = []
+    real_reduce = groebner._Reducer.reduce_ints
+    real_complete = groebner._complete_rows
+
+    def counting(self, work, bound=None):
+        r = real_reduce(self, work, bound)
+        calls.append(bool(r[0]))
+        return r
+
+    def completing(basis, start, limit):
+        calls.append("Gebauer-Möller")
+        real_complete(basis, start, limit)
+
+    monkeypatch.setattr(groebner._Reducer, "reduce_ints", counting)
+    monkeypatch.setattr(groebner, "_complete_rows", completing)
+    for names, texts, reductions in [("u0 u1 u2 u3 u4", KATSURA5, 15), ("x0 x1 x2 x3 x4", CYCLIC5, 38)]:
+        ring = PolyRing(tuple(names.split()))
+        calls.clear()
+        groebner._groebner_rows([ring.poly(t) for t in texts], RevLex(), None)
+        assert calls == [True] * reductions, (names, calls)
+    ring = PolyRing(tuple(f"x{i}" for i in range(6)))
+    cyclic6 = [" + ".join("*".join(f"x{(i + j) % 6}" for j in range(k)) for i in range(6))
+               for k in range(1, 6)] + ["x0*x1*x2*x3*x4*x5 - 1"]
+    calls.clear()
+    rows = groebner._groebner_rows([ring.poly(t) for t in cyclic6], RevLex(), None)
+    assert (len(calls), calls.count(False), len(rows)) == (168, 8, 155)
+    # homogeneous generators take the Gebauer-Möller route: the rational
+    # normal quartic, and the total ideal of a flat family, which is
+    # homogeneous for the extended weight that its order compares first
+    quartic = PolyRing(tuple(f"x{i}" for i in range(5)))
+    family = homogenize_ideal([x**2 - y, x * y - z], WeightVector((2, 1, 1)), Lex()).total
+    for gens, order in [([quartic.poly(f"x{i}*x{j + 1} - x{j}*x{i + 1}")
+                          for i in range(4) for j in range(i + 1, 4)], RevLex()),
+                        (list(family.elements), family.order)]:
+        calls.clear()
+        groebner._groebner_rows(gens, order, None)
+        assert calls[0] == "Gebauer-Möller"
 
 
 def test_buchberger_monomial_ideal_is_self():
@@ -459,13 +598,16 @@ def test_initial_ideal_widens_the_packing_as_buchberger_does(monkeypatch):
         real_use(self, new)
 
     monkeypatch.setattr(groebner._Reducer, "_use", recording)
-    # the first two start at 8 bits (exponents up to 255) and widen: z^294 - z
-    # outgrows the first packing, and an S-pair of the second sets a guard
-    # bit; x^(2^40) is packed wide from the start
+    # the first starts at 8 bits (exponents up to 255) and widens: z^294 - z
+    # outgrows the first packing.  The second stays at 8 bits: the S-pair that
+    # sets a guard bit in the Gebauer-Möller loop is not a candidate of the
+    # signature route.  In the third, every row fits 8 bits but a signature
+    # word does not.  x^(2^40) is packed wide from the start
     for order, texts, bits, leads in [
         (Lex(), ["x - y^7", "y - z^7", "x^6 - z"], 16,
          [mono(0, 1, 0), mono(1, 0, 0), mono(0, 0, 294)]),
-        (Lex(), ["x*y - z^3", "x^5 - y", "y^7 - z"], 16, None),
+        (Lex(), ["x*y - z^3", "x^5 - y", "y^7 - z"], 8, None),
+        (RevLex(), SIGNATURE_OVERFLOW, 16, None),
         (RevLex(), ["x^1099511627776*y - z", "y - 1"], 43,
          [mono(0, 1, 0), mono(1099511627776, 0, 0)]),
     ]:
@@ -849,22 +991,23 @@ def test_step_limit():
             ["x0 + x1 + x2 + x3", "x0*x1 + x1*x2 + x2*x3 + x3*x0",
              "x0*x1*x2 + x1*x2*x3 + x2*x3*x0 + x3*x0*x1", "x0*x1*x2*x3 - 1"],
             Lex(),
-            20,
+            5,
         ),
         (
             "u0 u1 u2 u3",
             KATSURA4,
             DegLex(),
-            13,
+            7,
         ),
-        ("x y z", BLOWUP, Lex(), 23),
-        ("x0 x1 x2 x3 x4", CYCLIC5, RevLex(), 107),
-        ("u0 u1 u2 u3 u4", KATSURA5, RevLex(), 30),
+        ("x y z", BLOWUP, Lex(), 17),
+        ("x0 x1 x2 x3 x4", CYCLIC5, RevLex(), 34),
+        ("u0 u1 u2 u3 u4", KATSURA5, RevLex(), 11),
     ],
     ids=["cyclic4-lex", "katsura4-deglex", "blowup-lex", "cyclic5-revlex", "katsura5-revlex"],
 )
 def test_s_polynomial_reduction_count(names, gens, order, reductions):
-    # pair selection and the Gebauer-Möller criteria fix how many S-polynomials get reduced
+    # the generator order and the signature criteria fix how many candidates
+    # the signature route reduces on these inhomogeneous systems
     ring = PolyRing(tuple(names.split()))
     polys = [ring.poly(g) for g in gens]
     with pytest.raises(StepLimitExceeded):
