@@ -170,7 +170,7 @@ class _Reducer:
                 tail = tuple((pack(unpack(lead + off)) - word, b) for off, b in tail)
                 self.rows[k] = (word, a, tail)
                 self.leads[k] = word
-        self.table = sorted((row[0], k) + row[1:] for k, row in enumerate(self.rows))
+            self.table = sorted((row[0], k) + row[1:] for k, row in enumerate(self.rows))
 
     def _take(self, f: Polynomial, mismatch: str) -> None:
         """Check f's ring (the first one is taken, with the first packing)."""
@@ -188,8 +188,8 @@ class _Reducer:
             try:
                 return step()
             except _Overflow:
-                if keep is not None:
-                    del self.rows[keep:], self.leads[keep:]
+                if keep is not None:  # `_use` rebuilds the table from the rows left
+                    del self.rows[keep:], self.leads[keep:], self.table[:]
                 self._use(packing(self.order, self.packing.n, 2 * self.packing.bits))
 
     def _packed(self, coeffs: _IntPoly) -> _IntPoly:
