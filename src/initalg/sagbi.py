@@ -10,18 +10,25 @@ algebra need not be finitely generated), so a degree cap is mandatory.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 from initalg.groebner import (
     AlgebraKernel,
+    _cleared,
+    _first_bits,
+    _IntPoly,
+    _Overflow,
     _Presentation,
     buchberger,
     initial_ideal_weight,
     presentation_kernel,
 )
-from initalg.orders import MonomialOrder, RevLex, leading_term, monic
+from initalg.orders import MonomialOrder, Packing, RevLex, leading_term, packing
 from initalg.poly import (
     Monomial,
     PolyRing,
@@ -91,115 +98,277 @@ def _sort_gens(gens: Sequence[Polynomial], order: MonomialOrder) -> list[Polynom
     return sorted(gens, key=k)
 
 
-def factor_over_monomials(target: Monomial, monos: Sequence[Monomial]) -> tuple[int, ...] | None:
-    """Exponents c >= 0 with prod monos[i]^c[i] == target, or None.
+def _factor(
+    leads: Sequence[tuple[int, ...]], ids: Sequence[int], memo: dict, target: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    """Exponents c >= 0 with sum c_i leads[i] == target, the lexicographically
+    largest, or None.
 
-    Searches depth-first, trying large exponents first, so the returned
-    solution is the lexicographically largest one; generators are nonconstant,
-    which bounds every exponent.
+    Searches depth-first, trying large exponents first; generators are
+    nonconstant, which bounds every exponent.  `memo` maps (ids[i], remaining)
+    to the answer over leads[i:], so equal ids must name equal suffixes.  The
+    search has no budget: the memo only removes repeated work.
     """
+    k = len(leads)
 
     def rec(i: int, remaining: tuple[int, ...]) -> tuple[int, ...] | None:
         if not any(remaining):
-            return (0,) * (len(monos) - i)
-        if i == len(monos):
+            return (0,) * (k - i)
+        if i == k:
             return None
-        exps = monos[i].exponents
-        for c in range(min(r // e for r, e in zip(remaining, exps) if e), -1, -1):
-            found = rec(i + 1, tuple(r - c * e for r, e in zip(remaining, exps)))
-            if found is not None:
-                return (c,) + found
-        return None
+        key = (ids[i], remaining)
+        if key not in memo:
+            exps, memo[key] = leads[i], None
+            for c in range(min(r // e for r, e in zip(remaining, exps) if e), -1, -1):
+                found = rec(i + 1, tuple(r - c * e for r, e in zip(remaining, exps)))
+                if found is not None:
+                    memo[key] = (c,) + found
+                    break
+        return memo[key]
 
-    return rec(0, target.exponents)
+    return rec(0, target)
+
+
+def factor_over_monomials(target: Monomial, monos: Sequence[Monomial]) -> tuple[int, ...] | None:
+    """Exponents c >= 0 with prod monos[i]^c[i] == target, or None.
+
+    The lexicographically largest solution, found by the search that `_Kept`
+    memoizes over a completion; here the memo lasts one call.
+    """
+    return _factor([m.exponents for m in monos], range(len(monos)), {}, target.exponents)
+
+
+def _subtract(work: _IntPoly, m: int, p: _IntPoly) -> None:
+    """work -= m * p, in place."""
+    for w, b in p.items():
+        if v := work.get(w, 0) - m * b:
+            work[w] = v
+        else:
+            del work[w]
 
 
 class _Kept:
-    """What one Sagbi completion keeps across rounds: `ideal`, the toric ideal of
-    the leading monomials, and each power f^k, product of powers and lift, built
-    once.  Keys name a generator by id, not position (an adjoined witness
-    shifts the sorted positions): a product by the (id, exponent) pairs of its
-    nonzero exponents, a lift by its two products' keys.  `powers` holds
-    1, f, f^2, ... of each generator f, which keeps f and so its id."""
+    """One Sagbi completion, test or subduction on packed words: the generators
+    `gens` (sorted, for a completion), `ideal`, the toric ideal of their
+    leading monomials (built on first use), each power, product of powers and
+    lift built once, the last result of each lift, and the memo of the factor
+    search.
+
+    Polynomials are fraction-free integer dicts keyed by the words of an
+    `orders.Packing` of the order, as `groebner._Reducer` keeps its rows.  A
+    generator f is kept as F = q f, primitive with a positive lead
+    coefficient, and named by a serial number, not its position (an adjoined
+    witness shifts the sorted positions): a product by the (serial, exponent)
+    pairs of its nonzero exponents, a lift by its two products' keys.
+    `memo` maps (the id of the suffix leads[i:], remaining exponents) to the
+    search's answer, so after an insertion the entries of the suffixes behind
+    it stay valid.  An exponent that outgrows the packing raises `_Overflow`;
+    `widening` then repacks every kept dict twice as wide and retries.
+    """
 
     def __init__(self, gens: Sequence[Polynomial], order: MonomialOrder):
-        exps = [leading_term(g, order).mono.exponents for g in gens]
-        self.ideal = _Presentation(gens[0].ring.n, [({e: 1}, 1) for e in exps])
-        self.powers: dict[int, list[Polynomial]] = {}
-        self.products: dict[tuple, Polynomial] = {}
-        self.lifts: dict[tuple, Polynomial] = {}
+        self.ring, self.order = gens[0].ring, order
+        top = max(e for g in gens for t in g.terms for e in t.mono.exponents)
+        self.packing = packing(order, self.ring.n, _first_bits(top))
+        self.gens: list[Polynomial] = []
+        self.leads: list[tuple[int, ...]] = []
+        self.serials: list[int] = []
+        self.named: list[tuple[Polynomial, tuple[int, ...]]] = []  # (f, lead) by serial
+        self.scales: dict[int, Fraction] = {}  # q of F = q f, by serial
+        self.powers: dict[int, list[_IntPoly]] = {}  # F^0, F^1, ... by serial, on first use
+        self.products: dict[tuple, _IntPoly] = {(): {0: 1}}
+        self.lifts: dict[tuple, _IntPoly] = {}
+        self.results: dict[tuple, tuple] = {}
+        self.memo: dict[tuple, tuple[int, ...] | None] = {}
+        self.suffixes: dict[tuple, int] = {}
+        for g in gens:
+            self._adjoin(len(self.gens), g)
 
-    def product(self, gens: Sequence[Polynomial], exps: Sequence[int]) -> Polynomial:
-        """`power_product(ring, gens, exps)`, from the kept powers."""
-        key = tuple((id(g), e) for g, e in zip(gens, exps) if e)
+    @cached_property
+    def ideal(self) -> _Presentation:
+        return _Presentation(self.ring.n, [({e: 1}, 1) for e in self.leads])
+
+    def _adjoin(self, pos: int, f: Polynomial) -> None:
+        lead = leading_term(f, self.order).mono.exponents
+        self.gens.insert(pos, f)
+        self.leads.insert(pos, lead)
+        self.serials.insert(pos, len(self.named))
+        self.named.append((f, lead))
+        ids = self.suffixes
+        self.ids = [ids.setdefault(tuple(self.leads[i:]), len(ids)) for i in range(len(self.leads))]
+
+    def insert(self, w: Polynomial) -> None:
+        """Adjoin the witness w at its sorted position, to `ideal` too."""
+        ideal = self.ideal
+        pos = _sort_gens(self.gens + [w], self.order).index(w)
+        self._adjoin(pos, w)
+        ideal.insert(pos, self.leads[pos])
+
+    def _use(self, new: Packing) -> None:
+        old, self.packing = self.packing, new
+
+        def repack(p: _IntPoly) -> _IntPoly:
+            return {new.pack(old.unpack(w)): c for w, c in p.items()}
+
+        self.powers = {s: [repack(p) for p in ps] for s, ps in self.powers.items()}
+        self.products = {key: repack(p) for key, p in self.products.items()}
+        self.lifts = {key: repack(p) for key, p in self.lifts.items()}
+
+    def widening(self, step):
+        """step(), retried with twice the field width while it overflows."""
+        while True:
+            try:
+                return step()
+            except _Overflow:
+                self._use(packing(self.order, self.ring.n, 2 * self.packing.bits))
+
+    def primitive(self, f: Polynomial) -> tuple[_IntPoly, Fraction]:
+        """(F, q): F = q f keyed by words, primitive, with a positive lead coefficient."""
+        coeffs, d = _cleared(f)
+        P = self.packing
+        if max(map(max, coeffs)) >> P.bits:
+            raise _Overflow
+        F = {P.pack(e): c for e, c in coeffs.items()}
+        h = math.gcd(*F.values())
+        if F[max(F)] < 0:
+            h = -h
+        return {w: c // h for w, c in F.items()}, Fraction(d, h)
+
+    def _mul(self, a: _IntPoly, b: _IntPoly) -> _IntPoly:
+        acc: _IntPoly = {}
+        get = acc.get
+        for wa, ca in a.items():
+            for wb, cb in b.items():
+                w = wa + wb
+                acc[w] = get(w, 0) + ca * cb
+        guard = self.packing.guard
+        if any(w & guard for w in acc):
+            raise _Overflow
+        return {w: c for w, c in acc.items() if c}
+
+    def factor(self, target: tuple[int, ...]) -> tuple[int, ...] | None:
+        """`factor_over_monomials` of `target` over the leads, through `memo`."""
+        return _factor(self.leads, self.ids, self.memo, target)
+
+    def _key(self, exps: Sequence[int]) -> tuple:
+        return tuple((s, e) for s, e in zip(self.serials, exps) if e)
+
+    def product(self, key: tuple) -> _IntPoly:
+        """The product of F^e over the (serial, e) of `key`, kept with each prefix of the key."""
         if key not in self.products:
-            p = one = gens[0].ring.one()
-            for g, e in zip(gens, exps):
-                if e:
-                    powers = self.powers.setdefault(id(g), [one, g])
-                    while len(powers) <= e:
-                        powers.append(powers[-1] * g)
-                    p = powers[e] if p is one else p * powers[e]
-            self.products[key] = p
+            s, e = key[-1]
+            if s not in self.powers:
+                F, self.scales[s] = self.primitive(self.named[s][0])
+                self.powers[s] = [{0: 1}, F]
+            powers = self.powers[s]
+            while len(powers) <= e:
+                powers.append(self._mul(powers[-1], powers[1]))
+            self.products[key] = self._mul(self.product(key[:-1]), powers[e]) if key[:-1] else powers[e]
         return self.products[key]
+
+    def subduct(
+        self, work: _IntPoly, scale: Fraction | None = None
+    ) -> tuple[_IntPoly, Fraction | None, list[SubductionStep], list[tuple[int, ...]]]:
+        """(r, scale', steps, met): subtract products from `work` (consumed)
+        while its lead factors over the leading monomials, fraction-free as
+        `_Reducer.reduce_ints` cancels a term.  r is 0 or has a lead that does
+        not factor; `met` lists the exponents of every lead met.  With work =
+        scale f, r / scale' is the remainder of f and `steps` its exact
+        certificate; without, no steps are recorded.
+        """
+        unpack, steps, met = self.packing.unpack, [], []
+        while work:
+            t = max(work)
+            met.append(unpack(t))
+            c = self.factor(met[-1])
+            if c is None:
+                break
+            key = self._key(c)
+            p = self.product(key)
+            a = p[t]
+            g = math.gcd(a, work[t])
+            m = work[t] // g
+            if g != a:  # scale by a / g, dividing out the content h first
+                h = math.gcd(m, *work.values())
+                m //= h
+                work = {w: v // h * (a // g) for w, v in work.items()}
+                if scale is not None:
+                    scale = scale * (a // g) / h
+            if scale is not None:
+                q = math.prod(self.scales[s] ** e for s, e in key)
+                steps.append(SubductionStep(m * q / scale, c))
+            _subtract(work, m, p)
+        return work, scale, steps, met
+
+    def witness(self, u: Sequence[int], v: Sequence[int]) -> Polynomial | None:
+        """The monic remainder of the lift monic(f^u) - monic(f^v), or None for 0.
+
+        The last result stands while no generator adjoined since has a lead
+        dividing a lead its subduction met: such a generator takes exponent 0
+        in every factorization of those leads, so the subduction repeats step
+        for step."""
+        key = (self._key(u), self._key(v))
+        if key in self.results:
+            seen, met, w = self.results[key]
+            if not any(all(map(operator.le, lead, t)) for _, lead in self.named[seen:] for t in met):
+                self.results[key] = (len(self.named), met, w)
+                return w
+        if key not in self.lifts:
+            pu, pv = self.product(key[0]), self.product(key[1])
+            au, av = pu[max(pu)], pv[max(pv)]
+            g = math.gcd(au, av)
+            lift = {w: c * (av // g) for w, c in pu.items()}
+            _subtract(lift, au // g, pv)
+            self.lifts[key] = lift
+        r, _, _, met = self.subduct(dict(self.lifts[key]))
+        w = None
+        if r:
+            lc, unpack = r[max(r)], self.packing.unpack
+            w = Polynomial.from_dict(self.ring, {Monomial(unpack(m)): Fraction(c, lc) for m, c in r.items()})
+        self.results[key] = (len(self.named), met, w)
+        return w
 
 
 def subduct_with_certificate(
-    f: Polynomial, gens: Sequence[Polynomial], order: MonomialOrder, kept: _Kept | None = None
+    f: Polynomial, gens: Sequence[Polynomial], order: MonomialOrder
 ) -> SubductionResult:
     """Subtract products of generators while the leading monomial factors over their initials.
 
     The remainder is 0 (f lies in the algebra generated by `gens`) or has a
     leading monomial outside the semigroup of the generators' initials.  The
-    recorded steps replay to f = sum(steps) + remainder.  Products come from
-    `kept`, a completion's `_Kept`, when one is passed.
+    recorded steps replay to f = sum(steps) + remainder; the factorization of
+    each step is the lexicographically largest.  Runs on the words of `_Kept`.
     """
     ring = _check_subalgebra_gens(gens)
     if f.ring != ring:
         raise RingMismatchError("polynomial and generators from different rings")
-    inis = [leading_term(g, order) for g in gens]
-    steps: list[SubductionStep] = []
-    work = f
-    while not work.is_zero():
-        t = leading_term(work, order)
-        c = factor_over_monomials(t.mono, [it.mono for it in inis])
-        if c is None:
-            break
-        lead_coeff = t.coeff
-        for it, e in zip(inis, c):
-            lead_coeff /= it.coeff**e
-        steps.append(SubductionStep(lead_coeff, c))
-        product = power_product(ring, gens, c) if kept is None else kept.product(gens, c)
-        work = work - product * lead_coeff
-    return SubductionResult(work, tuple(steps))
+    if f.is_zero():
+        return SubductionResult(f, ())
+    kept = _Kept(gens, order)
+    r, scale, steps, _ = kept.widening(lambda: kept.subduct(*kept.primitive(f)))
+    unpack = kept.packing.unpack
+    remainder = Polynomial.from_dict(ring, {Monomial(unpack(w)): c / scale for w, c in r.items()})
+    return SubductionResult(remainder, tuple(steps))
 
 
 def subduct(f: Polynomial, gens: Sequence[Polynomial], order: MonomialOrder) -> Polynomial:
     return subduct_with_certificate(f, gens, order).remainder
 
 
-def _sagbi_round(
-    gens: Sequence[Polynomial], order: MonomialOrder, kept: _Kept
-) -> tuple[bool, tuple[Polynomial, ...]]:
-    """Sagbi test of sorted `gens`, `kept.ideal` the toric ideal of their leading monomials.
+def _sagbi_round(kept: _Kept) -> tuple[bool, tuple[Polynomial, ...]]:
+    """Sagbi test of the sorted `kept.gens` on `kept.ideal`, the toric ideal of
+    their leading monomials.
 
     A kernel pair (u, v) lifts to f^u / c^u - f^v / c^v, c the leading
     coefficients: c^u is the leading coefficient of f^u, so the lift is
-    monic(f^u) - monic(f^v).  The lift and its products come from `kept`.
+    monic(f^u) - monic(f^v).
     """
-    witnesses = []
+    witnesses = set()
     for u, _, ((v, _),) in kept.ideal.kernel():
-        key = tuple(tuple((id(g), e) for g, e in zip(gens, exps) if e) for exps in (u, v))
-        if key not in kept.lifts:
-            fu, fv = kept.product(gens, u), kept.product(gens, v)
-            kept.lifts[key] = monic(fu, order) - monic(fv, order)
-        lift = kept.lifts[key]
-        if lift.is_zero():
-            continue
-        rem = subduct_with_certificate(lift, gens, order, kept).remainder
-        if not rem.is_zero():
-            witnesses.append(monic(rem, order))
-    witnesses = _sort_gens(set(witnesses), order)
+        w = kept.widening(lambda: kept.witness(u, v))
+        if w is not None:
+            witnesses.add(w)
+    witnesses = _sort_gens(witnesses, kept.order)
     return (not witnesses, tuple(witnesses))
 
 
@@ -213,8 +382,7 @@ def sagbi_test(
     verdict does not depend on input ordering.
     """
     _check_subalgebra_gens(gens)
-    gens = _sort_gens(gens, order)
-    return _sagbi_round(gens, order, _Kept(gens, order))
+    return _sagbi_round(_Kept(_sort_gens(gens, order), order))
 
 
 def sagbi_complete(
@@ -227,8 +395,10 @@ def sagbi_complete(
     infinitely generated, so unbounded completion is not offered).  One
     toric ideal of the leading monomials serves the whole completion: each
     adjoined witness inserts its leading monomial into it.  Lifts, powers and
-    products are built once (`_Kept`); every lift is subducted in every
-    round, as more generators can change its remainder.
+    products are built once (`_Kept`).  A lift is subducted again when a
+    generator adjoined since has a lead dividing a lead its last subduction
+    met, even if that one ended in 0: the lexicographically largest
+    factorization of that lead can change, and with it the remainder.
     """
     _check_subalgebra_gens(gens)
     if type(degree_cap) is not int:
@@ -237,18 +407,15 @@ def sagbi_complete(
         raise ValueError("degree cap must be positive")
     if degree_cap < max(g.total_degree() for g in gens):
         raise ValueError("degree cap below a generator degree")
-    current = _sort_gens(gens, order)
-    kept = _Kept(current, order)
+    kept = _Kept(_sort_gens(gens, order), order)
     while True:
-        ok, witnesses = _sagbi_round(current, order, kept)
+        ok, witnesses = _sagbi_round(kept)
         if ok:
-            return SagbiState(tuple(current), order, None)
+            return SagbiState(tuple(kept.gens), order, None)
         admissible = [w for w in witnesses if w.total_degree() <= degree_cap]
         if not admissible:
-            return SagbiState(tuple(current), order, degree_cap)
-        w = admissible[0]
-        current = _sort_gens(current + [w], order)
-        kept.ideal.insert(current.index(w), leading_term(w, order).mono.exponents)
+            return SagbiState(tuple(kept.gens), order, degree_cap)
+        kept.insert(admissible[0])
 
 
 def minimalize_semigroup(monos: Sequence[Monomial]) -> tuple[Monomial, ...]:

@@ -167,9 +167,9 @@ def test_ini_runs_the_sagbi_test_once_per_round(tmp_path, capsys, monkeypatch):
     calls = []
     real = sagbi._sagbi_round
 
-    def counting(gens, order, ideal):
-        calls.append(len(gens))
-        return real(gens, order, ideal)
+    def counting(kept):
+        calls.append(len(kept.gens))
+        return real(kept)
 
     monkeypatch.setattr(sagbi, "_sagbi_round", counting)
     assert run(["ini", write(tmp_path, ALGEBRA), "--cap", "5"]) == EXIT_OK
@@ -186,9 +186,9 @@ def test_hilbert_of_an_algebra_completes_to_dmax(tmp_path, capsys, monkeypatch):
     calls = []
     real = sagbi._sagbi_round
 
-    def counting(gens, order, ideal):
-        calls.append(len(gens))
-        return real(gens, order, ideal)
+    def counting(kept):
+        calls.append(len(kept.gens))
+        return real(kept)
 
     monkeypatch.setattr(sagbi, "_sagbi_round", counting)
     path = write(tmp_path, ALGEBRA.replace("ring x, y", "ring x, y\norder deglex"))

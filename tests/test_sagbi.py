@@ -1,6 +1,9 @@
+import contextlib
 import math
 import random
 import re
+import signal
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -8,10 +11,12 @@ import pytest
 from conftest import random_poly
 from initalg import groebner, sagbi
 from initalg.groebner import presentation_kernel
-from initalg.orders import DegLex, Lex, RevLex, WeightOrder, leading_monomial, leading_term, monic
+from initalg.orders import DegLex, Lex, RevLex, WeightOrder, leading_monomial, leading_term, monic, packing
 from initalg.poly import Monomial, PolyRing, Polynomial, RingMismatchError, WeightVector, power_product
 from initalg.sagbi import (
     SagbiState,
+    SubductionResult,
+    SubductionStep,
     factor_over_monomials,
     initial_algebra_gens,
     kernel_initial_check,
@@ -37,6 +42,42 @@ def m(*e):
     return Monomial(e)
 
 
+def depth_first_factor(target, monos):
+    """The factor search without a memo, kept as the reference for
+    `factor_over_monomials` and `_Kept.factor`: depth-first, large exponents
+    first, so the lexicographically largest solution."""
+
+    def rec(i, remaining):
+        if not any(remaining):
+            return (0,) * (len(monos) - i)
+        if i == len(monos):
+            return None
+        exps = monos[i].exponents
+        for c in range(min(r // e for r, e in zip(remaining, exps) if e), -1, -1):
+            found = rec(i + 1, tuple(r - c * e for r, e in zip(remaining, exps)))
+            if found is not None:
+                return (c,) + found
+        return None
+
+    return rec(0, target.exponents)
+
+
+def fraction_subduct_with_certificate(f, gens, order):
+    """The subduction loop on `Fraction` polynomials, kept as the reference
+    for the packed loop of `subduct_with_certificate`."""
+    inis = [leading_term(g, order) for g in gens]
+    steps, work = [], f
+    while not work.is_zero():
+        t = leading_term(work, order)
+        c = depth_first_factor(t.mono, [it.mono for it in inis])
+        if c is None:
+            break
+        coeff = t.coeff / math.prod(it.coeff**e for it, e in zip(inis, c))
+        steps.append(SubductionStep(coeff, c))
+        work = work - coeff * power_product(f.ring, gens, c)
+    return SubductionResult(work, tuple(steps))
+
+
 def test_factor_over_monomials():
     assert factor_over_monomials(m(1, 3), [m(1, 0), m(1, 1), m(1, 2)]) is None
     assert factor_over_monomials(m(2, 2), [m(1, 0), m(1, 1), m(1, 2)]) in [(0, 2, 0), (1, 0, 1)]
@@ -44,6 +85,43 @@ def test_factor_over_monomials():
     assert factor_over_monomials(m(2, 2), [m(1, 0), m(1, 1), m(1, 2)]) == (1, 0, 1)
     assert factor_over_monomials(m(0, 0), [m(1, 0)]) == (0,)
     assert factor_over_monomials(m(3, 0), [m(2, 0)]) is None
+
+
+def test_memoized_factor_search_equals_depth_first_search():
+    # one memo per _Kept, kept across an insertion: the entries of the
+    # suffixes behind the inserted lead stay valid
+    rng = random.Random(307)
+    cases = Counter()
+    for _ in range(120):
+        ring = (R2, R3)[rng.randint(0, 1)]
+        order = (Lex(), DegLex(), RevLex())[rng.randint(0, 2)]
+        monos = {Monomial(tuple(rng.randint(0, 3) for _ in range(ring.n))) for _ in range(rng.randint(2, 5))}
+        gens = [Polynomial.from_dict(ring, {mm: 1}) for mm in monos if not mm.is_one()]
+        kept = sagbi._Kept(sagbi._sort_gens(gens, order), order)
+        for round_ in range(2):
+            leads = [leading_monomial(g, order) for g in kept.gens]
+            targets = [Monomial((0,) * ring.n)]
+            for _ in range(12):
+                t = Monomial(tuple(rng.randint(0, 7) for _ in range(ring.n)))
+                for _ in range(rng.randint(0, 3)):  # plant products of the leads
+                    t = t.mul(rng.choice(leads))
+                targets.append(t)
+            for t in targets:
+                got = kept.factor(t.exponents)
+                assert got == depth_first_factor(t, leads) == factor_over_monomials(t, leads), (t, leads)
+                cases["constant" if t.is_one() else "none" if got is None else "factored"] += 1
+            if round_:
+                break
+            new = Monomial(tuple(rng.randint(0, 3) for _ in range(ring.n)))
+            if new.is_one() or new in leads:
+                break
+            ids, size = list(kept.ids), len(kept.memo)
+            kept.insert(Polynomial.from_dict(ring, {new: 1}))
+            pos = kept.gens.index(Polynomial.from_dict(ring, {new: 1}))
+            assert kept.ids[pos + 1:] == ids[pos:] and len(kept.memo) == size
+            cases["inserted mid-list"] += 0 < pos < len(leads)
+    assert cases["constant"] >= 200 and cases["none"] >= 1000 and cases["factored"] >= 500, cases
+    assert cases["inserted mid-list"] >= 30, cases
 
 
 def test_subduct_examples():
@@ -71,6 +149,32 @@ def test_subduction_certificate_replays():
                 (R2.const(s.coeff) * (F_INF[0] ** s.exponents[0]) * (F_INF[1] ** s.exponents[1]) * (F_INF[2] ** s.exponents[2]) for s in res.steps),
                 R2.zero(),
             ) == expr
+
+
+def test_subduction_equals_fraction_reference():
+    # remainder and every step coefficient of the packed loop against the
+    # Fraction loop, with rational coefficients and negative leads
+    rng = random.Random(331)
+    checked = members = 0
+    for trial in range(150):
+        ring = (R2, R3)[trial % 2]
+        order = (Lex(), DegLex(), RevLex(), WeightOrder(WeightVector((1, 2, 3)[:ring.n]), Lex()))[trial % 4]
+        gens = [random_poly(rng, ring, max_terms=3, max_exp=2, max_den=3) for _ in range(rng.randint(1, 3))]
+        gens = [g for g in gens if any(not t.mono.is_one() for t in g.terms)]
+        if not gens:
+            continue
+        f = random_poly(rng, ring, max_terms=2, max_exp=2, max_den=4)
+        for g in gens:
+            f = f + g ** rng.randint(0, 3) * rng.choice([Fraction(-2, 3), 1, Fraction(5, 2)])
+        got = subduct_with_certificate(f, gens, order)
+        assert got == fraction_subduct_with_certificate(f, gens, order), (f, gens, order)
+        assert got.replay(gens) == f
+        checked += 1
+        members += got.remainder.is_zero()
+    assert checked >= 130 and members >= 20, (checked, members)
+    # the second step scales by 25 and first divides out the content 4 of -4*x^2
+    f, gens = 9 * x**2 * y**2 - 4 * x**2, [4 * x * y, -5 * x - 6 * y]
+    assert subduct_with_certificate(f, gens, Lex()) == fraction_subduct_with_certificate(f, gens, Lex())
 
 
 def test_sagbi_test_monomial_generators():
@@ -122,7 +226,7 @@ def polynomial_kernel_sagbi_test(gens, order):
         for t in rel.terms:
             scale = math.prod(it.coeff**e for it, e in zip(inis, t.mono.exponents))
             lift = lift + (t.coeff / scale) * power_product(ring, gens, t.mono.exponents)
-        rem = subduct(lift, gens, order)
+        rem = fraction_subduct_with_certificate(lift, gens, order).remainder
         if not rem.is_zero():
             witnesses.add(monic(rem, order))
     witnesses = sagbi._sort_gens(witnesses, order)
@@ -148,8 +252,8 @@ def test_sagbi_test_equals_polynomial_kernel_route():
 
 def reference_sagbi_complete(gens, order, cap):
     """`sagbi_complete` rebuilt from scratch each round: the kernel from
-    `presentation_kernel` and every lift by `power_product`, through
-    `polynomial_kernel_sagbi_test`."""
+    `presentation_kernel`, every lift by `power_product` and subducted on
+    `Fraction` polynomials, through `polynomial_kernel_sagbi_test`."""
     current = sagbi._sort_gens(gens, order)
     while True:
         ok, witnesses = polynomial_kernel_sagbi_test(current, order)
@@ -177,26 +281,168 @@ def random_completion_input(rng, ring, trial):
     return [g for g in gens if any(not t.mono.is_one() for t in g.terms)]
 
 
-def test_kept_lifts_equal_rebuilt_completion():
-    # lifts and powers kept across rounds must give the completion that
-    # rebuilds the kernel and every lift in each round
-    rng = random.Random(149)
-    checked = adjoined = truncated = confirmed = 0
-    for trial in range(72):
+class _Late(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _alarm(seconds):
+    def late(signum, frame):
+        raise _Late
+
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def sagbi_differential_sweep(seed, trials, caps=(6, 10), alarm_s=10.0):
+    """`sagbi_complete` against `reference_sagbi_complete` on seeded random
+    algebras (`random_completion_input`) in 2 and 3 variables, under lex,
+    deglex and revlex, with a random cap in `caps`.  Each pair of runs is
+    under an alarm of `alarm_s` seconds; an input that rings it is counted
+    as late and not compared.  Returns (stats, mismatches), mismatches as
+    (gens, order, cap)."""
+    rng = random.Random(seed)
+    stats, mismatches = Counter(), []
+    for trial in range(trials):
         order = (Lex(), DegLex(), RevLex())[trial % 3]
         ring = (R2, R3)[trial // 6 % 2]
         gens = random_completion_input(rng, ring, trial)
         if not gens or max(g.total_degree() for g in gens) > 4:
             continue
-        cap = rng.randint(4, 6)
+        cap = rng.randint(*caps)
+        try:
+            with _alarm(alarm_s):
+                state = sagbi_complete(gens, order, cap)
+                same = state == reference_sagbi_complete(gens, order, cap)
+        except _Late:
+            stats["late"] += 1
+            continue
+        stats["compared"] += 1
+        if not same:
+            mismatches.append((gens, order, cap))
+        stats["adjoined"] += len(state.gens) > len(set(gens))
+        stats["truncated"] += not state.confirmed
+        stats["confirmed"] += state.confirmed
+    return stats, mismatches
+
+
+def test_kept_lifts_equal_rebuilt_completion():
+    # lifts, powers, products and the factor memo kept across rounds must give
+    # the completion that rebuilds the kernel and every lift in each round
+    stats, mismatches = sagbi_differential_sweep(149, 72, caps=(4, 8))
+    assert mismatches == []
+    assert stats["compared"] >= 40 and stats["adjoined"] >= 10, stats
+    assert stats["truncated"] >= 10 and stats["confirmed"] >= 10, stats
+
+
+def test_a_lift_that_subducted_to_zero_is_not_subducted_again(monkeypatch):
+    # on x + y, x*y, x*y^2 (deglex, cap 8) no adjoined lead divides a lead
+    # that a subduction to 0 met, so each of the 13 repeats of such a lift
+    # keeps its result; every kept result is the one a fresh subduction gives
+    history = defaultdict(list)
+    subductions = []
+    real_witness, real_subduct = sagbi._Kept.witness, sagbi._Kept.subduct
+
+    def counting(kept, *args):
+        subductions.append(args)
+        return real_subduct(kept, *args)
+
+    def checking(kept, u, v):
+        before = len(subductions)
+        w = real_witness(kept, u, v)
+        key = (kept._key(u), kept._key(v))
+        history[key].append((len(subductions) > before, w))
+        kept_result = kept.results.pop(key)
+        assert real_witness(kept, u, v) == w  # subducted afresh, the result dropped
+        kept.results[key] = kept_result
+        return w
+
+    monkeypatch.setattr(sagbi._Kept, "subduct", counting)
+    monkeypatch.setattr(sagbi._Kept, "witness", checking)
+    state = sagbi_complete(list(F_INF), DegLex(), 8)
+    assert len(state.gens) == 8
+    # each repeat: (subducted again, the result before)
+    repeats = [(again, h[k - 1][1]) for h in history.values() for k, (again, _) in enumerate(h) if k]
+    assert len(history) == 34 and len(repeats) == 22
+    assert [before for again, before in repeats if not again] == [None] * 13
+    assert all(before is not None for again, before in repeats if again)
+
+
+def test_a_kept_result_is_checked_against_every_lead_adjoined_since():
+    # the lift (x*y)^2 - (x + y)*(x*y^2) = -x*y^3 meets only the lead x*y^3;
+    # of the two generators adjoined before it is met again, the first has
+    # that lead, so its witness x*y^3 must not be kept
+    kept = sagbi._Kept(sagbi._sort_gens(list(F_INF), DegLex()), DegLex())
+    assert sagbi._sagbi_round(kept) == (False, (x * y**3,))
+    (key, (_, met, w)), = [item for item in kept.results.items() if item[1][2] is not None]
+    assert met == [(1, 3)] and w == x * y**3
+    kept.insert(x * y**3)
+    kept.insert(x**9 * y**2 + y)
+    u, v = ([dict(part).get(s, 0) for s in kept.serials] for part in key)
+    assert kept.witness(u, v) is None
+
+
+def test_a_lift_that_subducted_to_zero_is_subducted_again(monkeypatch):
+    # a subduction to 0 over G need not stay one over a larger set, since the
+    # lexicographically largest factorization of a lead can change: here a
+    # lift goes to 0 in one round and leaves the witness that the next round
+    # adjoins, so a completion that skipped every lift once at 0 would differ
+    # from the reference
+    history = defaultdict(list)
+    real = sagbi._Kept.witness
+
+    def recording(kept, u, v):
+        w = real(kept, u, v)
+        history[kept._key(u), kept._key(v)].append(w)
+        return w
+
+    monkeypatch.setattr(sagbi._Kept, "witness", recording)
+    gens = [-5 * x**2 * y - 4 * y, -3 * x * y, -2 * x**2 * y**2 - x + 4 * y]
+    state = sagbi_complete(gens, DegLex(), 6)
+    assert state == reference_sagbi_complete(gens, DegLex(), 6)
+    revived = {w for h in history.values() for k, w in enumerate(h) if w is not None and None in h[:k]}
+    assert revived & set(state.gens)
+
+
+def test_completion_wider_than_the_first_packing(monkeypatch):
+    # products outgrow the 8-bit fields the generators' exponents choose
+    # (x^7 to the 60th is x^420), so the kept dicts are repacked wider
+    widths = []
+    real = sagbi._Kept._use
+
+    def recording(kept, new):
+        widths.append(new.bits)
+        return real(kept, new)
+
+    monkeypatch.setattr(sagbi._Kept, "_use", recording)
+    for gens, order, cap in [([x**7 + y, x**60], DegLex(), 60), ([x**9 - y, x**31 + y**2], RevLex(), 40)]:
+        widths.clear()
         state = sagbi_complete(gens, order, cap)
-        assert state == reference_sagbi_complete(gens, order, cap), (gens, order, cap)
-        checked += 1
-        adjoined += len(state.gens) > len(set(gens))
-        truncated += not state.confirmed
-        confirmed += state.confirmed
-    assert checked >= 40 and adjoined >= 10 and truncated >= 10 and confirmed >= 10, (
-        checked, adjoined, truncated, confirmed)
+        assert widths == [16]
+        monkeypatch.setattr(sagbi._Kept, "_use", real)  # the reference subducts on Fractions
+        assert state == reference_sagbi_complete(gens, order, cap)
+        monkeypatch.setattr(sagbi._Kept, "_use", recording)
+    # a repack keeps every kept power, product and lift: with the kept
+    # results dropped, the round after it subducts them all and is the round
+    # before it
+    kept = sagbi._Kept(sagbi._sort_gens(list(F_QUAD), DegLex()), DegLex())
+    before = sagbi._sagbi_round(kept)
+    kept._use(packing(DegLex(), 3, 16))
+    kept.results.clear()
+    assert kept.products and kept.lifts and sagbi._sagbi_round(kept) == before
+    # certificates replay on exponents past the first packing, and an input
+    # wider than the generators' packing widens it before the first step
+    gens = [x**7 + y, x**60, 3 * x * y**2]
+    for f in [(x**7 + y) ** 60 - x**420 + 5 * x**60 * (3 * x * y**2) ** 3, x**300 * y**40 + x**7]:
+        widths.clear()
+        res = subduct_with_certificate(f, gens, DegLex())
+        assert widths and res.replay(gens) == f
+        assert res == fraction_subduct_with_certificate(f, gens, DegLex())
 
 
 def test_each_lift_is_kept_across_a_shift(monkeypatch):
@@ -206,11 +452,11 @@ def test_each_lift_is_kept_across_a_shift(monkeypatch):
     relations, kept_states = set(), []
     real = sagbi._sagbi_round
 
-    def recording(gens, order, kept):
+    def recording(kept):
         for u, _, ((v, _),) in kept.ideal.kernel():
-            relations.add(tuple(tuple((g, e) for g, e in zip(gens, exps) if e) for exps in (u, v)))
+            relations.add(tuple(tuple((g, e) for g, e in zip(kept.gens, exps) if e) for exps in (u, v)))
         kept_states.append(kept)
-        return real(gens, order, kept)
+        return real(kept)
 
     monkeypatch.setattr(sagbi, "_sagbi_round", recording)
     gens = [2 * y - x, 3 * x**2 * y, -2 * x * y]
