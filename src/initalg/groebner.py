@@ -138,7 +138,7 @@ class _Reducer:
     Pass a reducer as `G` to `normal_form` to reuse its table.
 
     `sigs` maps the index of a row to its signature word while the signature
-    route of `_groebner_rows` runs, and is empty otherwise.
+    route of `_route_rows` runs, and is empty otherwise.
     """
 
     def __init__(self, order: MonomialOrder, polys: Iterable[Polynomial] = ()):
@@ -509,7 +509,22 @@ def _groebner_rows(
     packing, repacks the rows and redoes the step, so no exponent is ever
     cut.  The step budget (argument or the INITALG_STEP_LIMIT environment
     variable) bounds the number of S-polynomial reductions.  When every
-    generator is zero there is no row.
+    generator is zero there is no row.  `_route_rows` completes the rows.
+    """
+    _check_gens(gens)
+    limit = _step_limit(step_limit)
+    basis = _Reducer(order)
+    polys = [g for g in gens if not g.is_zero()]
+    if polys:
+        basis._take(polys[0], "generators from different rings")
+        _route_rows(basis, [_cleared(g)[0] for g in polys], limit)
+    return basis
+
+
+def _route_rows(basis: _Reducer, cleared: list[_IntPoly], limit: int | None) -> None:
+    """Append to the empty, packed `basis` the rows of a Gröbner basis of the
+    ideal of the nonzero integer polynomials `cleared` (keyed by exponent
+    vector), for `_groebner_rows` and the first basis of `_Presentation`.
 
     Two routes give the same leads, hence the same reduced basis.  When
     every generator is homogeneous (`_homogeneous`), `_complete_rows` takes
@@ -520,21 +535,12 @@ def _groebner_rows(
     reductions of Gebauer-Möller on the quadrics of rational normal curves
     and on the total ideal of a flat family.
     """
-    _check_gens(gens)
-    limit = _step_limit(step_limit)
-    basis = _Reducer(order)
-    polys = [g for g in gens if not g.is_zero()]
-    if not polys:
-        return basis
-    basis._take(polys[0], "generators from different rings")
-    cleared = [_cleared(g)[0] for g in polys]
-    if _homogeneous(cleared, order, basis.packing.n):
+    if _homogeneous(cleared, basis.order, basis.packing.n):
         for F in cleared:
             basis.add_row(basis.widening(lambda: basis._packed(F)))
         _complete_rows(basis, 0, limit)
     else:
         _signature_rows(basis, [(max(map(sum, F)), F) for F in cleared], limit)
-    return basis
 
 
 def _homogeneous(rows: list[_IntPoly], order: MonomialOrder, n: int) -> bool:
@@ -812,20 +818,21 @@ class _Presentation:
     pairs are taken degree by degree.  Each generator is then w-homogeneous,
     so the ideal is, and on w-homogeneous polynomials both orders pick the
     same leading terms: either way the Y-only rows are the reduced revlex
-    basis of the kernel (Sturmfels 1996, ch. 4).  The loop of `buchberger`
-    completes the rows, `_complete_rows` under the step budget of
-    INITALG_STEP_LIMIT, then `_interreduce`.  For monomial images every row
-    stays a binomial X^u - X^v, (lead, 1, ((tail - lead, -1),)).  After
-    `insert` only the pairs with the new generator are formed, the old basis
-    counting as finished.
+    basis of the kernel (Sturmfels 1996, ch. 4).  `_route_rows` completes the
+    first rows under the step budget of INITALG_STEP_LIMIT (graded rows by
+    Gebauer-Möller, ungraded ones by the signature loop), then `_interreduce`.
+    For monomial images every row stays a binomial X^u - X^v,
+    (lead, 1, ((tail - lead, -1),)).  After `insert` only the pairs with the
+    new generator are formed, the old basis counting as finished.
     """
 
     def __init__(self, n: int, images: Iterable[tuple[_IntPoly, int]]):
         self.n, self.images = n, list(images)
-        self.basis = _Reducer(self._order())
+        basis = _Reducer(self._order())
         top = max((e for F, _ in self.images for m in F for e in m), default=0)
-        self.basis._use(packing(self.basis.order, n + len(self.images), _first_bits(top)))
-        self._complete(range(len(self.images)))
+        basis._use(packing(basis.order, n + len(self.images), _first_bits(top)))
+        _route_rows(basis, [self._row(i) for i in range(len(self.images))], _step_limit(None))
+        self.basis = basis.widening(lambda: _interreduce(basis))
 
     def _order(self) -> MonomialOrder:
         n, k = self.n, len(self.images)
@@ -850,24 +857,18 @@ class _Presentation:
         self.images.insert(pos, ({tuple(exps): 1}, 1))
         basis.order = self._order()
         basis._use(packing(basis.order, basis.packing.n + 1, basis.packing.bits), self.n + pos)
-        self._complete((pos,))
-
-    def _complete(self, fresh: Iterable[int]) -> None:
-        basis, n, k = self.basis, self.n, len(self.images)
         start = len(basis)  # the old basis is a Gröbner basis: its own pairs reduce to 0
-        # d Y_i - F: a fresh build takes them as they are, as `buchberger` takes
-        # its generators, and an adjoined one is reduced by the finished basis
-        for i in fresh:
-            F, d = self.images[i]
-            coeffs = {m + (0,) * k: -c for m, c in F.items()}
-            coeffs[(0,) * n + tuple(int(j == i) for j in range(k))] = d
-            r = basis.widening(
-                lambda: basis.reduce_ints(basis._packed(coeffs))[0] if start else basis._packed(coeffs)
-            )
-            if r:
-                basis.add_row(r)
+        # no old row has the new variable, so the remainder keeps its Y term: it is not 0
+        basis.add_row(basis.widening(lambda: basis.reduce_ints(basis._packed(self._row(pos)))[0]))
         _complete_rows(basis, start, _step_limit(None))
         self.basis = basis.widening(lambda: _interreduce(basis))
+
+    def _row(self, i: int) -> _IntPoly:
+        """d Y_i - F for the image F / d at position i, keyed by exponent vector."""
+        (F, d), k = self.images[i], len(self.images)
+        row = {m + (0,) * k: -c for m, c in F.items()}
+        row[(0,) * self.n + tuple(int(j == i) for j in range(k))] = d
+        return row
 
     def kernel(self) -> list[tuple[tuple[int, ...], int, tuple]]:
         """The Y-only rows as (u, a, ((v, b), ...)), for a Y^u + sum b Y^v,

@@ -99,15 +99,15 @@ def _sort_gens(gens: Sequence[Polynomial], order: MonomialOrder) -> list[Polynom
 
 
 def _factor(
-    leads: Sequence[tuple[int, ...]], ids: Sequence[int], memo: dict, target: tuple[int, ...]
+    leads: Sequence[tuple[int, ...]], memo: dict, target: tuple[int, ...]
 ) -> tuple[int, ...] | None:
     """Exponents c >= 0 with sum c_i leads[i] == target, the lexicographically
     largest, or None.
 
     Searches depth-first, trying large exponents first; generators are
-    nonconstant, which bounds every exponent.  `memo` maps (ids[i], remaining)
-    to the answer over leads[i:], so equal ids must name equal suffixes.  The
-    search has no budget: the memo only removes repeated work.
+    nonconstant, which bounds every exponent.  `memo` maps (i, remaining) to
+    the answer over leads[i:], so it holds for these leads only.  The search
+    has no budget: the memo only removes repeated work.
     """
     k = len(leads)
 
@@ -116,7 +116,7 @@ def _factor(
             return (0,) * (k - i)
         if i == k:
             return None
-        key = (ids[i], remaining)
+        key = (i, remaining)
         if key not in memo:
             exps, memo[key] = leads[i], None
             for c in range(min(r // e for r, e in zip(remaining, exps) if e), -1, -1):
@@ -133,9 +133,9 @@ def factor_over_monomials(target: Monomial, monos: Sequence[Monomial]) -> tuple[
     """Exponents c >= 0 with prod monos[i]^c[i] == target, or None.
 
     The lexicographically largest solution, found by the search that `_Kept`
-    memoizes over a completion; here the memo lasts one call.
+    memoizes while its leads stand; here the memo lasts one call.
     """
-    return _factor([m.exponents for m in monos], range(len(monos)), {}, target.exponents)
+    return _factor([m.exponents for m in monos], {}, target.exponents)
 
 
 def _subtract(work: _IntPoly, m: int, p: _IntPoly) -> None:
@@ -150,20 +150,21 @@ def _subtract(work: _IntPoly, m: int, p: _IntPoly) -> None:
 class _Kept:
     """One Sagbi completion, test or subduction on packed words: the generators
     `gens` (sorted, for a completion), `ideal`, the toric ideal of their
-    leading monomials (built on first use), each power, product of powers and
-    lift built once, the last result of each lift, and the memo of the factor
-    search.
+    leading monomials (built on first use), each product of powers built
+    once, the last result of each lift, and the memo of the factor search.
 
     Polynomials are fraction-free integer dicts keyed by the words of an
     `orders.Packing` of the order, as `groebner._Reducer` keeps its rows.  A
     generator f is kept as F = q f, primitive with a positive lead
     coefficient, and named by a serial number, not its position (an adjoined
     witness shifts the sorted positions): a product by the (serial, exponent)
-    pairs of its nonzero exponents, a lift by its two products' keys.
-    `memo` maps (the id of the suffix leads[i:], remaining exponents) to the
-    search's answer, so after an insertion the entries of the suffixes behind
-    it stay valid.  An exponent that outgrows the packing raises `_Overflow`;
-    `widening` then repacks every kept dict twice as wide and retries.
+    pairs of its nonzero exponents, F^e being the one-factor product, and a
+    lift's result by its two products' keys.  A lift is formed from its two
+    products each time it is subducted.  `memo` maps (position, remaining
+    exponents) to the search's answer over the current leads, and starts
+    again at each insertion.  An exponent that outgrows the packing raises
+    `_Overflow`; `widening` then repacks every product twice as wide and
+    retries.
     """
 
     def __init__(self, gens: Sequence[Polynomial], order: MonomialOrder):
@@ -175,12 +176,9 @@ class _Kept:
         self.serials: list[int] = []
         self.named: list[tuple[Polynomial, tuple[int, ...]]] = []  # (f, lead) by serial
         self.scales: dict[int, Fraction] = {}  # q of F = q f, by serial
-        self.powers: dict[int, list[_IntPoly]] = {}  # F^0, F^1, ... by serial, on first use
         self.products: dict[tuple, _IntPoly] = {(): {0: 1}}
-        self.lifts: dict[tuple, _IntPoly] = {}
         self.results: dict[tuple, tuple] = {}
         self.memo: dict[tuple, tuple[int, ...] | None] = {}
-        self.suffixes: dict[tuple, int] = {}
         for g in gens:
             self._adjoin(len(self.gens), g)
 
@@ -194,14 +192,13 @@ class _Kept:
         self.leads.insert(pos, lead)
         self.serials.insert(pos, len(self.named))
         self.named.append((f, lead))
-        ids = self.suffixes
-        self.ids = [ids.setdefault(tuple(self.leads[i:]), len(ids)) for i in range(len(self.leads))]
 
     def insert(self, w: Polynomial) -> None:
         """Adjoin the witness w at its sorted position, to `ideal` too."""
         ideal = self.ideal
         pos = _sort_gens(self.gens + [w], self.order).index(w)
         self._adjoin(pos, w)
+        self.memo = {}  # keyed by position, so it holds for the old leads only
         ideal.insert(pos, self.leads[pos])
 
     def _use(self, new: Packing) -> None:
@@ -210,9 +207,7 @@ class _Kept:
         def repack(p: _IntPoly) -> _IntPoly:
             return {new.pack(old.unpack(w)): c for w, c in p.items()}
 
-        self.powers = {s: [repack(p) for p in ps] for s, ps in self.powers.items()}
         self.products = {key: repack(p) for key, p in self.products.items()}
-        self.lifts = {key: repack(p) for key, p in self.lifts.items()}
 
     def widening(self, step):
         """step(), retried with twice the field width while it overflows."""
@@ -248,22 +243,22 @@ class _Kept:
 
     def factor(self, target: tuple[int, ...]) -> tuple[int, ...] | None:
         """`factor_over_monomials` of `target` over the leads, through `memo`."""
-        return _factor(self.leads, self.ids, self.memo, target)
+        return _factor(self.leads, self.memo, target)
 
     def _key(self, exps: Sequence[int]) -> tuple:
         return tuple((s, e) for s, e in zip(self.serials, exps) if e)
 
     def product(self, key: tuple) -> _IntPoly:
-        """The product of F^e over the (serial, e) of `key`, kept with each prefix of the key."""
+        """The product of F^e over the (serial, e) of `key`, kept with each prefix
+        of the key, and F^e with F^(e - 1)."""
         if key not in self.products:
-            s, e = key[-1]
-            if s not in self.powers:
-                F, self.scales[s] = self.primitive(self.named[s][0])
-                self.powers[s] = [{0: 1}, F]
-            powers = self.powers[s]
-            while len(powers) <= e:
-                powers.append(self._mul(powers[-1], powers[1]))
-            self.products[key] = self._mul(self.product(key[:-1]), powers[e]) if key[:-1] else powers[e]
+            (s, e), rest = key[-1], key[:-1]
+            if rest:
+                self.products[key] = self._mul(self.product(rest), self.product(key[-1:]))
+            elif e > 1:
+                self.products[key] = self._mul(self.product(((s, e - 1),)), self.product(((s, 1),)))
+            else:
+                self.products[key], self.scales[s] = self.primitive(self.named[s][0])
         return self.products[key]
 
     def subduct(
@@ -313,14 +308,12 @@ class _Kept:
             if not any(all(map(operator.le, lead, t)) for _, lead in self.named[seen:] for t in met):
                 self.results[key] = (len(self.named), met, w)
                 return w
-        if key not in self.lifts:
-            pu, pv = self.product(key[0]), self.product(key[1])
-            au, av = pu[max(pu)], pv[max(pv)]
-            g = math.gcd(au, av)
-            lift = {w: c * (av // g) for w, c in pu.items()}
-            _subtract(lift, au // g, pv)
-            self.lifts[key] = lift
-        r, _, _, met = self.subduct(dict(self.lifts[key]))
+        pu, pv = self.product(key[0]), self.product(key[1])
+        au, av = pu[max(pu)], pv[max(pv)]
+        g = math.gcd(au, av)
+        lift = {w: c * (av // g) for w, c in pu.items()}
+        _subtract(lift, au // g, pv)
+        r, _, _, met = self.subduct(lift)
         w = None
         if r:
             lc, unpack = r[max(r)], self.packing.unpack
@@ -394,8 +387,8 @@ def sagbi_complete(
     only outstanding witnesses exceed the cap (the initial algebra may be
     infinitely generated, so unbounded completion is not offered).  One
     toric ideal of the leading monomials serves the whole completion: each
-    adjoined witness inserts its leading monomial into it.  Lifts, powers and
-    products are built once (`_Kept`).  A lift is subducted again when a
+    adjoined witness inserts its leading monomial into it.  Products of
+    powers are built once (`_Kept`).  A lift is subducted again when a
     generator adjoined since has a lead dividing a lead its last subduction
     met, even if that one ended in 0: the lexicographically largest
     factorization of that lead can change, and with it the remainder.

@@ -51,7 +51,8 @@ def test_homogenize_ideal_single():
     fam = homogenize_ideal([x**2 - y], WeightVector((1, 1)))
     t = fam.extended_ring.gens()[-1]
     xt, yt = fam.extended_ring.gens()[:2]
-    assert fam.total.elements == (xt**2 - yt * t,)
+    assert fam.total.elements == tuple(fam) == (xt**2 - yt * t,)
+    assert fam.ring == R2 and fam.extended_ring.names == ("x", "y", "t")
     assert fiber(fam, 0) == (x**2,)
     assert fiber(fam, 1) == (x**2 - y,)
     assert fiber(fam, 2) == (x**2 - 2 * y,)

@@ -851,7 +851,7 @@ def test_graded_kernel_equals_elimination(kernel_orders):
     assert ungraded >= 20, ungraded
 
 
-def test_ungraded_kernel_route(kernel_orders):
+def test_ungraded_kernel_route(kernel_orders, monkeypatch):
     # a non-homogeneous image or a constant one (its weight would be 0, which
     # WeightVector rejects) keeps the plain elimination order
     with pytest.raises(ValueError):
@@ -860,6 +860,14 @@ def test_ungraded_kernel_route(kernel_orders):
     assert [type(o) for o in kernel_orders] == [EliminationOrder]
     assert ker.gens == eliminated_kernel(ker.images)
     assert ker.gens
+    # ungraded rows take the signature route of `buchberger`, which reduces
+    # 26 candidates here, where the Gebauer-Möller loop would reduce 354 pairs
+    kernel_orders.clear()
+    with monkeypatch.context() as env:
+        env.setenv("INITALG_STEP_LIMIT", "50")
+        ker = presentation_kernel([R2.poly(f) for f in ("-x^2*y^2 + x*y", "3*x^2 - y", "3*x*y^2 - y^2")])
+    assert [type(o) for o in kernel_orders] == [EliminationOrder]
+    assert ker.gens == eliminated_kernel(ker.images)
     kernel_orders.clear()
     ker = toric_kernel(R2, [Monomial((0, 0)), Monomial((1, 0)), Monomial((1, 1))])
     assert [type(o) for o in kernel_orders] == [EliminationOrder]

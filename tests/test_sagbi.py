@@ -88,8 +88,8 @@ def test_factor_over_monomials():
 
 
 def test_memoized_factor_search_equals_depth_first_search():
-    # one memo per _Kept, kept across an insertion: the entries of the
-    # suffixes behind the inserted lead stay valid
+    # one memo per _Kept while its leads stand: it is keyed by position, so
+    # an insertion empties it, and the answers after it are still exact
     rng = random.Random(307)
     cases = Counter()
     for _ in range(120):
@@ -115,10 +115,10 @@ def test_memoized_factor_search_equals_depth_first_search():
             new = Monomial(tuple(rng.randint(0, 3) for _ in range(ring.n)))
             if new.is_one() or new in leads:
                 break
-            ids, size = list(kept.ids), len(kept.memo)
+            assert kept.memo
             kept.insert(Polynomial.from_dict(ring, {new: 1}))
             pos = kept.gens.index(Polynomial.from_dict(ring, {new: 1}))
-            assert kept.ids[pos + 1:] == ids[pos:] and len(kept.memo) == size
+            assert kept.memo == {}
             cases["inserted mid-list"] += 0 < pos < len(leads)
     assert cases["constant"] >= 200 and cases["none"] >= 1000 and cases["factored"] >= 500, cases
     assert cases["inserted mid-list"] >= 30, cases
@@ -332,7 +332,7 @@ def sagbi_differential_sweep(seed, trials, caps=(6, 10), alarm_s=10.0):
 
 
 def test_kept_lifts_equal_rebuilt_completion():
-    # lifts, powers, products and the factor memo kept across rounds must give
+    # products, results and the factor memo kept across rounds must give
     # the completion that rebuilds the kernel and every lift in each round
     stats, mismatches = sagbi_differential_sweep(149, 72, caps=(4, 8))
     assert mismatches == []
@@ -427,14 +427,19 @@ def test_completion_wider_than_the_first_packing(monkeypatch):
         monkeypatch.setattr(sagbi._Kept, "_use", real)  # the reference subducts on Fractions
         assert state == reference_sagbi_complete(gens, order, cap)
         monkeypatch.setattr(sagbi._Kept, "_use", recording)
-    # a repack keeps every kept power, product and lift: with the kept
-    # results dropped, the round after it subducts them all and is the round
-    # before it
+    # a repack keeps every product and every kept result: the round after it
+    # is the round before it, and so it is with the kept results dropped,
+    # when it subducts every lift again from the repacked products
     kept = sagbi._Kept(sagbi._sort_gens(list(F_QUAD), DegLex()), DegLex())
     before = sagbi._sagbi_round(kept)
+    old, products, results = kept.packing, dict(kept.products), dict(kept.results)
     kept._use(packing(DegLex(), 3, 16))
+    assert len(products) > 1 and results and kept.results == results
+    assert {key: {old.unpack(w): c for w, c in p.items()} for key, p in products.items()} == {
+        key: {kept.packing.unpack(w): c for w, c in p.items()} for key, p in kept.products.items()}
+    assert sagbi._sagbi_round(kept) == before
     kept.results.clear()
-    assert kept.products and kept.lifts and sagbi._sagbi_round(kept) == before
+    assert sagbi._sagbi_round(kept) == before and kept.results.keys() == results.keys()
     # certificates replay on exponents past the first packing, and an input
     # wider than the generators' packing widens it before the first step
     gens = [x**7 + y, x**60, 3 * x * y**2]
@@ -447,8 +452,9 @@ def test_completion_wider_than_the_first_packing(monkeypatch):
 
 def test_each_lift_is_kept_across_a_shift(monkeypatch):
     # x*y^2 sorts between the generators and shifts the position of 3*x^2*y:
-    # a relation that survives the shift keeps its lift, so the completion
-    # keeps one lift per distinct relation f^u - f^v it meets
+    # a relation that survives the shift keeps its result and its products,
+    # so the completion keeps one result per distinct relation f^u - f^v it
+    # meets, and the two products of each; the lift itself is not kept
     relations, kept_states = set(), []
     real = sagbi._sagbi_round
 
@@ -466,7 +472,9 @@ def test_each_lift_is_kept_across_a_shift(monkeypatch):
     assert state.gens == (2 * y - x, -2 * x * y, x * y**2, 3 * x**2 * y, x * y**3, x * y**4)
     assert state.truncated_at == 5
     assert len({id(k) for k in kept_states}) == 1 and len(kept_states) == 4
-    assert len(kept_states[0].lifts) == len(relations) > 0
+    kept = kept_states[0]
+    assert len(kept.results) == len(relations) > 0
+    assert all(part in kept.products for key in kept.results for part in key)
 
 
 def test_sagbi_complete_builds_one_toric_ideal(monkeypatch):
