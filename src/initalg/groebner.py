@@ -533,7 +533,8 @@ def _route_rows(basis: _Reducer, cleared: list[_IntPoly], limit: int | None) -> 
     signature loop.  The rule is a measured crossover: the signature loop
     makes no zero reduction on cyclic-5 and katsura-5, but twice the
     reductions of Gebauer-Möller on the quadrics of rational normal curves
-    and on the total ideal of a flat family.
+    and on the total ideal of a flat family.  On ungraded toric kernels
+    (binomial rows) the signature loop was the faster route too.
     """
     if _homogeneous(cleared, basis.order, basis.packing.n):
         for F in cleared:

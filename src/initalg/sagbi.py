@@ -250,16 +250,19 @@ class _Kept:
 
     def product(self, key: tuple) -> _IntPoly:
         """The product of F^e over the (serial, e) of `key`, kept with each prefix
-        of the key, and F^e with F^(e - 1)."""
-        if key not in self.products:
+        of the key, and F^e with each lower power of F."""
+        products = self.products
+        if key not in products:
             (s, e), rest = key[-1], key[:-1]
             if rest:
-                self.products[key] = self._mul(self.product(rest), self.product(key[-1:]))
-            elif e > 1:
-                self.products[key] = self._mul(self.product(((s, e - 1),)), self.product(((s, 1),)))
+                products[key] = self._mul(self.product(rest), self.product(key[-1:]))
             else:
-                self.products[key], self.scales[s] = self.primitive(self.named[s][0])
-        return self.products[key]
+                if ((s, 1),) not in products:
+                    products[(s, 1),], self.scales[s] = self.primitive(self.named[s][0])
+                for j in range(2, e + 1):  # a loop, not a recursion: e may pass the recursion limit
+                    if ((s, j),) not in products:
+                        products[(s, j),] = self._mul(products[(s, j - 1),], products[(s, 1),])
+        return products[key]
 
     def subduct(
         self, work: _IntPoly, scale: Fraction | None = None

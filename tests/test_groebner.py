@@ -866,8 +866,12 @@ def test_ungraded_kernel_route(kernel_orders, monkeypatch):
     with monkeypatch.context() as env:
         env.setenv("INITALG_STEP_LIMIT", "50")
         ker = presentation_kernel([R2.poly(f) for f in ("-x^2*y^2 + x*y", "3*x^2 - y", "3*x*y^2 - y^2")])
-    assert [type(o) for o in kernel_orders] == [EliminationOrder]
+        # binomial rows too: an ungraded toric kernel needs a budget of 20 on
+        # the signature route, and over 100 on the Gebauer-Möller loop
+        toric = toric_kernel(R2, [Monomial(e) for e in ((0, 0), (1, 1), (1, 6), (2, 2), (6, 1))])
+    assert [type(o) for o in kernel_orders] == [EliminationOrder] * 2
     assert ker.gens == eliminated_kernel(ker.images)
+    assert toric.gens == eliminated_kernel(toric.images)
     kernel_orders.clear()
     ker = toric_kernel(R2, [Monomial((0, 0)), Monomial((1, 0)), Monomial((1, 1))])
     assert [type(o) for o in kernel_orders] == [EliminationOrder]

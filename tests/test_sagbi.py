@@ -131,6 +131,17 @@ def test_subduct_examples():
     assert subduct(R2.const(5), [x], DegLex()).is_zero()  # constants lie in the algebra
 
 
+def test_powers_past_the_recursion_limit():
+    # F^e is built in a loop from the highest power kept, so an exponent
+    # beyond Python's default recursion limit of 1000 frames still works
+    for e in (1000, 1500):
+        f = x**e + 3 * y
+        assert subduct_with_certificate(f, [x], Lex()) == fraction_subduct_with_certificate(f, [x], Lex())
+    # the kernel relation Y1^1000 - Y2 lifts to x^1000 - (x^1000 + y) = -y
+    gens = [x, x**1000 + y]
+    assert sagbi_test(gens, Lex()) == polynomial_kernel_sagbi_test(gens, Lex()) == (False, (y,))
+
+
 def test_subduction_certificate_replays():
     rng = random.Random(73)
     for _ in range(20):
