@@ -26,7 +26,6 @@ is ranked.  No free resolution is ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -42,6 +41,7 @@ from initalg.poly import (
     PolyRing,
     Polynomial,
     WeightVector,
+    _Value,
     is_weight_homogeneous,
 )
 
@@ -50,14 +50,19 @@ class BettiInconsistencyError(RuntimeError):
     """A theorem-guaranteed identity failed; indicates an implementation bug."""
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(_Value):
     """Nonzero graded Betti numbers of a standard-graded quotient ring."""
 
-    ring: PolyRing
-    entries: dict[tuple[int, int], int]  # (homological degree i, internal degree j) -> beta
-    j_max: int
-    complete: bool
+    _fields = ("ring", "entries", "j_max", "complete")
+
+    def __init__(
+        self,
+        ring: PolyRing,
+        entries: dict[tuple[int, int], int],  # (homological degree i, internal degree j) -> beta
+        j_max: int,
+        complete: bool,
+    ):
+        super().__init__(ring, entries, j_max, complete)
 
     def beta(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
@@ -376,14 +381,19 @@ def _check_squarefree_transfer(quotient: BettiTable, initial: BettiTable):
             )
 
 
-@dataclass(frozen=True)
-class BettiComparison:
+class BettiComparison(_Value):
     """Entrywise comparison of the tables of R/I and R/ini(I)."""
 
-    quotient: BettiTable
-    initial: BettiTable
-    projdim: tuple[int, int]  # (R/I, R/ini)
-    regularity: tuple[int, int]
+    _fields = ("quotient", "initial", "projdim", "regularity")
+
+    def __init__(
+        self,
+        quotient: BettiTable,
+        initial: BettiTable,
+        projdim: tuple[int, int],  # (R/I, R/ini)
+        regularity: tuple[int, int],
+    ):
+        super().__init__(quotient, initial, projdim, regularity)
 
 
 def betti_comparison(

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -83,18 +82,18 @@ class CLIInputError(Exception):
     """Malformed problem file or inconsistent flags."""
 
 
-@dataclass
 class Problem:
     """Parsed problem file: one ring, optional declarations, one generator block."""
 
-    ring: PolyRing | None = None
-    order: MonomialOrder | None = None
-    weight: WeightVector | None = None
-    grading: WeightVector | None = None
-    block: str | None = None  # "ideal" or "algebra"
-    gens: list[Polynomial] = field(default_factory=list)
-    pairs: list[tuple[Monomial, Monomial]] = field(default_factory=list)
-    has_pairs: bool = False
+    def __init__(self):
+        self.ring: PolyRing | None = None
+        self.order: MonomialOrder | None = None
+        self.weight: WeightVector | None = None
+        self.grading: WeightVector | None = None
+        self.block: str | None = None  # "ideal" or "algebra"
+        self.gens: list[Polynomial] = []
+        self.pairs: list[tuple[Monomial, Monomial]] = []
+        self.has_pairs = False
 
 
 def _split_names(rest: str) -> list[str]:

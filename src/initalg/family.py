@@ -11,7 +11,6 @@ functions of two monomial ideals of R[t]: ini(I) R[t] and ini(J).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -24,19 +23,25 @@ from initalg.poly import (
     Polynomial,
     Scalar,
     WeightVector,
+    _Value,
     homogenize,
     specialize_t,
     weighted_degree,
 )
 
 
-@dataclass(frozen=True)
-class HomogenizedFamily:
+class HomogenizedFamily(_Value):
     """Total ideal over K[t] interpolating between I (t=1) and its initial forms (t=0)."""
 
-    weight: WeightVector
-    base_gb: ReducedGroebnerBasis  # reduced GB of I under the weight-refined order
-    total: ReducedGroebnerBasis  # reduced GB of the homogenized ideal in R[t]
+    _fields = ("weight", "base_gb", "total")
+
+    def __init__(
+        self,
+        weight: WeightVector,
+        base_gb: ReducedGroebnerBasis,  # reduced GB of I under the weight-refined order
+        total: ReducedGroebnerBasis,  # reduced GB of the homogenized ideal in R[t]
+    ):
+        super().__init__(weight, base_gb, total)
 
     @property
     def ring(self) -> PolyRing:
@@ -78,13 +83,18 @@ def fiber(family: HomogenizedFamily, c: Scalar) -> tuple[Polynomial, ...]:
     return tuple(specialize_t(g, Fraction(c)) for g in family.total)
 
 
-@dataclass(frozen=True)
-class FreenessReport:
+class FreenessReport(_Value):
     """Degreewise comparison of standard-monomial counts with quotient dimensions."""
 
-    ok: bool
-    bound: int
-    rows: tuple[tuple[int, int, int], ...]  # (degree, standard count, quotient dimension)
+    _fields = ("ok", "bound", "rows")
+
+    def __init__(
+        self,
+        ok: bool,
+        bound: int,
+        rows: tuple[tuple[int, int, int], ...],  # (degree, standard count, quotient dimension)
+    ):
+        super().__init__(ok, bound, rows)
 
 
 def freeness_basis_check(family: HomogenizedFamily, degree_bound: int | None = None) -> FreenessReport:

@@ -8,7 +8,6 @@ import heapq
 import math
 import operator
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -34,6 +33,7 @@ from initalg.poly import (
     Term,
     WeightVector,
     ZeroPolynomialError,
+    _Value,
     initial_form,
     is_weight_homogeneous,
     monomials_of_weight,
@@ -339,12 +339,13 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     return Polynomial.from_dict(f.ring, {Monomial(e): c for e, c in acc.items()})
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(_Value):
     """Monomial ideal given by its minimal (antichain) generators."""
 
-    ring: PolyRing
-    mingens: tuple[Monomial, ...]
+    _fields = ("ring", "mingens")
+
+    def __init__(self, ring: PolyRing, mingens: tuple[Monomial, ...]):
+        super().__init__(ring, mingens)
 
     @staticmethod
     def from_monomials(ring: PolyRing, monos: Iterable[Monomial]) -> MonomialIdeal:
@@ -372,17 +373,17 @@ class MonomialIdeal:
         return len(self.mingens)
 
 
-@dataclass(frozen=True)
-class ReducedGroebnerBasis:
+class ReducedGroebnerBasis(_Value):
     """The unique reduced Gröbner basis of an ideal for a fixed order.
 
     Elements are monic, fully reduced against each other, and sorted ascending
     by leading monomial.
     """
 
-    ring: PolyRing
-    order: MonomialOrder
-    elements: tuple[Polynomial, ...]
+    _fields = ("ring", "order", "elements")
+
+    def __init__(self, ring: PolyRing, order: MonomialOrder, elements: tuple[Polynomial, ...]):
+        super().__init__(ring, order, elements)
 
     def __iter__(self) -> Iterator[Polynomial]:
         return iter(self.elements)
@@ -771,13 +772,18 @@ def eliminate(gens: Sequence[Polynomial], keep: Sequence[int | str]) -> tuple[Po
     return tuple(kept)
 
 
-@dataclass(frozen=True)
-class AlgebraKernel:
+class AlgebraKernel(_Value):
     """Relations among ring elements: the kernel of Y_i -> images[i]."""
 
-    ring: PolyRing  # fresh ring in the Y variables
-    images: tuple[Polynomial, ...]
-    gens: tuple[Polynomial, ...]  # reduced revlex GB of the kernel in `ring`, ascending
+    _fields = ("ring", "images", "gens")
+
+    def __init__(
+        self,
+        ring: PolyRing,  # fresh ring in the Y variables
+        images: tuple[Polynomial, ...],
+        gens: tuple[Polynomial, ...],  # reduced revlex GB of the kernel in `ring`, ascending
+    ):
+        super().__init__(ring, images, gens)
 
 
 def presentation_kernel(

@@ -9,13 +9,12 @@ integer polynomials stored as dense coefficient tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
 from initalg.groebner import MonomialIdeal, initial_ideal
 from initalg.orders import MonomialOrder, leading_term
-from initalg.poly import Monomial, Polynomial, WeightVector, is_weight_homogeneous
+from initalg.poly import Monomial, Polynomial, WeightVector, _Value, is_weight_homogeneous
 from initalg.sagbi import SagbiState
 
 
@@ -60,18 +59,16 @@ def _divide_by_one_minus_power(coeffs: tuple[int, ...], e: int) -> tuple[int, ..
     return _trim(q)
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(_Value):
     """N(t) / prod(1 - t^{e}) with integer numerator coefficients."""
 
-    numerator: tuple[int, ...]
-    denominator_degrees: tuple[int, ...]
+    _fields = ("numerator", "denominator_degrees")
 
-    def __post_init__(self):
-        object.__setattr__(self, "numerator", _trim(self.numerator))
-        object.__setattr__(self, "denominator_degrees", tuple(sorted(self.denominator_degrees)))
-        if any(e < 1 for e in self.denominator_degrees):
+    def __init__(self, numerator: tuple[int, ...], denominator_degrees: tuple[int, ...]):
+        numerator, denominator_degrees = _trim(numerator), tuple(sorted(denominator_degrees))
+        if any(e < 1 for e in denominator_degrees):
             raise ValueError("denominator degrees must be positive")
+        super().__init__(numerator, denominator_degrees)
 
     def expand(self, d_max: int) -> tuple[int, ...]:
         """Power-series coefficients in degrees 0..d_max."""
@@ -238,16 +235,15 @@ def hilbert_series_subalgebra(
     return semigroup_counts(inis, degs, d_max)
 
 
-@dataclass(frozen=True)
-class HilbertComparison:
+class HilbertComparison(_Value):
     """Hilbert functions of R/ini(I) under two orders/weights, degree by degree."""
 
-    ok: bool
-    d_max: int
-    first_values: tuple[int, ...]
-    second_values: tuple[int, ...]
-    first_series: HilbertSeries
-    second_series: HilbertSeries
+    _fields = ("ok", "d_max", "first_values", "second_values", "first_series", "second_series")
+
+    def __init__(self, ok: bool, d_max: int, first_values: tuple[int, ...],
+                 second_values: tuple[int, ...], first_series: HilbertSeries,
+                 second_series: HilbertSeries):
+        super().__init__(ok, d_max, first_values, second_values, first_series, second_series)
 
 
 def compare_hilbert(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -29,6 +28,7 @@ from initalg.poly import (
     Term,
     WeightVector,
     ZeroPolynomialError,
+    _Value,
 )
 
 
@@ -74,16 +74,24 @@ def _require_permutation(indices: tuple[int, ...], what: str) -> None:
         raise ValueError(f"{what} must be a permutation of 0..{len(indices) - 1}")
 
 
-@dataclass(frozen=True)
-class _PermutedOrder(MonomialOrder):
+class _PermutedOrder(_Value, MonomialOrder):
     """Base of the orders that take a variable priority permutation `perm`."""
 
-    perm: tuple[int, ...] | None = None
+    _fields = ("perm",)
 
-    def __post_init__(self):
-        if self.perm is not None:
-            object.__setattr__(self, "perm", tuple(self.perm))
-            _require_permutation(self.perm, "order permutation")
+    def __init__(self, perm: tuple[int, ...] | None = None):
+        if perm is not None:
+            perm = tuple(perm)
+            _require_permutation(perm, "order permutation")
+        object.__setattr__(self, "perm", perm)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.perm == other.perm
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.perm,))
 
     def _priority(self, n: int) -> tuple[int, ...]:
         if self.perm is not None and len(self.perm) != n:
@@ -91,7 +99,6 @@ class _PermutedOrder(MonomialOrder):
         return tuple(range(n)) if self.perm is None else self.perm
 
 
-@dataclass(frozen=True)
 class Lex(_PermutedOrder):
     """Pure lexicographic; `perm` lists variable indices by descending priority."""
 
@@ -99,7 +106,6 @@ class Lex(_PermutedOrder):
         return _unit_rows(n, self._priority(n))
 
 
-@dataclass(frozen=True)
 class DegLex(_PermutedOrder):
     """Total degree first, then lexicographic."""
 
@@ -107,7 +113,6 @@ class DegLex(_PermutedOrder):
         return ((1,) * n,) + _unit_rows(n, self._priority(n))
 
 
-@dataclass(frozen=True)
 class RevLex(_PermutedOrder):
     """Degree reverse lexicographic: smaller power of the least variable wins ties."""
 
@@ -115,12 +120,26 @@ class RevLex(_PermutedOrder):
         return ((1,) * n,) + _unit_rows(n, reversed(self._priority(n)), -1)
 
 
-@dataclass(frozen=True)
-class WeightOrder(MonomialOrder):
-    """Weighted degree first, ties broken by the base order."""
+class _WeightedOrder(_Value, MonomialOrder):
+    """Base of the orders by a weight, ties broken by `base` (a fresh RevLex by default)."""
 
-    weight: WeightVector
-    base: MonomialOrder = field(default_factory=RevLex)
+    _fields = ("weight", "base")
+
+    def __init__(self, weight: WeightVector, base: MonomialOrder | None = None):
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "base", RevLex() if base is None else base)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.weight, self.base) == (other.weight, other.base)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.weight, self.base))
+
+
+class WeightOrder(_WeightedOrder):
+    """Weighted degree first, ties broken by the base order."""
 
     def matrix(self, n: int) -> Matrix:
         if self.weight.n != n:
@@ -128,16 +147,12 @@ class WeightOrder(MonomialOrder):
         return (self.weight.entries,) + self.base.matrix(n)
 
 
-@dataclass(frozen=True)
-class ExtendedOrder(MonomialOrder):
+class ExtendedOrder(_WeightedOrder):
     """Order on R[t] induced by a weight on R (the last variable gets weight 1).
 
     Compares the extended weighted degree, then prefers the smaller power of
     the homogenizing variable, then falls back to the base order on the R part.
     """
-
-    weight: WeightVector
-    base: MonomialOrder = field(default_factory=RevLex)
 
     def matrix(self, n: int) -> Matrix:
         if self.weight.n != n - 1:
@@ -147,24 +162,34 @@ class ExtendedOrder(MonomialOrder):
         )
 
 
-@dataclass(frozen=True)
-class EliminationOrder(MonomialOrder):
+class EliminationOrder(_Value, MonomialOrder):
     """Block order on arbitrary index sets: the eliminated block dominates.
 
     Any monomial involving an eliminated variable beats every monomial in the
     kept variables alone, so kept-only elements of a Gröbner basis generate
-    the elimination ideal.
+    the elimination ideal.  The blocks are ordered by `elim_order` and
+    `keep_order`, a fresh DegLex and RevLex by default.
     """
 
-    elim: tuple[int, ...]
-    keep: tuple[int, ...]
-    elim_order: MonomialOrder = field(default_factory=DegLex)
-    keep_order: MonomialOrder = field(default_factory=RevLex)
+    _fields = ("elim", "keep", "elim_order", "keep_order")
 
-    def __post_init__(self):
-        object.__setattr__(self, "elim", tuple(self.elim))
-        object.__setattr__(self, "keep", tuple(self.keep))
-        _require_permutation(self.elim + self.keep, "elim + keep")
+    def __init__(self, elim: tuple[int, ...], keep: tuple[int, ...],
+                 elim_order: MonomialOrder | None = None, keep_order: MonomialOrder | None = None):
+        elim, keep = tuple(elim), tuple(keep)
+        _require_permutation(elim + keep, "elim + keep")
+        object.__setattr__(self, "elim", elim)
+        object.__setattr__(self, "keep", keep)
+        object.__setattr__(self, "elim_order", DegLex() if elim_order is None else elim_order)
+        object.__setattr__(self, "keep_order", RevLex() if keep_order is None else keep_order)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.elim, self.keep, self.elim_order, self.keep_order)
+                    == (other.elim, other.keep, other.elim_order, other.keep_order))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.elim, self.keep, self.elim_order, self.keep_order))
 
     def matrix(self, n: int) -> Matrix:
         if n != len(self.elim) + len(self.keep):

@@ -6,12 +6,15 @@ terms sorted strictly descending under a fixed canonical order (DegLex with
 the natural variable order), so equality is structural and hashing works.
 Weighted degrees, monomials of a weighted degree, initial forms and
 homogenization live here as well.
+
+The value classes of the package (rings, monomials, terms, weights, orders,
+ideals, series and reports) are immutable: each derives from `_Value`, names
+its fields in `_fields`, and compares and hashes as the tuple of its fields.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -34,24 +37,77 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class PolyRing:
+class _Value:
+    """Base of the immutable value classes.
+
+    A subclass lists its fields in `_fields`, in constructor order, and its
+    `__init__` checks the arguments and passes the fields on to this one.  A
+    value equals only values of its own class with equal fields, hashes as
+    its field tuple and prints as ``Name(field=value, ...)``; assigning or
+    deleting an attribute raises AttributeError, and pickling rebuilds a
+    value from its fields.  Rings, monomials, terms, weights and orders set
+    their fields and write out eq and hash with the same meaning by hand,
+    since those run on every polynomial operation and cache lookup.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+class PolyRing(_Value):
     """K[X1,...,Xn] over the rationals; `homvar` names the homogenizing variable of an extended ring."""
 
-    names: tuple[str, ...]
-    homvar: str | None = None
+    _fields = ("names", "homvar")
 
-    def __post_init__(self):
-        if type(self.names) is not tuple:
-            object.__setattr__(self, "names", tuple(self.names))
-        if not self.names:
+    def __init__(self, names: tuple[str, ...], homvar: str | None = None):
+        if type(names) is not tuple:
+            names = tuple(names)
+        if not names:
             raise ValueError("ring needs at least one variable")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
-        if any(not n for n in self.names):
+        if any(not n for n in names):
             raise ValueError("variable names must be nonempty")
-        if self.homvar is not None and (not self.names or self.names[-1] != self.homvar):
+        if homvar is not None and names[-1] != homvar:
             raise ValueError("homogenizing variable must be the last variable")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "homvar", homvar)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.names, self.homvar) == (other.names, other.homvar)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.names, self.homvar))
 
     @property
     def n(self) -> int:
@@ -114,17 +170,25 @@ class PolyRing:
         return f"PolyRing({', '.join(self.names)})"
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(_Value):
     """Power product, stored as the exponent vector."""
 
-    exponents: tuple[int, ...]
+    __slots__ = _fields = ("exponents",)
 
-    def __post_init__(self):
-        if type(self.exponents) is not tuple:  # one check on the hot path
-            object.__setattr__(self, "exponents", tuple(self.exponents))
-        if any(e < 0 for e in self.exponents):
+    def __init__(self, exponents: tuple[int, ...]):
+        if type(exponents) is not tuple:  # one check on the hot path
+            exponents = tuple(exponents)
+        if any(e < 0 for e in exponents):
             raise ValueError("exponents must be nonnegative")
+        object.__setattr__(self, "exponents", exponents)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.exponents == other.exponents
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.exponents,))
 
     def degree(self) -> int:
         return sum(self.exponents)
@@ -156,30 +220,46 @@ class Monomial:
         return f"Monomial{self.exponents}"
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(_Value):
     """Nonzero rational coefficient times a monomial."""
 
-    coeff: Fraction
-    mono: Monomial
+    __slots__ = _fields = ("coeff", "mono")
 
-    def __post_init__(self):
-        if self.coeff == 0:
+    def __init__(self, coeff: Fraction, mono: Monomial):
+        if coeff == 0:
             raise ValueError("term coefficient must be nonzero")
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "mono", mono)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.coeff, self.mono) == (other.coeff, other.mono)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeff, self.mono))
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(_Value):
     """Strictly positive integral grading; the extended form for R[t] ends in 1."""
 
-    entries: tuple[int, ...]
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if not self.entries:
+    def __init__(self, entries: tuple[int, ...]):
+        entries = tuple(entries)
+        if not entries:
             raise ValueError("weight vector must be nonempty")
-        if any(not isinstance(e, int) or isinstance(e, bool) or e < 1 for e in self.entries):
+        if any(not isinstance(e, int) or isinstance(e, bool) or e < 1 for e in entries):
             raise ValueError("weight entries must be integers >= 1")
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.entries,))
 
     @property
     def n(self) -> int:

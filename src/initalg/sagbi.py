@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -35,24 +34,27 @@ from initalg.poly import (
     Polynomial,
     RingMismatchError,
     WeightVector,
+    _Value,
     initial_form,
     power_product,
     weighted_degree,
 )
 
 
-@dataclass(frozen=True)
-class SubductionStep:
+class SubductionStep(_Value):
     """One subtraction: coeff times the product of generators with these exponents."""
 
-    coeff: Fraction
-    exponents: tuple[int, ...]
+    _fields = ("coeff", "exponents")
+
+    def __init__(self, coeff: Fraction, exponents: tuple[int, ...]):
+        super().__init__(coeff, exponents)
 
 
-@dataclass(frozen=True)
-class SubductionResult:
-    remainder: Polynomial
-    steps: tuple[SubductionStep, ...]
+class SubductionResult(_Value):
+    _fields = ("remainder", "steps")
+
+    def __init__(self, remainder: Polynomial, steps: tuple[SubductionStep, ...]):
+        super().__init__(remainder, steps)
 
     def replay(self, gens: Sequence[Polynomial]) -> Polynomial:
         """Re-expand the certificate: sum of the steps plus the remainder."""
@@ -63,13 +65,18 @@ class SubductionResult:
         return acc
 
 
-@dataclass(frozen=True)
-class SagbiState:
+class SagbiState(_Value):
     """Generators together with the completion verdict."""
 
-    gens: tuple[Polynomial, ...]
-    order: MonomialOrder
-    truncated_at: int | None = None  # None means the Sagbi test closed
+    _fields = ("gens", "order", "truncated_at")
+
+    def __init__(
+        self,
+        gens: tuple[Polynomial, ...],
+        order: MonomialOrder,
+        truncated_at: int | None = None,  # None means the Sagbi test closed
+    ):
+        super().__init__(gens, order, truncated_at)
 
     @property
     def confirmed(self) -> bool:
@@ -434,15 +441,20 @@ def initial_algebra_gens(state: SagbiState) -> tuple[Monomial, ...]:
     return minimalize_semigroup([leading_term(g, state.order).mono for g in state.gens])
 
 
-@dataclass(frozen=True)
-class InitialKernelReport:
+class InitialKernelReport(_Value):
     """Comparison of ini_b(relations of f) with the relations of the initial forms."""
 
-    ok: bool
-    image_weights: WeightVector  # b: the a-degrees of the generators
-    kernel: AlgebraKernel  # relations among the f_i
-    initial_kernel: AlgebraKernel  # relations among the ini_a(f_i)
-    kernel_initial_forms: tuple[Polynomial, ...]  # generators of ini_b(kernel)
+    _fields = ("ok", "image_weights", "kernel", "initial_kernel", "kernel_initial_forms")
+
+    def __init__(
+        self,
+        ok: bool,
+        image_weights: WeightVector,  # b: the a-degrees of the generators
+        kernel: AlgebraKernel,  # relations among the f_i
+        initial_kernel: AlgebraKernel,  # relations among the ini_a(f_i)
+        kernel_initial_forms: tuple[Polynomial, ...],  # generators of ini_b(kernel)
+    ):
+        super().__init__(ok, image_weights, kernel, initial_kernel, kernel_initial_forms)
 
 
 def kernel_initial_check(

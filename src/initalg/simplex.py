@@ -21,10 +21,11 @@ basis, which fixes each earlier optimum as an equality row would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
+
+from initalg.poly import _Value
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -33,11 +34,16 @@ UNBOUNDED = "unbounded"
 LE, GE, EQ = "<=", ">=", "=="
 
 
-@dataclass(frozen=True)
-class LPResult:
-    status: str
-    x: tuple[Fraction, ...] | None
-    pivots: int  # over phase 1, the artificial drive-out and every stage
+class LPResult(_Value):
+    _fields = ("status", "x", "pivots")
+
+    def __init__(
+        self,
+        status: str,
+        x: tuple[Fraction, ...] | None,
+        pivots: int,  # over phase 1, the artificial drive-out and every stage
+    ):
+        super().__init__(status, x, pivots)
 
 
 def linear_program(

@@ -70,7 +70,7 @@ def test_structural_equality_and_hash():
     (PolyRing, ["x", "y"], ("x", "y")),
 ])
 def test_sequence_fields_are_stored_as_tuples(make, value, stored):
-    # a list field made the frozen dataclass unhashable and unequal to its tuple form
+    # a list field made the value unhashable and unequal to its tuple form
     obj = make(value)
     assert obj == make(stored) and hash(obj) == hash(make(stored)) and len({obj, make(stored)}) == 1
 

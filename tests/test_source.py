@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "initalg"
@@ -26,6 +29,17 @@ def test_no_function_local_imports():
         if isinstance(inner, (ast.Import, ast.ImportFrom))
     ]
     assert not found, f"function-local imports in src/initalg: {found}"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every `initalg` command pays this import: dataclasses brings inspect,
+    # dis, ast and tokenize, and each decorator execs generated methods
+    code = ("import sys; before = set(sys.modules); import initalg.cli; "
+            "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.split() == [], f"import initalg.cli loads {proc.stdout.split()}"
 
 
 def test_no_unused_imports_in_library():
