@@ -408,14 +408,14 @@ class ReducedGroebnerBasis(_Value):
         return MonomialIdeal.from_monomials(self.ring, self.leading_monomials())
 
 
-def _interreduce(basis: _Reducer) -> _Reducer:
-    # one pass ascending by lead, dropping a row when a kept lead divides its
-    # lead; a lead dividing a monomial of the tail is at most that monomial,
-    # so reducing the tail once by the reduced prefix is final.  The tail
-    # reduces to r * den / num, so the row becomes a num X^lead + den r
+def _interreduce(basis: _Reducer, rows: Iterable[tuple] | None = None) -> _Reducer:
+    # `rows` of basis (default all) in one pass ascending by lead, dropping a
+    # row when a kept lead divides its lead; a lead dividing a monomial of the
+    # tail is at most it, so reducing the tail once by the reduced prefix is
+    # final.  The tail reduces to r * den / num: the row is a num X^lead + den r
     reduced = _Reducer(basis.order)
     reduced._use(basis.packing)
-    for lead, a, tail in sorted(basis.rows, key=operator.itemgetter(0)):
+    for lead, a, tail in sorted(basis.rows if rows is None else rows, key=operator.itemgetter(0)):
         if not reduced.packing.dividing(reduced.leads, lead):
             r, num, den = reduced.reduce_ints({lead + off: b for off, b in tail})
             row = {m: den * c for m, c in r.items()}
@@ -431,16 +431,15 @@ def _monic(ring: PolyRing, row: tuple, unpack) -> Polynomial:
     return Polynomial.from_dict(ring, coeffs)
 
 
-def _pairs(basis, start: int, limit: int | None) -> Iterator[tuple[int, int]]:
-    """Yield the S-pairs (i, j) of `basis.leads` with j >= start that survive the criteria.
+def _pairs(basis, limit: int | None) -> Iterator[tuple[int, int]]:
+    """Yield the S-pairs (i, j) of `basis.leads` that survive the criteria.
 
     The leads are words of `basis.packing`, which the basis replaces when it
     widens: the leads are then repacked in place and the waiting pairs are
     keyed again.  Pairs wait in a heap keyed (lcm word, (i, j)), a word
-    comparing as the order does: Buchberger's normal strategy.  The leads
-    before `start` are taken to be a Gröbner basis already, so none of their
-    own pairs is formed.  Leads appended while iterating are installed, in
-    order, before the next pair is taken, by the criteria of Gebauer and
+    comparing as the order does: Buchberger's normal strategy.  The leads,
+    the first ones and those appended while iterating, are installed in
+    order before the next pair is taken, by the criteria of Gebauer and
     Möller (1988).  For a new lead h:
 
     - a waiting pair (i, j) of lcm L dies if h divides L and both
@@ -455,8 +454,8 @@ def _pairs(basis, start: int, limit: int | None) -> Iterator[tuple[int, int]]:
     """
     leads = basis.leads
     queue: list[tuple] = []  # (lcm word, (i, j))
-    rows = list(range(start))  # the rows that new leads still pair with
-    steps = 0
+    rows: list[int] = []  # the rows that new leads still pair with
+    steps = installed = 0
     P = None
     while True:
         if basis.packing is not P:  # first or widened: the words change, their order does not
@@ -464,7 +463,7 @@ def _pairs(basis, start: int, limit: int | None) -> Iterator[tuple[int, int]]:
             lcm, guard = P.lcm, P.guard
             for pos, (_, (i, j)) in enumerate(queue):
                 queue[pos] = (lcm(leads[i], leads[j]), (i, j))
-        for new in range(start, len(leads)):
+        for new in range(installed, len(leads)):
             h = leads[new]
             alive = [(L, (i, j)) for L, (i, j) in queue
                      if (L - h) & guard or lcm(leads[i], h) == L or lcm(leads[j], h) == L]
@@ -484,7 +483,7 @@ def _pairs(basis, start: int, limit: int | None) -> Iterator[tuple[int, int]]:
                     heapq.heappush(queue, (L, (k, new)))
             rows = [k for k in rows if (leads[k] - h) & guard]
             rows.append(new)
-        start = max(start, len(leads))
+        installed = len(leads)
         if not queue:
             return
         _, pair = heapq.heappop(queue)
@@ -525,7 +524,8 @@ def _groebner_rows(
 def _route_rows(basis: _Reducer, cleared: list[_IntPoly], limit: int | None) -> None:
     """Append to the empty, packed `basis` the rows of a Gröbner basis of the
     ideal of the nonzero integer polynomials `cleared` (keyed by exponent
-    vector), for `_groebner_rows` and the first basis of `_Presentation`.
+    vector), for `_groebner_rows` and the first basis of `_Presentation`
+    (whose `insert` adjoins each later row by `_signature_step`).
 
     Two routes give the same leads, hence the same reduced basis.  When
     every generator is homogeneous (`_homogeneous`), `_complete_rows` takes
@@ -540,7 +540,7 @@ def _route_rows(basis: _Reducer, cleared: list[_IntPoly], limit: int | None) -> 
     if _homogeneous(cleared, basis.order, basis.packing.n):
         for F in cleared:
             basis.add_row(basis.widening(lambda: basis._packed(F)))
-        _complete_rows(basis, 0, limit)
+        _complete_rows(basis, limit)
     else:
         _signature_rows(basis, [(max(map(sum, F)), F) for F in cleared], limit)
 
@@ -677,16 +677,16 @@ def _signature_step(basis: _Reducer, f: _IntPoly, limit: int | None, used: int) 
     return used
 
 
-def _complete_rows(basis: _Reducer, start: int, limit: int | None) -> None:
-    """Append rows to `basis` until they form a Gröbner basis, the rows before
-    `start` being one already: each S-pair from `_pairs` is reduced against
-    the table, and a nonzero remainder is appended as a primitive row.
+def _complete_rows(basis: _Reducer, limit: int | None) -> None:
+    """Append rows to `basis` until they form a Gröbner basis: each S-pair
+    from `_pairs` is reduced against the table, and a nonzero remainder is
+    appended as a primitive row.
 
     Pairs come by the normal strategy (under lex it avoids the coefficient
     swell of degree-first selection), pruned by the Gebauer-Möller criteria
     as each new lead arrives.  The rows a later lead divides stay in the
     divisor table, though they pair with no later lead."""
-    for i, j in _pairs(basis, start, limit):
+    for i, j in _pairs(basis, limit):
         r = basis.widening(lambda: basis.reduce_ints(basis.s_pair(i, j))[0])
         if r:
             basis.add_row(r)
@@ -814,23 +814,23 @@ def presentation_kernel(
 
 
 class _Presentation:
-    """Reduced Gröbner basis of (d_i Y_i - F_i) in K[x, Y] as the rows of a
-    `_Reducer`, for nonzero images f_i = F_i / d_i cleared as by `_cleared`:
-    the kernel engine of `presentation_kernel`, `toric_kernel` and Sagbi
-    completion.
+    """A Gröbner basis of (d_i Y_i - F_i) in K[x, Y] as the rows of a
+    `_Reducer`, not interreduced, for nonzero images f_i = F_i / d_i cleared
+    as by `_cleared`: the kernel engine of `presentation_kernel`,
+    `toric_kernel` and Sagbi completion.
 
     The variables are x, then Y, under `_order`: the elimination order
     (DegLex on x, then RevLex on Y), refined by the grading w(x) = 1,
     w(Y_i) = deg f_i when every image is homogeneous of positive degree, so
     pairs are taken degree by degree.  Each generator is then w-homogeneous,
     so the ideal is, and on w-homogeneous polynomials both orders pick the
-    same leading terms: either way the Y-only rows are the reduced revlex
-    basis of the kernel (Sturmfels 1996, ch. 4).  `_route_rows` completes the
-    first rows under the step budget of INITALG_STEP_LIMIT (graded rows by
-    Gebauer-Möller, ungraded ones by the signature loop), then `_interreduce`.
-    For monomial images every row stays a binomial X^u - X^v,
-    (lead, 1, ((tail - lead, -1),)).  After `insert` only the pairs with the
-    new generator are formed, the old basis counting as finished.
+    same leading terms.  Either way the x-free rows of any Gröbner basis form
+    one of the kernel, and `kernel` interreduces them into its reduced revlex
+    basis (Sturmfels 1996, ch. 4).  `_route_rows` completes the first rows
+    under the step budget of INITALG_STEP_LIMIT (graded rows by
+    Gebauer-Möller, ungraded ones by the signature loop); `insert` adjoins
+    each later row by one `_signature_step`.  For monomial images every row
+    stays a binomial X^u - X^v, (lead, 1, ((tail - lead, -1),)).
     """
 
     def __init__(self, n: int, images: Iterable[tuple[_IntPoly, int]]):
@@ -839,7 +839,7 @@ class _Presentation:
         top = max((e for F, _ in self.images for m in F for e in m), default=0)
         basis._use(packing(basis.order, n + len(self.images), _first_bits(top)))
         _route_rows(basis, [self._row(i) for i in range(len(self.images))], _step_limit(None))
-        self.basis = basis.widening(lambda: _interreduce(basis))
+        self.basis = basis
 
     def _order(self) -> MonomialOrder:
         n, k = self.n, len(self.images)
@@ -852,10 +852,10 @@ class _Presentation:
     def insert(self, pos: int, exps: tuple[int, ...]) -> None:
         """Adjoin Y at position `pos` with image x^exps and complete the basis again.
 
-        Only pairs with the new generator are formed: the old basis stays a
-        Gröbner basis, as the order on monomials free of the new variable is
-        unchanged (so are their weighted degrees, and revlex decides by the
-        last variable in which two monomials differ, never the new one).
+        The old basis stays a Gröbner basis, as the order on monomials free of
+        the new variable is unchanged (so are their weighted degrees, and revlex
+        decides by the last variable in which two monomials differ, never the
+        new one), so one `_signature_step` adjoins the new row under the budget.
         A constant image would drop the grading, so graded images refuse it.
         """
         basis = self.basis
@@ -864,11 +864,8 @@ class _Presentation:
         self.images.insert(pos, ({tuple(exps): 1}, 1))
         basis.order = self._order()
         basis._use(packing(basis.order, basis.packing.n + 1, basis.packing.bits), self.n + pos)
-        start = len(basis)  # the old basis is a Gröbner basis: its own pairs reduce to 0
-        # no old row has the new variable, so the remainder keeps its Y term: it is not 0
-        basis.add_row(basis.widening(lambda: basis.reduce_ints(basis._packed(self._row(pos)))[0]))
-        _complete_rows(basis, start, _step_limit(None))
-        self.basis = basis.widening(lambda: _interreduce(basis))
+        row, limit = self._row(pos), _step_limit(None)
+        basis.widening(lambda: _signature_step(basis, basis._packed(row), limit, 0), len(basis))
 
     def _row(self, i: int) -> _IntPoly:
         """d Y_i - F for the image F / d at position i, keyed by exponent vector."""
@@ -878,14 +875,16 @@ class _Presentation:
         return row
 
     def kernel(self) -> list[tuple[tuple[int, ...], int, tuple]]:
-        """The Y-only rows as (u, a, ((v, b), ...)), for a Y^u + sum b Y^v,
-        ascending by the revlex order of the leads Y^u."""
-        n, unpack, ykey = self.n, self.basis.packing.unpack, RevLex().key
-        rows = []
-        for lead, a, tail in self.basis.rows:
-            u = unpack(lead)
-            if not any(u[:n]):  # the lead is x-free, so the whole row is
-                rows.append((u[n:], a, tuple((unpack(lead + off)[n:], b) for off, b in tail)))
+        """The reduced revlex basis of the kernel as (u, a, ((v, b), ...)), for
+        a Y^u + sum b Y^v, ascending by the revlex order of the leads Y^u: the
+        rows with an x-free lead, so x-free, interreduced and then unpacked."""
+        n, basis = self.n, self.basis
+        # the x fields are the low bits of a word: an x-free lead is 0 there
+        kernel = basis.widening(lambda: _interreduce(basis, [
+            row for x in [(1 << basis.packing.shifts[n]) - 1] for row in basis.rows if not row[0] & x]))
+        unpack, ykey = kernel.packing.unpack, RevLex().key
+        rows = [(unpack(lead)[n:], a, tuple((unpack(lead + off)[n:], b) for off, b in tail))
+                for lead, a, tail in kernel.rows]
         return sorted(rows, key=lambda row: ykey(Monomial(row[0])))
 
 

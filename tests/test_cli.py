@@ -521,8 +521,12 @@ def test_flag_the_block_does_not_read_exits_two(tmp_path, capsys, command, text,
         ("0", LEX_IDEAL, ["gb"], EXIT_MATH, "error: exceeded 0 S-polynomial reductions\n"),
         ("0", ALGEBRA, ["sagbi", "--cap", "6"], EXIT_MATH,
          "error: exceeded 0 S-polynomial reductions\n"),
+        # the first basis takes 4 pairs, and an insert of the cap-20 completion
+        # more than 8 signature candidates
+        ("8", ALGEBRA, ["sagbi", "--cap", "20"], EXIT_MATH,
+         "error: exceeded 8 S-polynomial reductions\n"),
     ],
-    ids=["abc", "-3", "budget-gb", "budget-sagbi"],
+    ids=["abc", "-3", "budget-gb", "budget-sagbi", "budget-sagbi-insert"],
 )
 def test_bad_step_limit_exits_two(tmp_path, capsys, monkeypatch, value, text, args, code, err):
     monkeypatch.setenv("INITALG_STEP_LIMIT", value)

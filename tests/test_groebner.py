@@ -2,6 +2,7 @@ import heapq
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -167,7 +168,7 @@ def fraction_buchberger(gens, order, step_limit):
         return P.pack(e)
 
     leads = [word(g) for g in basis]
-    for i, j in groebner._pairs(SimpleNamespace(leads=leads, packing=P), 0, step_limit):
+    for i, j in groebner._pairs(SimpleNamespace(leads=leads, packing=P), step_limit):
         r = divide(s_polynomial(basis[i], basis[j], order), basis, order)[1]
         if not r.is_zero():
             basis.append(monic(r, order))
@@ -227,7 +228,7 @@ def test_integer_buchberger_equals_fraction_reference():
     assert rational >= 100 and negative >= 50, (rational, negative)
 
 
-def reference_pairs(basis, start, limit):
+def reference_pairs(basis, limit):
     """`groebner._pairs` before the Gebauer-Möller installation: every pair
     (k, new) is queued, and a popped pair is dropped when its leads are
     coprime or when the chain criterion finds a lead k dividing its lcm whose
@@ -235,7 +236,7 @@ def reference_pairs(basis, start, limit):
     leads = basis.leads
     queue = []  # (lcm word, (i, j))
     pending = set()
-    steps = 0
+    steps = installed = 0
     P = None
     while True:
         if basis.packing is not P:
@@ -243,12 +244,12 @@ def reference_pairs(basis, start, limit):
             lcm = P.lcm
             for pos, (_, (i, j)) in enumerate(queue):
                 queue[pos] = (lcm(leads[i], leads[j]), (i, j))
-        for new in range(start, len(leads)):
+        for new in range(installed, len(leads)):
             lead = leads[new]
             for k in range(new):
                 heapq.heappush(queue, (lcm(leads[k], lead), (k, new)))
                 pending.add((k, new))
-        start = max(start, len(leads))
+        installed = len(leads)
         if not queue:
             return
         L, (i, j) = heapq.heappop(queue)
@@ -299,20 +300,61 @@ def test_gebauer_moller_toric_kernel_equals_reference_pairs(monkeypatch):
 
 
 def test_gebauer_moller_sagbi_insert_equals_reference_pairs(monkeypatch):
-    # each adjoined generator runs `_pairs` with start > 0 after `_ToricIdeal.insert`
-    starts = []
-    real_pairs = groebner._pairs
+    # the graded first basis of the toric ideal takes `_pairs`; each adjoined
+    # generator then goes through one `_signature_step` of `_Presentation.insert`,
+    # on a packing with one more variable each time (no step here overflows)
+    variables, paired = [], []
+    real_step, real_pairs = groebner._signature_step, groebner._pairs
 
-    def recording(basis, start, limit):
-        starts.append(start)
-        return real_pairs(basis, start, limit)
+    def stepping(basis, f, limit, used):
+        variables.append(basis.packing.n)
+        return real_step(basis, f, limit, used)
+
+    def pairing(basis, limit):
+        paired.append(len(basis.leads))
+        return real_pairs(basis, limit)
 
     gens = [R2.poly("x + y"), R2.poly("x*y"), R2.poly("x*y^2")]
     with monkeypatch.context() as m:
-        m.setattr(groebner, "_pairs", recording)
+        m.setattr(groebner, "_signature_step", stepping)
+        m.setattr(groebner, "_pairs", pairing)
         state = sagbi_complete(gens, DegLex(), 10)
-    assert len(state.gens) > len(gens) and max(starts) > 0, starts
+    assert len(state.gens) > len(gens) and paired == [len(gens)], paired
+    assert variables == list(range(2 + len(gens) + 1, 2 + len(state.gens) + 1)), variables
     assert state == with_reference_pairs(monkeypatch, sagbi_complete, gens, DegLex(), 10)
+
+
+def test_sagbi_inserts_make_almost_no_zero_reduction(monkeypatch):
+    # the signature step of `_Presentation.insert` drops the candidates the
+    # syzygy and rewrite criteria rule out: one of the 85 reductions of this
+    # completion ends in 0, where the Gebauer-Möller pairs of each insert made
+    # 91 of 208
+    calls = []
+    real_reduce = groebner._Reducer.reduce_ints
+
+    def counting(self, work, bound=None):
+        r = real_reduce(self, work, bound)
+        calls.append(bool(r[0]))
+        return r
+
+    monkeypatch.setattr(groebner._Reducer, "reduce_ints", counting)
+    state = sagbi_complete([R2.poly("x + y"), R2.poly("x*y"), R2.poly("x*y^2")], DegLex(), 8)
+    assert len(state.gens) == 8 and state.truncated_at == 8
+    assert calls.count(False) <= 1 and len(calls) == 85, (calls.count(False), len(calls))
+
+
+def test_step_limit_bounds_each_sagbi_insert(monkeypatch):
+    # an insert spends the budget on the signature candidates it reduces: the
+    # first basis of x, x*y, x*y^2 takes 4 pairs, and the k-th insert of this
+    # completion reduces k + 1 candidates, so a budget of 8 lets cap 8 finish
+    # and stops cap 20 inside an insert
+    monkeypatch.setenv("INITALG_STEP_LIMIT", "8")
+    gens = [R2.poly("x + y"), R2.poly("x*y"), R2.poly("x*y^2")]
+    assert sagbi_complete(gens, DegLex(), 8).truncated_at == 8
+    with pytest.raises(StepLimitExceeded, match="exceeded 8 S-polynomial reductions") as excinfo:
+        sagbi_complete(gens, DegLex(), 20)
+    frames = [(Path(str(entry.path)).name, entry.name) for entry in excinfo.traceback]
+    assert ("groebner.py", "insert") in frames and frames[-1] == ("groebner.py", "_signature_step"), frames
 
 
 @pytest.mark.parametrize("order", [Lex(), RevLex()], ids=["lex", "revlex"])
@@ -393,7 +435,7 @@ def test_signature_words_outgrowing_the_packing_widen_it(monkeypatch, texts, ord
     assert (top < 2**bits) == fits, top
     if fits:
         widths.clear()
-        groebner._complete_rows(groebner._Reducer(order, gens), 0, None)
+        groebner._complete_rows(groebner._Reducer(order, gens), None)
         assert widths == [bits]
     assert buchberger(gens, order).elements == fraction_buchberger(gens, order, None)
 
@@ -402,7 +444,7 @@ def gebauer_moller_basis(gens, order, limit):
     """The reduced basis from `_complete_rows` on the rows of `gens`, the
     route `_groebner_rows` takes for homogeneous generators."""
     basis = groebner._Reducer(order, [g for g in gens if not g.is_zero()])
-    groebner._complete_rows(basis, 0, limit)
+    groebner._complete_rows(basis, limit)
     return groebner._reduced_basis(gens[0].ring, order, basis)
 
 
@@ -456,9 +498,9 @@ def test_signature_route_makes_no_zero_reduction(monkeypatch):
         calls.append(bool(r[0]))
         return r
 
-    def completing(basis, start, limit):
+    def completing(basis, limit):
         calls.append("Gebauer-Möller")
-        real_complete(basis, start, limit)
+        real_complete(basis, limit)
 
     monkeypatch.setattr(groebner._Reducer, "reduce_ints", counting)
     monkeypatch.setattr(groebner, "_complete_rows", completing)
@@ -912,7 +954,19 @@ def test_toric_kernel_equals_presentation_kernel():
         assert gens == ref, monos
 
 
+def interreduced_rows(ideal):
+    """The reduced basis of the kernel engine's whole ideal, x rows too, as
+    unpacked rows (lead, a, ((tail, b), ...))."""
+    basis = ideal.basis
+    reduced = basis.widening(lambda: groebner._interreduce(basis))
+    unpack = reduced.packing.unpack
+    return [(unpack(lead), a, tuple((unpack(lead + off), b) for off, b in tail))
+            for lead, a, tail in reduced.rows]
+
+
 def test_toric_ideal_insert_equals_fresh_build():
+    # neither basis is interreduced, so their rows may differ; their reduced
+    # bases are unique, and equal
     rng = random.Random(137)
     for trial in range(40):
         ring = (R2, R)[trial % 2]
@@ -923,7 +977,40 @@ def test_toric_ideal_insert_equals_fresh_build():
             adjoined.append(i)
             ideal.insert(sorted(adjoined).index(i), monos[i])
         fresh = toric_engine(ring.n, monos)
-        assert ideal.basis.rows == fresh.basis.rows and ideal.kernel() == fresh.kernel(), monos
+        assert interreduced_rows(ideal) == interreduced_rows(fresh), monos
+        assert ideal.kernel() == fresh.kernel(), monos
+
+
+def kernel_polys(rows, k):
+    """`_Presentation.kernel` rows as monic polynomials in Y1..Yk."""
+    target = PolyRing(tuple(f"Y{i + 1}" for i in range(k)))
+    return tuple(Polynomial.from_dict(target, {Monomial(u): 1} | {Monomial(v): Fraction(b, a) for v, b in tail})
+                 for u, a, tail in rows)
+
+
+def test_toric_insert_sequences_equal_fresh_build_and_elimination():
+    # seeded insert sequences: 2 to 6 monomials in 2 or 3 variables, adjoined
+    # in random order, against a fresh engine and plain elimination.  A
+    # quarter of them start from the constant 1, so the engine runs under the
+    # ungraded elimination order
+    rng = random.Random(149)
+    ungraded = 0
+    for trial in range(60):
+        ring = (R2, R)[trial % 2]
+        monos = [m.exponents for m in random_monomial_images(rng, ring, rng.randint(2, 6))]
+        if trial % 4 == 3:
+            monos[0] = (0,) * ring.n
+            ungraded += 1
+        adjoined = [0 if trial % 4 == 3 else rng.randrange(len(monos))]
+        ideal = toric_engine(ring.n, [monos[adjoined[0]]])
+        for i in rng.sample([i for i in range(len(monos)) if i != adjoined[0]], len(monos) - 1):
+            adjoined.append(i)
+            ideal.insert(sorted(adjoined).index(i), monos[i])
+        got = ideal.kernel()
+        assert got == toric_engine(ring.n, monos).kernel(), monos
+        images = [Polynomial.from_dict(ring, {Monomial(e): 1}) for e in monos]
+        assert kernel_polys(got, len(monos)) == eliminated_kernel(images), monos
+    assert ungraded == 15
 
 
 def test_toric_exponents_outgrowing_the_packing_widen_it(monkeypatch):
@@ -936,28 +1023,32 @@ def test_toric_exponents_outgrowing_the_packing_widen_it(monkeypatch):
 
     monkeypatch.setattr(groebner._Reducer, "_use", recording)
     # each build and insert repacks the basis (8 bits, then 8 with the new
-    # variable), and each interreduction takes the basis's packing: x^300
-    # does not fit the 8 value bits of the ideal of x alone, so the step that
-    # adds its binomial overflows, the packing widens and the step is retried
+    # variable), and only `kernel` interreduces, in the basis's packing: x^300
+    # does not fit the 8 value bits of the ideal of x alone, so the signature
+    # step that adds its binomial overflows, the packing widens and the step
+    # is retried
     ideal = toric_engine(1, [(1,)])
     ideal.insert(1, (300,))
-    assert widths == [8, 8, 8, 16, 16]
+    assert widths == [8, 8, 16]
     assert ideal.kernel() == toric_engine(1, [(1,), (300,)]).kernel() == [((300, 0), 1, (((0, 1), -1),))]
     # packed into 8 bits, x^600 would carry past the guard bit into the next
     # field unseen: the step checks that the image fits before packing it
     widths.clear()
     ideal = toric_engine(1, [(1,)])
     ideal.insert(1, (600,))
-    assert widths == [8, 8, 8, 16, 16] and ideal.kernel() == [((600, 0), 1, (((0, 1), -1),))]
+    assert widths == [8, 8, 16] and ideal.kernel() == [((600, 0), 1, (((0, 1), -1),))]
+    assert widths == [8, 8, 16, 16]
     # these images fit 8 bits, but the kernel element Y1^408*Y2 - Y3^4 does
-    # not: in the second insert a reduction step sets a guard bit mid-run
+    # not: in the second insert a signature step sets a guard bit mid-run
     widths.clear()
     monos = [Monomial(e) for e in ((0, 1), (4, 92), (1, 125))]
     ideal = toric_engine(2, [monos[0].exponents])
     ideal.insert(1, monos[1].exponents)
+    assert widths == [8, 8]
     ideal.insert(2, monos[2].exponents)
-    assert widths == [8, 8, 8, 8, 8, 16, 16]
+    assert widths == [8, 8, 8, 16]
     assert ideal.kernel() == [((408, 1, 0), 1, (((0, 0, 4), -1),))]
+    assert widths == [8, 8, 8, 16, 16]
     ref = eliminated_kernel([Polynomial.from_dict(R2, {m: 1}) for m in monos])
     assert toric_kernel(R2, monos).gens == ref
 
