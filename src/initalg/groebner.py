@@ -573,8 +573,10 @@ def _signature_rows(basis: _Reducer, gens: list[tuple[int, _IntPoly]], limit: in
     rows with each other and with the rows of G that have a minimal lead,
     the larger of the two sides, taken smallest first.  A candidate s is
     dropped when a known syzygy signature divides it: the lead of a row of G
-    (f g - g f is a syzygy), or an earlier zero reduction.  Otherwise it is
-    rewritten as the multiple X^(s - s_c) h_c of the latest row c whose
+    (f g - g f is a syzygy), or an earlier zero reduction.  So a row of G
+    whose lead is coprime to a new row's makes no candidate: it would be a
+    multiple of that lead (the product criterion as a Koszul syzygy).  Else
+    s is rewritten as the multiple X^(s - s_c) h_c of the latest row c whose
     signature divides s (the rewrite criterion of F5).  If no other row
     reduces its lead with a signature below s, c covers s and nothing is
     reduced; else it is reduced only by such multiples, and a remainder
@@ -594,7 +596,8 @@ def _signature_rows(basis: _Reducer, gens: list[tuple[int, _IntPoly]], limit: in
 
 def _signature_step(basis: _Reducer, f: _IntPoly, limit: int | None, used: int) -> int:
     """One generator f (keyed by word, consumed) of `_signature_rows`;
-    returns `used` plus the candidates reduced."""
+    returns `used` plus the candidates reduced.  A pair of a new row and a
+    row of G with coprime leads is never made, by one AND of their supports."""
     if not basis:  # the first generator: no pair, nothing to reduce by
         basis.add_row(f)
         return used
@@ -602,17 +605,17 @@ def _signature_step(basis: _Reducer, f: _IntPoly, limit: int | None, used: int) 
     if not f:
         return used
     P, leads = basis.packing, basis.leads
-    guard, lcm = P.guard, P.lcm
+    guard, lcm, support = P.guard, P.lcm, P.support
     old = len(leads)
     basis.sigs = sigs = {}
     # lead(g) e for the rows g of G with a minimal lead, one per lead: the
     # Koszul syzygies, and the rows a new row pairs with (a Gröbner basis too)
     syzygies: list[int] = []  # the minimal known syzygy signatures
-    partners = []
+    partners = []  # (j, the support of lead j)
     for z, j in sorted(zip(leads, range(old))):  # a divisor comes first
         if all((z - y) & guard for y in syzygies):
             syzygies.append(z)
-            partners.append(j)
+            partners.append((j, support(z)))
     queue: list[int] = []  # candidate signatures
 
     def note(z: int) -> None:
@@ -624,12 +627,13 @@ def _signature_step(basis: _Reducer, f: _IntPoly, limit: int | None, used: int) 
         k = len(leads)
         basis.add_row(row)
         sigs[k] = sig
-        h = leads[k]
-        for j in partners:
-            s = lcm(leads[j], h) - h + sig
-            if s & guard:
-                raise _Overflow
-            heapq.heappush(queue, s)
+        h, mask = leads[k], support(leads[k])
+        for j, z in partners:
+            if z & mask:  # else s = lead j + sig, a multiple of the syzygy lead j
+                s = lcm(leads[j], h) - h + sig
+                if s & guard:
+                    raise _Overflow
+                heapq.heappush(queue, s)
         for j in range(old, k):
             L = lcm(leads[j], h)
             s, r = L - h + sig, L - leads[j] + sigs[j]
@@ -895,7 +899,8 @@ def toric_kernel(
 ) -> AlgebraKernel:
     """Kernel of the monomial map Y_i -> m_i: its reduced revlex GB of binomials Y^u - Y^v.
 
-    The `presentation_kernel` of the monomials as polynomials with coefficient 1.
+    The `presentation_kernel` of the monomials as polynomials with coefficient 1.  A set
+    with 1 is ungraded, so only the step budget bounds it: there is no default one.
     """
     return presentation_kernel([Polynomial.from_dict(ring, {m: 1}) for m in monomials], names)
 

@@ -250,7 +250,8 @@ class Packing:
       borrows from its guard bit;
     - a sum of words of fitting exponents sets a guard bit exactly when an
       exponent of the product reaches 2^bits, so the caller can detect the
-      overflow and repack wider before it compares the word.
+      overflow and repack wider before it compares the word;
+    - `support` marks the guard bits of the nonzero fields: coprime words share none.
     """
 
     def __init__(self, rows: Matrix, bits: int):
@@ -260,6 +261,7 @@ class Packing:
         self.shifts = tuple(field * j for j in range(n))
         self.mask = (1 << bits) - 1
         self.guard = sum(1 << (s + bits) for s in self.shifts)
+        self.ones = sum(1 << s for s in self.shifts)  # 1 in every field: a 0 borrows from its guard
         self.low = (1 << (field * n)) - 1  # the exponent fields
         width = bits + 1 + max(sum(map(abs, row)) for row in rows).bit_length()
         top = width * (len(rows) - 1)
@@ -276,6 +278,9 @@ class Packing:
     def unpack(self, word: int) -> tuple[int, ...]:
         mask = self.mask
         return tuple([(word >> s) & mask for s in self.shifts])
+
+    def support(self, word: int) -> int:
+        return (((word & self.low) | self.guard) - self.ones) & self.guard
 
     def lcm(self, a: int, b: int) -> int:
         ea, eb = a & self.low, b & self.low

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import random_homogeneous_poly, random_monomial, random_poly, sample_orders
-from initalg import groebner
+from initalg import groebner, orders
 from initalg.family import homogenize_ideal
 from initalg.groebner import (
     MonomialIdeal,
@@ -341,6 +341,29 @@ def test_sagbi_inserts_make_almost_no_zero_reduction(monkeypatch):
     state = sagbi_complete([R2.poly("x + y"), R2.poly("x*y"), R2.poly("x*y^2")], DegLex(), 8)
     assert len(state.gens) == 8 and state.truncated_at == 8
     assert calls.count(False) <= 1 and len(calls) == 85, (calls.count(False), len(calls))
+
+
+def test_sagbi_inserts_pair_no_coprime_partner(monkeypatch):
+    # a row of G whose lead is coprime to the new row's makes no signature
+    # candidate, as its lead, a Koszul syzygy, would drop it when popped: the
+    # completion computes 164 lcms, where making every candidate took 419
+    calls = []
+    real_lcm = orders.Packing.lcm
+
+    def counting(self, a, b):
+        calls.append(None)
+        return real_lcm(self, a, b)
+
+    monkeypatch.setattr(orders.Packing, "lcm", counting)
+    gens = [R2.poly("x + y"), R2.poly("x*y"), R2.poly("x*y^2")]
+    state = sagbi_complete(gens, DegLex(), 8)
+    assert len(calls) == 164
+    assert set(state.gens) == {R2.poly("x + y")} | {R2.poly(f"x*y^{k}") for k in range(1, 8)}
+    # with every support full, no partner is coprime: every candidate is
+    # made, as before the criterion, and the completion is the same
+    calls.clear()
+    monkeypatch.setattr(orders.Packing, "support", lambda self, word: self.guard)
+    assert sagbi_complete(gens, DegLex(), 8) == state and len(calls) == 419
 
 
 def test_step_limit_bounds_each_sagbi_insert(monkeypatch):
@@ -1084,6 +1107,16 @@ def test_step_limit():
     for flag in (True, False):
         with pytest.raises(ValueError, match=f"step_limit must be a nonnegative integer, got {flag}"):
             buchberger([x**2 - y, x * y - z], Lex(), step_limit=flag)
+
+
+def test_step_limit_bounds_an_ungraded_toric_kernel(monkeypatch):
+    # a monomial set with 1 is ungraded, so no grading bounds its kernel: with
+    # 1 added, the five-monomial kernel of the CI check ran past 900 s on both
+    # routes, and only a budget stops it
+    monkeypatch.setenv("INITALG_STEP_LIMIT", "50")
+    exps = [(0, 0, 0), (82, 24, 41), (273, 207, 16), (121, 176, 128), (233, 215, 74), (28, 16, 252)]
+    with pytest.raises(StepLimitExceeded, match="exceeded 50 S-polynomial reductions"):
+        toric_kernel(R, [Monomial(e) for e in exps])
 
 
 @pytest.mark.parametrize(

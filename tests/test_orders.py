@@ -267,6 +267,23 @@ def test_packed_words_agree_with_key(order, n):
         assert (P.lcm(pa, pb) == pa + pb) == (not any(map(min, a, b)))
 
 
+@pytest.mark.parametrize("order, n", PACKED_ORDERS, ids=lambda v: type(v).__name__)
+def test_support_marks_the_nonzero_fields(order, n):
+    # the support is the guard bit of each nonzero field, on the first packing
+    # and on a widened one, with fields at 0, 1 and 2^bits - 1 among them;
+    # two words are coprime exactly when their supports share no bit
+    rng = random.Random(2017)
+    for bits in (4, 8):
+        P = packing(order, n, bits)
+        for _ in range(300):
+            a, b = ([rng.choice((0, 1, P.mask, rng.randrange(P.mask + 1))) for _ in range(n)] for _ in range(2))
+            pa, pb = P.pack(a), P.pack(b)
+            for word in (pa, pb):
+                assert P.support(word) == sum(1 << (s + bits) for s, e in zip(P.shifts, P.unpack(word)) if e)
+            coprime = not any(map(min, a, b))
+            assert (not P.support(pa) & P.support(pb)) == coprime == (P.lcm(pa, pb) == pa + pb), (a, b)
+
+
 def test_packed_sum_flags_an_exponent_that_outgrows_the_fields():
     rng = random.Random(70)
     P = packing(RevLex(), 3, 4)
