@@ -54,6 +54,7 @@ from initalg.poly import (
     WeightVector,
     format_monomial,
     format_poly,
+    format_terms,
     initial_form,
     is_weight_homogeneous,
     parse_poly,
@@ -253,10 +254,10 @@ def _poly_lines(polys, order: MonomialOrder | None = None) -> list[str]:
 def cmd_gb(problem: Problem, args, out: list[str]) -> int:
     gens = _require_gens(problem, "ideal")
     order = _active_order(problem)
-    gb = buchberger(gens, order)
+    rows = buchberger(gens, order)._terms()
     out.append(f"# reduced groebner basis, order {describe_order(order, problem.ring)}: "
-               f"{len(gb.elements)} elements")
-    out.extend(_poly_lines(gb.elements, order))
+               f"{len(rows)} elements")
+    out.extend(format_terms(problem.ring.names, terms) for terms in rows)
     return EXIT_OK
 
 

@@ -377,13 +377,29 @@ class ReducedGroebnerBasis(_Value):
     """The unique reduced Gröbner basis of an ideal for a fixed order.
 
     Elements are monic, fully reduced against each other, and sorted ascending
-    by leading monomial.
+    by leading monomial.  A basis from `buchberger` keeps the interreduced
+    primitive integer rows of a `_Reducer` and makes the monic Fraction
+    `elements` from them only when they are first read; one built from
+    elements makes its rows from them.  `normal_form`, `contains`,
+    `initial_ideal` and `_terms` read the rows.
     """
 
     _fields = ("ring", "order", "elements")
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, elements: tuple[Polynomial, ...]):
         super().__init__(ring, order, elements)
+
+    @classmethod
+    def _from_rows(cls, ring: PolyRing, order: MonomialOrder, reducer: _Reducer) -> ReducedGroebnerBasis:
+        gb = cls.__new__(cls)
+        _Value.__init__(gb, ring, order)
+        gb.__dict__["_reducer"] = reducer
+        return gb
+
+    @cached_property
+    def elements(self) -> tuple[Polynomial, ...]:
+        unpack = self._reducer.packing.unpack
+        return tuple(_monic(self.ring, row, unpack) for row in self._reducer.rows)
 
     def __iter__(self) -> Iterator[Polynomial]:
         return iter(self.elements)
@@ -405,7 +421,15 @@ class ReducedGroebnerBasis(_Value):
         return tuple(leading_monomial(g, self.order) for g in self.elements)
 
     def initial_ideal(self) -> MonomialIdeal:
-        return MonomialIdeal.from_monomials(self.ring, self.leading_monomials())
+        return _lead_ideal(self.ring, self._reducer)
+
+    def _terms(self) -> list[list[tuple[tuple[int, ...], int, int]]]:
+        """Each monic element as its terms (exponents, numerator, denominator),
+        descending in the order, read off its row: the input of `format_terms`."""
+        P = self._reducer.packing  # None for no rows
+        return [[(P.unpack(lead), 1, 1)] + [
+            (P.unpack(lead + off), c // g, a // g) for off, c in sorted(tail, reverse=True)
+            for g in [math.gcd(c, a)]] for lead, a, tail in self._reducer.rows]
 
 
 def _interreduce(basis: _Reducer, rows: Iterable[tuple] | None = None) -> _Reducer:
@@ -414,6 +438,7 @@ def _interreduce(basis: _Reducer, rows: Iterable[tuple] | None = None) -> _Reduc
     # tail is at most it, so reducing the tail once by the reduced prefix is
     # final.  The tail reduces to r * den / num: the row is a num X^lead + den r
     reduced = _Reducer(basis.order)
+    reduced.ring = basis.ring
     reduced._use(basis.packing)
     for lead, a, tail in sorted(basis.rows if rows is None else rows, key=operator.itemgetter(0)):
         if not reduced.packing.dividing(reduced.leads, lead):
@@ -702,23 +727,22 @@ def buchberger(
     """Reduced Gröbner basis of the ideal generated by `gens` under `order`.
 
     The pair loop `_groebner_rows` gives a Gröbner basis as integer rows on
-    packed words; one pass of `_interreduce` reduces it, and each row is
-    unpacked once into a monic Fraction polynomial.  `initial_ideal` runs
-    the same loop and stops before both, so the step budget (argument or
-    the INITALG_STEP_LIMIT environment variable) is spent on the same pairs.
+    packed words, and one pass of `_interreduce` reduces it.  The result
+    keeps those rows: a row is unpacked into a monic Fraction polynomial
+    only when `elements` is first read, and the `gb` report reads the rows.
+    `initial_ideal` runs the same loop and stops before the interreduction,
+    so the step budget (argument or the INITALG_STEP_LIMIT environment
+    variable) is spent on the same pairs.
     """
     basis = _groebner_rows(gens, order, step_limit)  # checks gens before gens[0] is read
     return _reduced_basis(gens[0].ring, order, basis)
 
 
 def _reduced_basis(ring: PolyRing, order: MonomialOrder, basis: _Reducer) -> ReducedGroebnerBasis:
-    """The reduced Gröbner basis from the rows of `_groebner_rows`."""
+    """The reduced Gröbner basis from the rows of `_groebner_rows`, kept as rows."""
     if not basis:
         return ReducedGroebnerBasis(ring, order, ())
-    reduced = basis.widening(lambda: _interreduce(basis))
-    unpack = reduced.packing.unpack
-    elements = tuple(_monic(ring, row, unpack) for row in reduced.rows)
-    return ReducedGroebnerBasis(ring, order, elements)
+    return ReducedGroebnerBasis._from_rows(ring, order, basis.widening(lambda: _interreduce(basis)))
 
 
 def initial_ideal(gens: Sequence[Polynomial], order: MonomialOrder) -> MonomialIdeal:

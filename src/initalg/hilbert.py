@@ -14,7 +14,7 @@ from typing import Sequence
 
 from initalg.groebner import MonomialIdeal, initial_ideal
 from initalg.orders import MonomialOrder, leading_term
-from initalg.poly import Monomial, Polynomial, WeightVector, _Value, is_weight_homogeneous
+from initalg.poly import Monomial, Polynomial, WeightVector, _Value, format_terms, is_weight_homogeneous
 from initalg.sagbi import SagbiState
 
 
@@ -102,17 +102,8 @@ class HilbertSeries(_Value):
         return HilbertSeries(num, tuple(kept))
 
     def __str__(self) -> str:
-        terms = []  # constant term first, as `poly.format_poly` writes a polynomial in t
-        for i, c in enumerate(self.numerator):
-            if c:
-                if terms:
-                    head = " - " if c < 0 else " + "
-                else:
-                    head = "-" if c < 0 else ""
-                mag, power = abs(c), "t" if i == 1 else f"t^{i}"
-                body = str(mag) if i == 0 else power if mag == 1 else f"{mag}*{power}"
-                terms.append(head + body)
-        num = "".join(terms) or "0"
+        # constant term first, as `poly.format_poly` writes a polynomial in t
+        num = format_terms(("t",), [((i,), c, 1) for i, c in enumerate(self.numerator) if c])
         if not self.denominator_degrees:
             return num
         parts = []

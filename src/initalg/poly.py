@@ -569,35 +569,30 @@ def parse_poly(ring: PolyRing, text: str) -> Polynomial:
 
 
 def format_monomial(ring: PolyRing, mono: Monomial) -> str:
-    if mono.is_one():
-        return "1"
-    parts = []
-    for name, e in zip(ring.names, mono.exponents):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
+    return _monomial_text(ring.names, mono.exponents) or "1"
+
+
+def _monomial_text(names: Sequence[str], exps: Sequence[int]) -> str:
+    """The factors name or name^e of the nonzero exponents, joined by *; "" for 1."""
+    return "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e])
+
+
+def format_terms(names: Sequence[str], terms) -> str:
+    """Render terms (exponents, numerator, denominator > 0) in the order given:
+    the sign as a joint (a leading "-" on the first), then p/q times the
+    monomial in `names`, with no 1 before a monomial; "0" for no terms."""
+    out = []
+    for exps, p, q in terms:
+        head = (" - " if p < 0 else " + ") if out else "-" if p < 0 else ""
+        mag = f"{abs(p)}" if q == 1 else f"{abs(p)}/{q}"
+        body = _monomial_text(names, exps)
+        out.append(head + (mag if not body else body if mag == "1" else f"{mag}*{body}"))
+    return "".join(out) or "0"
 
 
 def format_poly(f: Polynomial, key=None) -> str:
     """Render with terms descending under `key` (canonical DegLex when omitted)."""
-    if f.is_zero():
-        return "0"
-    if key is None:
-        key = _canon_key
-    out = []
-    for idx, t in enumerate(sorted(f.terms, key=lambda t: key(t.mono), reverse=True)):
-        c = t.coeff
-        if idx == 0:
-            head = "-" if c < 0 else ""
-        else:
-            head = " - " if c < 0 else " + "
-        mag = abs(c)
-        body = format_monomial(f.ring, t.mono)
-        if t.mono.is_one():
-            body = str(mag)
-        elif mag != 1:
-            body = f"{mag}*{body}"
-        out.append(head + body)
-    return "".join(out)
+    key = key or _canon_key
+    terms = sorted(f.terms, key=lambda t: key(t.mono), reverse=True)
+    return format_terms(f.ring.names, [(t.mono.exponents, t.coeff.numerator, t.coeff.denominator)
+                                       for t in terms])

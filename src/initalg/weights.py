@@ -109,8 +109,11 @@ def represent_order_by_weight(
     gens: Sequence[Polynomial], order: MonomialOrder
 ) -> WeightVector:
     """A weight a with ini_a = ini_order on the reduced GB of (gens), hence on the ideal."""
-    gb = buchberger(gens, order)
-    return find_weight(comparison_pairs(gb.elements, order), n_vars=gb.ring.n)
+    pairs = []  # comparison_pairs of the elements, read off the rows
+    for (lead, _, _), *tail in buchberger(gens, order)._terms():
+        lead = Monomial(lead)
+        pairs.extend((lead, Monomial(e)) for e, _, _ in tail)
+    return find_weight(pairs, n_vars=gens[0].ring.n)
 
 
 def represent_sagbi_by_weight(gens: Sequence[Polynomial], order: MonomialOrder) -> WeightVector:

@@ -600,24 +600,36 @@ def test_no_exception_escapes_run(tmp_path, capsys):
 
 
 class Reduced(Exception):
-    """Raised by the patched `_interreduce` and `_monic`: a reduced basis was built."""
+    """Raised by the patched `_interreduce` and `_monic`: a reduced basis, or
+    its monic Fraction elements, were built."""
 
 
 def test_leads_only_commands_build_no_reduced_basis(tmp_path, capsys, monkeypatch):
     # hilbert, dim and the order branch of ini read only ini(I), which the
-    # leads of the unreduced Buchberger loop generate; gb needs the reduced basis
+    # leads of the unreduced Buchberger loop generate; gb needs the reduced
+    # basis, but renders its report from the rows and builds no monic element
     path = write(tmp_path, LEX_IDEAL)
     commands = [["hilbert", path], ["dim", path], ["ini", path]]
     reports = []
-    for argv in commands:
+    for argv in commands + [["gb", path]]:
         assert run(argv) == EXIT_OK
         reports.append(capsys.readouterr())
+    gb_report = reports.pop()
 
     def refuse(*args):
         raise Reduced
 
-    monkeypatch.setattr(groebner, "_interreduce", refuse)
+    interreduce, interreduced = groebner._interreduce, []
+
+    def counting(*args):
+        interreduced.append(args)
+        return interreduce(*args)
+
     monkeypatch.setattr(groebner, "_monic", refuse)
+    monkeypatch.setattr(groebner, "_interreduce", counting)
+    assert run(["gb", path]) == EXIT_OK
+    assert capsys.readouterr() == gb_report and len(interreduced) == 1
+    monkeypatch.setattr(groebner, "_interreduce", refuse)
     ring = parse_problem(LEX_IDEAL).ring
     M = groebner.initial_ideal([parse_poly(ring, "x^2 - y"), parse_poly(ring, "x*y - z")], Lex())
     assert len(M) == 4

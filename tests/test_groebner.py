@@ -1,4 +1,5 @@
 import heapq
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import random_homogeneous_poly, random_monomial, random_poly, sample_orders
 from initalg import groebner, orders
+from initalg.cli import cmd_gb, parse_problem
 from initalg.family import homogenize_ideal
 from initalg.groebner import (
     MonomialIdeal,
@@ -45,9 +47,11 @@ from initalg.poly import (
     Term,
     WeightVector,
     ZeroPolynomialError,
+    format_poly,
     substitute,
 )
 from initalg.sagbi import sagbi_complete
+from initalg.weights import comparison_pairs, find_weight, represent_order_by_weight
 
 R = PolyRing(("x", "y", "z"))
 x, y, z = R.gens()
@@ -179,6 +183,68 @@ def fraction_buchberger(gens, order, step_limit):
         if not any(leading_monomial(q, order).divides(lead) for q in reduced):
             reduced.append(divide(p, reduced, order)[1])
     return tuple(reduced)
+
+
+# the order specs of the rows differential test, as a problem file writes them
+ROW_ORDERS = {"lex": Lex(), "deglex": DegLex(), "revlex": RevLex(),
+              "weight(3,1,2; revlex)": WeightOrder(WeightVector((3, 1, 2)), RevLex())}
+
+
+def random_rows_ideal(rng):
+    """One to three nonzero random generators in x, y, z with rational
+    coefficients, the first with a term whose coefficient is above 2^64."""
+    gens = [random_poly(rng, R, max_terms=3, max_exp=2, max_coeff=7, max_den=5) for _ in range(3)]
+    big = Polynomial.from_dict(R, {random_monomial(rng, 3, 2): Fraction(2**64 + rng.randint(1, 99), 7)})
+    gens[0] = gens[0] + big
+    return [g for g in gens[:rng.randint(2, 3)] if not g.is_zero()]
+
+
+def test_gb_report_and_weight_pairs_from_rows_equal_the_element_route():
+    # `gb` renders the reduced rows and `represent_order_by_weight` reads its
+    # pairs off them; both must equal the route through the Fraction elements,
+    # and those elements the Fraction reference
+    rng = random.Random(331)
+    compared = Counter()
+    for k in range(24):
+        spec, order = list(ROW_ORDERS.items())[k % len(ROW_ORDERS)]
+        gens = random_rows_ideal(rng)
+        text = "ring x, y, z\norder " + spec + "\nideal\n" + "\n".join(map(format_poly, gens)) + "\nend\n"
+        out = []
+        cmd_gb(parse_problem(text), None, out)
+        gb = buchberger(gens, order)
+        assert gb.elements == fraction_buchberger(gens, order, None), (spec, gens)
+        assert out[0].endswith(f": {len(gb.elements)} elements")
+        assert out[1:] == [format_poly(e, key=order.key) for e in gb.elements], (spec, gens)
+        want = find_weight(comparison_pairs(gb.elements, order), n_vars=3)
+        assert represent_order_by_weight(gens, order) == want, (spec, gens)
+        compared[spec] += 1
+        compared["big"] += any(t.coeff.denominator >> 64 or t.coeff.numerator >> 64
+                               for e in gb.elements for t in e.terms)
+        compared["rational"] += any(t.coeff.denominator > 1 for e in gb.elements for t in e.terms)
+    assert all(compared[spec] == 6 for spec in ROW_ORDERS)
+    assert compared["big"] >= 6 and compared["rational"] >= 12, compared
+
+
+def test_basis_from_rows_behaves_as_one_built_from_its_elements():
+    rng = random.Random(337)
+    for k in range(12):
+        order = list(ROW_ORDERS.values())[k % len(ROW_ORDERS)]
+        gens = random_rows_ideal(rng)
+        by_hand = ReducedGroebnerBasis(R, order, fraction_buchberger(gens, order, None))
+        polys = [random_poly(rng, R, max_den=3) for _ in range(4)]
+        polys.append(sum((p * g for p, g in zip(polys, gens)), R.zero()))  # in the ideal
+        gb = buchberger(gens, order)
+        # the rows answer before any element is built
+        assert [gb.normal_form(f) for f in polys] == [by_hand.normal_form(f) for f in polys]
+        assert [gb.contains(f) for f in polys] == [by_hand.contains(f) for f in polys]
+        assert gb.contains(polys[-1])
+        assert gb.initial_ideal() == by_hand.initial_ideal()
+        assert gb._terms() == by_hand._terms()
+        assert "elements" not in vars(gb)
+        assert gb == by_hand and hash(gb) == hash(by_hand) and repr(gb) == repr(by_hand)
+        assert gb.leading_monomials() == by_hand.leading_monomials()
+        twin = pickle.loads(pickle.dumps(buchberger(gens, order)))
+        assert type(twin) is ReducedGroebnerBasis and twin == by_hand and twin.elements == gb.elements
 
 
 # every kind of matrix the packed words are built from: permuted base
@@ -407,11 +473,13 @@ def test_exponents_outgrowing_the_packing_widen_it(monkeypatch):
     assert gb.elements == fraction_buchberger(gens, Lex(), None)
     assert gb.elements == (R.poly("z^294 - z"), R.poly("y - z^7"), R.poly("x - z^49"))
     # a normal form whose remainder outgrows the divisors' packing (z^300
-    # gives 11 bits, up to 2047)
+    # gives 11 bits, up to 2047): the basis reduces by its own rows, already
+    # packed at 11 bits by the run, and widens them once
     gb = buchberger([R.poly("y - z^300")], Lex())
+    assert gb._reducer.packing.bits == 11
     widths.clear()
     assert gb.normal_form(R.poly("x*y^7")) == R.poly("x*z^2100")
-    assert widths == [11, 22]
+    assert widths == [22]
     # an S-pair of the Gebauer-Möller loop sets a guard bit before its
     # reduction starts (the signature route, which `buchberger` takes for
     # these inhomogeneous generators, never forms that pair)
@@ -422,7 +490,7 @@ def test_exponents_outgrowing_the_packing_widen_it(monkeypatch):
     # an input exponent too wide for the basis's packing widens it as it is packed
     widths.clear()
     assert buchberger([x - y], Lex()).normal_form(x**1000) == y**1000
-    assert widths == [8, 8, 8, 16]  # the run, its interreduction, the basis's reducer
+    assert widths == [8, 8, 16]  # the run, its interreduction, whose rows the basis widens
 
 
 @pytest.mark.parametrize("texts, order, fits", [
