@@ -569,24 +569,32 @@ def parse_poly(ring: PolyRing, text: str) -> Polynomial:
 
 
 def format_monomial(ring: PolyRing, mono: Monomial) -> str:
-    return _monomial_text(ring.names, mono.exponents) or "1"
-
-
-def _monomial_text(names: Sequence[str], exps: Sequence[int]) -> str:
-    """The factors name or name^e of the nonzero exponents, joined by *; "" for 1."""
-    return "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e])
+    return format_terms(ring.names, [(mono.exponents, 1, 1)])
 
 
 def format_terms(names: Sequence[str], terms) -> str:
     """Render terms (exponents, numerator, denominator > 0) in the order given:
     the sign as a joint (a leading "-" on the first), then p/q times the
-    monomial in `names`, with no 1 before a monomial; "0" for no terms."""
+    factors name^e of the monomial in `names`, with no 1 before a factor;
+    "0" for no terms."""
     out = []
     for exps, p, q in terms:
-        head = (" - " if p < 0 else " + ") if out else "-" if p < 0 else ""
-        mag = f"{abs(p)}" if q == 1 else f"{abs(p)}/{q}"
-        body = _monomial_text(names, exps)
-        out.append(head + (mag if not body else body if mag == "1" else f"{mag}*{body}"))
+        factors = []
+        for name, e in zip(names, exps):
+            if e:
+                factors.append(name if e == 1 else f"{name}^{e}")
+        body = "*".join(factors)
+        if p < 0:
+            out.append(" - " if out else "-")
+            p = -p
+        elif out:
+            out.append(" + ")
+        if q != 1:
+            p = f"{p}/{q}"
+        elif p == 1 and body:
+            out.append(body)
+            continue
+        out.append(f"{p}*{body}" if body else f"{p}")
     return "".join(out) or "0"
 
 
