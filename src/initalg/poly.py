@@ -579,11 +579,11 @@ def format_terms(names: Sequence[str], terms) -> str:
     "0" for no terms."""
     out = []
     for exps, p, q in terms:
-        factors = []
+        body = ""
         for name, e in zip(names, exps):
             if e:
-                factors.append(name if e == 1 else f"{name}^{e}")
-        body = "*".join(factors)
+                factor = name if e == 1 else f"{name}^{e}"
+                body = f"{body}*{factor}" if body else factor
         if p < 0:
             out.append(" - " if out else "-")
             p = -p
