@@ -392,7 +392,7 @@ class ReducedGroebnerBasis(_Value):
     @classmethod
     def _from_rows(cls, ring: PolyRing, order: MonomialOrder, reducer: _Reducer) -> ReducedGroebnerBasis:
         gb = cls.__new__(cls)
-        _Value.__init__(gb, ring, order)
+        _Value.__init__(gb, ring, order)  # every field but `elements`, read off the rows
         gb.__dict__["_reducer"] = reducer
         return gb
 
