@@ -53,16 +53,10 @@ class BettiInconsistencyError(RuntimeError):
 class BettiTable(_Value):
     """Nonzero graded Betti numbers of a standard-graded quotient ring."""
 
-    _fields = ("ring", "entries", "j_max", "complete")
-
-    def __init__(
-        self,
-        ring: PolyRing,
-        entries: dict[tuple[int, int], int],  # (homological degree i, internal degree j) -> beta
-        j_max: int,
-        complete: bool,
-    ):
-        super().__init__(ring, entries, j_max, complete)
+    ring: PolyRing
+    entries: dict[tuple[int, int], int]  # (homological degree i, internal degree j) -> beta
+    j_max: int
+    complete: bool
 
     def beta(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
@@ -384,16 +378,10 @@ def _check_squarefree_transfer(quotient: BettiTable, initial: BettiTable):
 class BettiComparison(_Value):
     """Entrywise comparison of the tables of R/I and R/ini(I)."""
 
-    _fields = ("quotient", "initial", "projdim", "regularity")
-
-    def __init__(
-        self,
-        quotient: BettiTable,
-        initial: BettiTable,
-        projdim: tuple[int, int],  # (R/I, R/ini)
-        regularity: tuple[int, int],
-    ):
-        super().__init__(quotient, initial, projdim, regularity)
+    quotient: BettiTable
+    initial: BettiTable
+    projdim: tuple[int, int]  # (R/I, R/ini)
+    regularity: tuple[int, int]
 
 
 def betti_comparison(

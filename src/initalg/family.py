@@ -33,15 +33,9 @@ from initalg.poly import (
 class HomogenizedFamily(_Value):
     """Total ideal over K[t] interpolating between I (t=1) and its initial forms (t=0)."""
 
-    _fields = ("weight", "base_gb", "total")
-
-    def __init__(
-        self,
-        weight: WeightVector,
-        base_gb: ReducedGroebnerBasis,  # reduced GB of I under the weight-refined order
-        total: ReducedGroebnerBasis,  # reduced GB of the homogenized ideal in R[t]
-    ):
-        super().__init__(weight, base_gb, total)
+    weight: WeightVector
+    base_gb: ReducedGroebnerBasis  # reduced GB of I under the weight-refined order
+    total: ReducedGroebnerBasis  # reduced GB of the homogenized ideal in R[t]
 
     @property
     def ring(self) -> PolyRing:
@@ -86,15 +80,9 @@ def fiber(family: HomogenizedFamily, c: Scalar) -> tuple[Polynomial, ...]:
 class FreenessReport(_Value):
     """Degreewise comparison of standard-monomial counts with quotient dimensions."""
 
-    _fields = ("ok", "bound", "rows")
-
-    def __init__(
-        self,
-        ok: bool,
-        bound: int,
-        rows: tuple[tuple[int, int, int], ...],  # (degree, standard count, quotient dimension)
-    ):
-        super().__init__(ok, bound, rows)
+    ok: bool
+    bound: int
+    rows: tuple[tuple[int, int, int], ...]  # (degree, standard count, quotient dimension)
 
 
 def freeness_basis_check(family: HomogenizedFamily, degree_bound: int | None = None) -> FreenessReport:

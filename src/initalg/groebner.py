@@ -342,10 +342,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
 class MonomialIdeal(_Value):
     """Monomial ideal given by its minimal (antichain) generators."""
 
-    _fields = ("ring", "mingens")
-
-    def __init__(self, ring: PolyRing, mingens: tuple[Monomial, ...]):
-        super().__init__(ring, mingens)
+    ring: PolyRing
+    mingens: tuple[Monomial, ...]
 
     @staticmethod
     def from_monomials(ring: PolyRing, monos: Iterable[Monomial]) -> MonomialIdeal:
@@ -384,16 +382,15 @@ class ReducedGroebnerBasis(_Value):
     `initial_ideal` and `_terms` read the rows.
     """
 
-    _fields = ("ring", "order", "elements")
-
-    def __init__(self, ring: PolyRing, order: MonomialOrder, elements: tuple[Polynomial, ...]):
-        super().__init__(ring, order, elements)
+    ring: PolyRing
+    order: MonomialOrder
+    elements: tuple[Polynomial, ...]
 
     @classmethod
     def _from_rows(cls, ring: PolyRing, order: MonomialOrder, reducer: _Reducer) -> ReducedGroebnerBasis:
         gb = cls.__new__(cls)
-        _Value.__init__(gb, ring, order)  # every field but `elements`, read off the rows
-        gb.__dict__["_reducer"] = reducer
+        # every field but `elements`, which is read off the rows when first used
+        gb.__dict__.update(ring=ring, order=order, _reducer=reducer)
         return gb
 
     @cached_property
@@ -803,15 +800,9 @@ def eliminate(gens: Sequence[Polynomial], keep: Sequence[int | str]) -> tuple[Po
 class AlgebraKernel(_Value):
     """Relations among ring elements: the kernel of Y_i -> images[i]."""
 
-    _fields = ("ring", "images", "gens")
-
-    def __init__(
-        self,
-        ring: PolyRing,  # fresh ring in the Y variables
-        images: tuple[Polynomial, ...],
-        gens: tuple[Polynomial, ...],  # reduced revlex GB of the kernel in `ring`, ascending
-    ):
-        super().__init__(ring, images, gens)
+    ring: PolyRing  # fresh ring in the Y variables
+    images: tuple[Polynomial, ...]
+    gens: tuple[Polynomial, ...]  # reduced revlex GB of the kernel in `ring`, ascending
 
 
 def presentation_kernel(

@@ -62,7 +62,8 @@ def _divide_by_one_minus_power(coeffs: tuple[int, ...], e: int) -> tuple[int, ..
 class HilbertSeries(_Value):
     """N(t) / prod(1 - t^{e}) with integer numerator coefficients."""
 
-    _fields = ("numerator", "denominator_degrees")
+    numerator: tuple[int, ...]
+    denominator_degrees: tuple[int, ...]
 
     def __init__(self, numerator: tuple[int, ...], denominator_degrees: tuple[int, ...]):
         numerator, denominator_degrees = _trim(numerator), tuple(sorted(denominator_degrees))
@@ -129,8 +130,10 @@ def _pivot_variable(mingens: Sequence[Monomial], n: int) -> int | None:
 def hilbert_series_monomial(M: MonomialIdeal, weight: WeightVector | None = None) -> HilbertSeries:
     """Series of R/M under the weighted grading, denominator over all variables.
 
-    Splits on a shared variable x: N(M) = N(M + (x)) + t^w(x) N(M : x); the
-    base case (pairwise coprime generators) contributes prod(1 - t^{deg g}).
+    Splits on x^e, x a shared variable and e its least positive exponent:
+    N(M) = N(M + (x^e)) + t^(e w(x)) N(M : x^e); x^e is no generator, so both
+    branches shrink however high the exponents.  The base case (pairwise
+    coprime generators) contributes prod(1 - t^{deg g}).
     """
     n = M.ring.n
     if weight is None:
@@ -147,13 +150,14 @@ def hilbert_series_monomial(M: MonomialIdeal, weight: WeightVector | None = None
                 factor = [1] + [0] * (d - 1) + [-1] if d else [0]
                 out = _poly_mul(out, factor)
             return out
-        x = Monomial(tuple(1 if i == piv else 0 for i in range(n)))
+        e = min([g.exponents[piv] for g in gens if g.exponents[piv]])
+        x = Monomial(tuple(e if i == piv else 0 for i in range(n)))
         plus = MonomialIdeal.from_monomials(M.ring, gens + (x,)).mingens
         colon = MonomialIdeal.from_monomials(
             M.ring,
             tuple(g.divide(x) if x.divides(g) else g for g in gens),
         ).mingens
-        shifted = [0] * weight.entries[piv] + numerator(colon)
+        shifted = [0] * (e * weight.entries[piv]) + numerator(colon)
         return _poly_add(numerator(plus), shifted)
 
     return HilbertSeries(_trim(numerator(M.mingens)), weight.entries)
@@ -229,12 +233,12 @@ def hilbert_series_subalgebra(
 class HilbertComparison(_Value):
     """Hilbert functions of R/ini(I) under two orders/weights, degree by degree."""
 
-    _fields = ("ok", "d_max", "first_values", "second_values", "first_series", "second_series")
-
-    def __init__(self, ok: bool, d_max: int, first_values: tuple[int, ...],
-                 second_values: tuple[int, ...], first_series: HilbertSeries,
-                 second_series: HilbertSeries):
-        super().__init__(ok, d_max, first_values, second_values, first_series, second_series)
+    ok: bool
+    d_max: int
+    first_values: tuple[int, ...]
+    second_values: tuple[int, ...]
+    first_series: HilbertSeries
+    second_series: HilbertSeries
 
 
 def compare_hilbert(

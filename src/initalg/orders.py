@@ -77,21 +77,13 @@ def _require_permutation(indices: tuple[int, ...], what: str) -> None:
 class _PermutedOrder(_Value, MonomialOrder):
     """Base of the orders that take a variable priority permutation `perm`."""
 
-    _fields = ("perm",)
+    perm: tuple[int, ...] | None
 
     def __init__(self, perm: tuple[int, ...] | None = None):
         if perm is not None:
             perm = tuple(perm)
             _require_permutation(perm, "order permutation")
-        object.__setattr__(self, "perm", perm)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.perm == other.perm
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.perm,))
+        super().__init__(perm)
 
     def _priority(self, n: int) -> tuple[int, ...]:
         if self.perm is not None and len(self.perm) != n:
@@ -123,19 +115,11 @@ class RevLex(_PermutedOrder):
 class _WeightedOrder(_Value, MonomialOrder):
     """Base of the orders by a weight, ties broken by `base` (a fresh RevLex by default)."""
 
-    _fields = ("weight", "base")
+    weight: WeightVector
+    base: MonomialOrder
 
     def __init__(self, weight: WeightVector, base: MonomialOrder | None = None):
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "base", RevLex() if base is None else base)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.weight, self.base) == (other.weight, other.base)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.weight, self.base))
+        super().__init__(weight, RevLex() if base is None else base)
 
 
 class WeightOrder(_WeightedOrder):
@@ -171,25 +155,17 @@ class EliminationOrder(_Value, MonomialOrder):
     `keep_order`, a fresh DegLex and RevLex by default.
     """
 
-    _fields = ("elim", "keep", "elim_order", "keep_order")
+    elim: tuple[int, ...]
+    keep: tuple[int, ...]
+    elim_order: MonomialOrder
+    keep_order: MonomialOrder
 
     def __init__(self, elim: tuple[int, ...], keep: tuple[int, ...],
                  elim_order: MonomialOrder | None = None, keep_order: MonomialOrder | None = None):
         elim, keep = tuple(elim), tuple(keep)
         _require_permutation(elim + keep, "elim + keep")
-        object.__setattr__(self, "elim", elim)
-        object.__setattr__(self, "keep", keep)
-        object.__setattr__(self, "elim_order", DegLex() if elim_order is None else elim_order)
-        object.__setattr__(self, "keep_order", RevLex() if keep_order is None else keep_order)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.elim, self.keep, self.elim_order, self.keep_order)
-                    == (other.elim, other.keep, other.elim_order, other.keep_order))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.elim, self.keep, self.elim_order, self.keep_order))
+        super().__init__(elim, keep, DegLex() if elim_order is None else elim_order,
+                         RevLex() if keep_order is None else keep_order)
 
     def matrix(self, n: int) -> Matrix:
         if n != len(self.elim) + len(self.keep):

@@ -44,17 +44,13 @@ from initalg.poly import (
 class SubductionStep(_Value):
     """One subtraction: coeff times the product of generators with these exponents."""
 
-    _fields = ("coeff", "exponents")
-
-    def __init__(self, coeff: Fraction, exponents: tuple[int, ...]):
-        super().__init__(coeff, exponents)
+    coeff: Fraction
+    exponents: tuple[int, ...]
 
 
 class SubductionResult(_Value):
-    _fields = ("remainder", "steps")
-
-    def __init__(self, remainder: Polynomial, steps: tuple[SubductionStep, ...]):
-        super().__init__(remainder, steps)
+    remainder: Polynomial
+    steps: tuple[SubductionStep, ...]
 
     def replay(self, gens: Sequence[Polynomial]) -> Polynomial:
         """Re-expand the certificate: sum of the steps plus the remainder."""
@@ -68,15 +64,9 @@ class SubductionResult(_Value):
 class SagbiState(_Value):
     """Generators together with the completion verdict."""
 
-    _fields = ("gens", "order", "truncated_at")
-
-    def __init__(
-        self,
-        gens: tuple[Polynomial, ...],
-        order: MonomialOrder,
-        truncated_at: int | None = None,  # None means the Sagbi test closed
-    ):
-        super().__init__(gens, order, truncated_at)
+    gens: tuple[Polynomial, ...]
+    order: MonomialOrder
+    truncated_at: int | None = None  # None means the Sagbi test closed
 
     @property
     def confirmed(self) -> bool:
@@ -444,17 +434,11 @@ def initial_algebra_gens(state: SagbiState) -> tuple[Monomial, ...]:
 class InitialKernelReport(_Value):
     """Comparison of ini_b(relations of f) with the relations of the initial forms."""
 
-    _fields = ("ok", "image_weights", "kernel", "initial_kernel", "kernel_initial_forms")
-
-    def __init__(
-        self,
-        ok: bool,
-        image_weights: WeightVector,  # b: the a-degrees of the generators
-        kernel: AlgebraKernel,  # relations among the f_i
-        initial_kernel: AlgebraKernel,  # relations among the ini_a(f_i)
-        kernel_initial_forms: tuple[Polynomial, ...],  # generators of ini_b(kernel)
-    ):
-        super().__init__(ok, image_weights, kernel, initial_kernel, kernel_initial_forms)
+    ok: bool
+    image_weights: WeightVector  # b: the a-degrees of the generators
+    kernel: AlgebraKernel  # relations among the f_i
+    initial_kernel: AlgebraKernel  # relations among the ini_a(f_i)
+    kernel_initial_forms: tuple[Polynomial, ...]  # generators of ini_b(kernel)
 
 
 def kernel_initial_check(

@@ -35,15 +35,9 @@ LE, GE, EQ = "<=", ">=", "=="
 
 
 class LPResult(_Value):
-    _fields = ("status", "x", "pivots")
-
-    def __init__(
-        self,
-        status: str,
-        x: tuple[Fraction, ...] | None,
-        pivots: int,  # over phase 1, the artificial drive-out and every stage
-    ):
-        super().__init__(status, x, pivots)
+    status: str
+    x: tuple[Fraction, ...] | None
+    pivots: int  # over phase 1, the artificial drive-out and every stage
 
 
 def linear_program(

@@ -119,6 +119,17 @@ def test_ini_with_weight_flag(tmp_path, capsys):
     assert "initial forms under weight 2 1 1" in out
 
 
+def test_hilbert_and_betti_of_high_exponents(tmp_path, capsys):
+    # the series recursion must split off x^999 at once: one level per unit of x passes Python's limit
+    path = write(tmp_path, "ring x, y\nideal\nx^1000*y\nx^999*y^2\nend\n")
+    assert run(["hilbert", path, "--dmax", "3"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "series: (1 - 2*t^1001 + t^1002) / (1-t)^2" in lines and "values: 1,2,3,4" in lines
+    assert run(["betti", path]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert {"beta 1 1001 = 2", "beta 2 1002 = 1", "regularity: 1000"} <= set(lines)
+
+
 SYMMETRIC = """\
 ring x, y, z
 order lex

@@ -76,6 +76,16 @@ def test_series_matches_brute_force():
         )
         H = hilbert_series_monomial(M, weight)
         assert H.expand(12) == brute_force_hilbert_function(M, 12, weight)
+    # high exponents, where each split takes off the least exponent of its variable at once
+    high = [mi(R2, m(30, 1), m(29, 2)), mi(R3, m(20, 3, 0), m(17, 0, 5), m(0, 9, 14))]
+    for _ in range(8):
+        n = rng.randint(2, 3)
+        ring = PolyRing(tuple(f"x{i}" for i in range(n)))
+        high.append(MonomialIdeal.from_monomials(
+            ring, [random_monomial(rng, n, 20) for _ in range(rng.randint(2, 4))]))
+    for M in high:
+        if not any(g.is_one() for g in M.mingens):
+            assert hilbert_series_monomial(M).expand(40) == brute_force_hilbert_function(M, 40)
 
 
 def test_krull_dim():

@@ -60,3 +60,35 @@ def test_no_unused_imports_in_library():
                     if name not in used
                 ]
     assert not found, f"unused imports in src/initalg: {found}"
+
+
+
+def _only_forwards_to_super_init(function: ast.FunctionDef) -> bool:
+    # the body, past a docstring, is `super().__init__(a, b, ...)` of the parameters as they came
+    body = function.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    params = ", ".join(arg.arg for arg in function.args.args[1:])
+    return len(body) == 1 and ast.unparse(body[0]) == f"super().__init__({params})"
+
+
+def test_value_classes_declare_their_fields_once():
+    # `_Value` binds, compares and hashes the annotated fields: no `__init__`
+    # only passes its arguments on, and a hand-written __eq__ or __hash__
+    # outside `_Value` and `Polynomial` has its measured reason in the
+    # comment line just above it
+    forwarding, unexplained = [], []
+    for path in sorted(SRC.glob("*.py")):
+        lines = path.read_text().splitlines()
+        for cls in ast.walk(ast.parse("\n".join(lines), str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            methods = {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)}
+            if "__init__" in methods and _only_forwards_to_super_init(methods["__init__"]):
+                forwarding.append(f"{path.name}:{methods['__init__'].lineno} {cls.name}")
+            copies = [methods[name] for name in ("__eq__", "__hash__") if name in methods]
+            if (copies and cls.name not in ("_Value", "Polynomial")
+                    and not lines[copies[0].lineno - 2].lstrip().startswith("#")):
+                unexplained.append(f"{path.name}:{copies[0].lineno} {cls.name}")
+    assert not forwarding, f"__init__ that only calls super().__init__: {forwarding}"
+    assert not unexplained, f"__eq__/__hash__ with no reason comment above: {unexplained}"

@@ -128,6 +128,24 @@ def test_pickle_and_deepcopy_round_trip(value, names):
             assert hash(twin) == hash(value)
 
 
+OPTIONAL = (Lex, DegLex, RevLex)  # their one field, the permutation, may be omitted
+
+
+@pytest.mark.parametrize("value, names", VALUES, ids=IDS)
+def test_missing_extra_unknown_and_repeated_fields_raise_type_error(value, names):
+    cls, fields = type(value), dict(zip(names, fields_of(value, names)))
+    assert cls._fields == names
+    if not isinstance(value, OPTIONAL):
+        with pytest.raises(TypeError):
+            cls(**{name: field for name, field in fields.items() if name != names[0]})
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
+    with pytest.raises(TypeError):
+        cls(**fields, unknown=None)
+    with pytest.raises(TypeError):
+        cls(fields[names[0]], **fields)
+
+
 def test_equality_holds_only_within_a_class():
     assert Lex() != DegLex() and DegLex() != RevLex() and Lex() != RevLex()
     assert Lex((1, 0)) == Lex([1, 0]) and hash(Lex((1, 0))) == hash(Lex([1, 0]))
