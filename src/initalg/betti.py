@@ -85,12 +85,7 @@ def _check_standard_graded(gens: Sequence[Polynomial]):
 
 def default_internal_degree_bound(ini: MonomialIdeal) -> int:
     """Degree of the lcm of the minimal generators (a Taylor-complex bound)."""
-    if not ini.mingens:
-        return 0
-    lcm = ini.mingens[0]
-    for m in ini.mingens[1:]:
-        lcm = lcm.lcm(m)
-    return lcm.degree()
+    return sum(map(max, zip(*(m.exponents for m in ini.mingens))))
 
 
 def graded_betti(

@@ -105,8 +105,8 @@ def freeness_basis_check(family: HomogenizedFamily, degree_bound: int | None = N
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
     a_ext = a.extend()
-    lifted = MonomialIdeal.from_monomials(
-        ring_t, (Monomial(m.exponents + (0,)) for m in family.base_gb.initial_ideal()))
+    # minimal and in (degree, exponents) order as they stand: t appends a 0
+    lifted = MonomialIdeal(ring_t, tuple(Monomial(m.exponents + (0,)) for m in family.base_gb.initial_ideal()))
     gens = family.total.elements  # none for the zero ideal, whose initial ideal is (0)
     total = initial_ideal(gens, family.total.order) if gens else MonomialIdeal(ring_t, ())
     standard = hilbert_series_monomial(lifted, a_ext).expand(degree_bound)

@@ -8,7 +8,7 @@ import heapq
 import math
 import operator
 import os
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -339,20 +339,37 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     return Polynomial.from_dict(f.ring, {Monomial(e): c for e, c in acc.items()})
 
 
+def _minimal(n: int, exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The minimal tuples of `exps` under divisibility, ascending by (degree,
+    exponents), where a divisor precedes its multiples; each is packed with guard
+    bits as by `orders.Packing`.  RingMismatchError on a tuple without n entries."""
+    ordered = sorted(set(exps))
+    ordered.sort(key=sum)
+    if set(map(len, ordered)) - {n}:
+        raise RingMismatchError(f"exponent tuples do not all have {n} entries")
+    field = max(map(max, ordered), default=0).bit_length() + 1
+    units = [1 << (field * j) for j in range(n)]
+    guard = sum(units) << (field - 1)
+    kept, words = [], []
+    for m in ordered:
+        w = sum(map(operator.mul, m, units))
+        if all((w - k) & guard for k in words):
+            kept.append(m)
+            words.append(w)
+    return kept
+
+
 class MonomialIdeal(_Value):
-    """Monomial ideal given by its minimal (antichain) generators."""
+    """Monomial ideal given by its minimal (antichain) generators, ascending by
+    (degree, exponents); `from_monomials` and the Hilbert series recursion
+    minimalize exponent tuples (`_minimal`), and build no other `Monomial`."""
 
     ring: PolyRing
     mingens: tuple[Monomial, ...]
 
     @staticmethod
     def from_monomials(ring: PolyRing, monos: Iterable[Monomial]) -> MonomialIdeal:
-        monos = sorted(set(monos), key=lambda m: (m.degree(), m.exponents))
-        kept: list[Monomial] = []
-        for m in monos:
-            if not any(k.divides(m) for k in kept):
-                kept.append(m)
-        return MonomialIdeal(ring, tuple(kept))
+        return MonomialIdeal(ring, tuple(map(Monomial, _minimal(ring.n, (m.exponents for m in monos)))))
 
     def contains(self, mono: Monomial) -> bool:
         return any(g.divides(mono) for g in self.mingens)
@@ -747,19 +764,25 @@ def initial_ideal(gens: Sequence[Polynomial], order: MonomialOrder) -> MonomialI
 
     ini(I) is generated by the leads of any Gröbner basis of I, so this runs
     only the pair loop `_groebner_rows` of `buchberger`, with no
-    interreduction and no Fraction polynomial: each lead word is unpacked
-    once and `MonomialIdeal.from_monomials` keeps the minimal ones.  The
-    result, `mingens` in order, equals ``buchberger(gens, order).initial_ideal()``,
-    and the step budget runs out at the same pair.
+    interreduction and no Fraction polynomial: `_lead_ideal` keeps the
+    minimal lead words and unpacks only those.  The result, `mingens` in
+    order, equals ``buchberger(gens, order).initial_ideal()``, and the step
+    budget runs out at the same pair.
     """
     basis = _groebner_rows(gens, order, None)
     return _lead_ideal(gens[0].ring, basis)
 
 
 def _lead_ideal(ring: PolyRing, basis: _Reducer) -> MonomialIdeal:
-    """The ideal of the leads of the rows of `_groebner_rows`, each unpacked once."""
-    leads = (Monomial(basis.packing.unpack(word)) for word in basis.leads)
-    return MonomialIdeal.from_monomials(ring, leads)
+    """The ideal of the leads of the rows of `_groebner_rows`: the lead words
+    ascending, as the order puts a divisor before its multiples, minimalized
+    by the guard-bit test; only the minimal words are unpacked."""
+    kept: list[int] = []
+    for word in sorted(set(basis.leads)):
+        if all((word - k) & basis.packing.guard for k in kept):
+            kept.append(word)
+    exps = sorted((basis.packing.unpack(w) for w in kept), key=lambda e: (sum(e), e))
+    return MonomialIdeal(ring, tuple(map(Monomial, exps)))
 
 
 def initial_ideal_weight(
@@ -832,6 +855,16 @@ def presentation_kernel(
     return AlgebraKernel(target, tuple(images), gens)
 
 
+_REVLEX = RevLex()  # the sort key of `_Presentation.kernel`, with its key functions kept
+
+
+@lru_cache(maxsize=256)
+def _kernel_order(n: int, k: int, degrees: tuple[int, ...] | None) -> MonomialOrder:
+    """The order of a `_Presentation` of k images in n variables, graded unless `degrees` is None."""
+    elim = EliminationOrder(tuple(range(n)), tuple(range(n, n + k)), DegLex(), _REVLEX)
+    return elim if degrees is None else WeightOrder(WeightVector((1,) * n + degrees), elim)
+
+
 class _Presentation:
     """A Gröbner basis of (d_i Y_i - F_i) in K[x, Y] as the rows of a
     `_Reducer`, not interreduced, for nonzero images f_i = F_i / d_i cleared
@@ -861,12 +894,9 @@ class _Presentation:
         self.basis = basis
 
     def _order(self) -> MonomialOrder:
-        n, k = self.n, len(self.images)
-        elim = EliminationOrder(tuple(range(n)), tuple(range(n, n + k)), DegLex(), RevLex())
         degrees = [{sum(m) for m in F} for F, _ in self.images]
-        if all(len(ds) == 1 and 0 not in ds for ds in degrees):
-            return WeightOrder(WeightVector((1,) * n + tuple(ds.pop() for ds in degrees)), elim)
-        return elim
+        graded = all(len(ds) == 1 and 0 not in ds for ds in degrees)
+        return _kernel_order(self.n, len(degrees), tuple(ds.pop() for ds in degrees) if graded else None)
 
     def insert(self, pos: int, exps: tuple[int, ...]) -> None:
         """Adjoin Y at position `pos` with image x^exps and complete the basis again.
@@ -901,7 +931,7 @@ class _Presentation:
         # the x fields are the low bits of a word: an x-free lead is 0 there
         kernel = basis.widening(lambda: _interreduce(basis, [
             row for x in [(1 << basis.packing.shifts[n]) - 1] for row in basis.rows if not row[0] & x]))
-        unpack, ykey = kernel.packing.unpack, RevLex().key
+        unpack, ykey = kernel.packing.unpack, _REVLEX.key
         rows = [(unpack(lead)[n:], a, tuple((unpack(lead + off)[n:], b) for off, b in tail))
                 for lead, a, tail in kernel.rows]
         return sorted(rows, key=lambda row: ykey(Monomial(row[0])))

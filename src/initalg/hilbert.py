@@ -1,18 +1,19 @@
 """Hilbert series and functions, Krull dimension, and the symmetry certificate.
 
-Everything runs through weighted monomial ideals: series come from the
-pivot-splitting recursion, subalgebra Hilbert functions from counting the
-monomial semigroup of an initial algebra, and the transfer check compares the
-functions of two initial ideals of the same graded ideal.  Numerators are
-integer polynomials stored as dense coefficient tuples.
+Everything runs through weighted monomial ideals: series from the pivot
+recursion on exponent tuples, building no `Monomial`; Krull dimension on
+support bitmasks; subalgebra functions by counting the semigroup of an initial
+algebra; the transfer check compares two initial ideals of one graded ideal.
+Numerators are integer polynomials stored as dense coefficient tuples.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from operator import mul
 from typing import Sequence
 
-from initalg.groebner import MonomialIdeal, initial_ideal
+from initalg.groebner import MonomialIdeal, _minimal, initial_ideal
 from initalg.orders import MonomialOrder, leading_term
 from initalg.poly import Monomial, Polynomial, WeightVector, _Value, format_terms, is_weight_homogeneous
 from initalg.sagbi import SagbiState
@@ -23,24 +24,6 @@ def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
-
-
-def _poly_mul(p: Sequence[int], q: Sequence[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def _poly_add(p: Sequence[int], q: Sequence[int]) -> list[int]:
-    out = [0] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] += b
-    return out
 
 
 def _divide_by_one_minus_power(coeffs: tuple[int, ...], e: int) -> tuple[int, ...] | None:
@@ -115,52 +98,48 @@ class HilbertSeries(_Value):
         return f"({num}) / " + " ".join(parts)
 
 
-def _pivot_variable(mingens: Sequence[Monomial], n: int) -> int | None:
-    """The variable shared by the most generators (lowest index on ties), or None."""
-    counts = [0] * n
-    for g in mingens:
-        for i in g.support():
-            counts[i] += 1
-    shared = [i for i in range(n) if counts[i] >= 2]
-    if not shared:
-        return None
-    return max(shared, key=lambda i: (counts[i], -i))
-
-
 def hilbert_series_monomial(M: MonomialIdeal, weight: WeightVector | None = None) -> HilbertSeries:
     """Series of R/M under the weighted grading, denominator over all variables.
 
-    Splits on x^e, x a shared variable and e its least positive exponent:
-    N(M) = N(M + (x^e)) + t^(e w(x)) N(M : x^e); x^e is no generator, so both
-    branches shrink however high the exponents.  The base case (pairwise
-    coprime generators) contributes prod(1 - t^{deg g}).
+    Recurses on exponent tuples (Bayer-Stillman 1992; Bigatti 1997): with x
+    the variable in the most generators (lowest index on ties) and e its least
+    positive exponent, N(M) = N(M + (x^e)) + t^(e w(x)) N(M : x^e).  x^e is no
+    generator and divides every one with x, so M + (x^e) = F + (x^e), F those
+    free of x, with numerator (1 - t^(e w(x))) N(F); `_minimal` minimalizes
+    M : x^e.  Both shrink however high the exponents.  The base case
+    (pairwise coprime generators) contributes prod(1 - t^{deg g}).
     """
     n = M.ring.n
     if weight is None:
         weight = WeightVector.ones(n)
     if weight.n != n:
         raise ValueError("weight arity does not match ring")
+    w = weight.entries
 
-    def numerator(gens: tuple[Monomial, ...]) -> list[int]:
-        piv = _pivot_variable(gens, n)
-        if piv is None:  # pairwise coprime generators
+    def numerator(gens: list[tuple[int, ...]]) -> list[int]:
+        columns = list(zip(*gens))
+        counts = [len(gens) - column.count(0) for column in columns]
+        shared = max(counts, default=0)
+        if shared < 2:  # pairwise coprime generators
             out = [1]
             for g in gens:
-                d = weight.degree(g)
-                factor = [1] + [0] * (d - 1) + [-1] if d else [0]
-                out = _poly_mul(out, factor)
+                d = sum(map(mul, g, w))
+                out = [a - b for a, b in zip(out + [0] * d, [0] * d + out)]
             return out
-        e = min([g.exponents[piv] for g in gens if g.exponents[piv]])
-        x = Monomial(tuple(e if i == piv else 0 for i in range(n)))
-        plus = MonomialIdeal.from_monomials(M.ring, gens + (x,)).mingens
-        colon = MonomialIdeal.from_monomials(
-            M.ring,
-            tuple(g.divide(x) if x.divides(g) else g for g in gens),
-        ).mingens
-        shifted = [0] * (e * weight.entries[piv]) + numerator(colon)
-        return _poly_add(numerator(plus), shifted)
+        x = counts.index(shared)
+        e = min(filter(None, columns[x]))
+        free = numerator([g for g in gens if not g[x]])
+        colon = numerator(_minimal(n, [g[:x] + (g[x] - e,) + g[x + 1:] if g[x] else g for g in gens]))
+        # N(F) + t^d (N(M : x^e) - N(F)), d = e w(x)
+        d = e * w[x]
+        out = free + [0] * (d + max(len(colon) - len(free), 0))
+        for i, c in enumerate(colon):
+            out[i + d] += c
+        for i, c in enumerate(free):
+            out[i + d] -= c
+        return out
 
-    return HilbertSeries(_trim(numerator(M.mingens)), weight.entries)
+    return HilbertSeries(_trim(numerator([g.exponents for g in M.mingens])), w)
 
 
 class UnitIdealError(ValueError):
@@ -168,17 +147,14 @@ class UnitIdealError(ValueError):
 
 
 def krull_dim_monomial(M: MonomialIdeal) -> int:
-    """Largest size of a variable set containing no minimal generator's support."""
-    if any(g.is_one() for g in M.mingens):
+    """Largest size of a variable set T containing no minimal generator's
+    support: with supports and T as bitmasks, s & ~T is nonzero for every s."""
+    supports = {sum(1 << i for i, e in enumerate(g.exponents) if e) for g in M.mingens}
+    if 0 in supports:
         raise UnitIdealError("unit ideal: the quotient is the zero ring")
-    n = M.ring.n
-    supports = [set(g.support()) for g in M.mingens]
-    for size in range(n, -1, -1):
-        for T in combinations(range(n), size):
-            ts = set(T)
-            if not any(s <= ts for s in supports):
-                return size
-    raise AssertionError("unreachable: the empty set always qualifies for proper ideals")
+    bits = [1 << i for i in range(M.ring.n)]
+    return next(size for size in range(len(bits), -1, -1) for T in combinations(bits, size)
+                if all(s & ~sum(T) for s in supports))
 
 
 def semigroup_counts(

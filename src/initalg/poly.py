@@ -245,9 +245,6 @@ class Monomial(_Value):
     def lcm(self, other: Monomial) -> Monomial:
         return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.exponents) if e > 0)
-
     def __repr__(self):
         return f"Monomial{self.exponents}"
 

@@ -102,7 +102,9 @@ def _factor(
     largest, or None.
 
     Searches depth-first, trying large exponents first; generators are
-    nonconstant, which bounds every exponent.  `memo` maps (i, remaining) to
+    nonconstant, which bounds every exponent.  An exponent 0 moves on to the
+    next lead in a loop, so the search recurses only on a lead it takes,
+    never deeper than the degree of `target`.  `memo` maps (i, remaining) to
     the answer over leads[i:], so it holds for these leads only.  The search
     has no budget: the memo only removes repeated work.
     """
@@ -111,16 +113,16 @@ def _factor(
     def rec(i: int, remaining: tuple[int, ...]) -> tuple[int, ...] | None:
         if not any(remaining):
             return (0,) * (k - i)
-        if i == k:
-            return None
         key = (i, remaining)
         if key not in memo:
-            exps, memo[key] = leads[i], None
-            for c in range(min(r // e for r, e in zip(remaining, exps) if e), -1, -1):
-                found = rec(i + 1, tuple(r - c * e for r, e in zip(remaining, exps)))
-                if found is not None:
-                    memo[key] = (c,) + found
-                    break
+            memo[key] = None
+            for j in range(i, k):
+                exps = leads[j]
+                for c in range(min(r // e for r, e in zip(remaining, exps) if e), 0, -1):
+                    found = rec(j + 1, tuple(r - c * e for r, e in zip(remaining, exps)))
+                    if found is not None:
+                        memo[key] = (0,) * (j - i) + (c,) + found
+                        return memo[key]
         return memo[key]
 
     return rec(0, target)

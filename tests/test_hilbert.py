@@ -1,11 +1,14 @@
 import random
+from collections import Counter
+from itertools import combinations, zip_longest
 
 import pytest
 
-from conftest import random_homogeneous_poly, random_monomial
-from initalg.groebner import MonomialIdeal, initial_ideal
+from conftest import random_homogeneous_poly, random_monomial, random_poly, sample_orders
+from initalg.groebner import MonomialIdeal, _lead_ideal, _Reducer, initial_ideal
 from initalg.hilbert import (
     HilbertSeries,
+    UnitIdealError,
     _divide_by_one_minus_power,
     compare_hilbert,
     gorenstein_symmetry_check,
@@ -14,8 +17,16 @@ from initalg.hilbert import (
     krull_dim_monomial,
     semigroup_counts,
 )
-from initalg.orders import DegLex, Lex, RevLex
-from initalg.poly import Monomial, PolyRing, Polynomial, WeightVector, format_poly
+from initalg.orders import DegLex, Lex, RevLex, leading_monomial
+from initalg.poly import (
+    Monomial,
+    PolyRing,
+    Polynomial,
+    RingMismatchError,
+    WeightVector,
+    format_poly,
+    monomials_of_weight,
+)
 from initalg.sagbi import initial_algebra_gens, sagbi_complete
 
 R2 = PolyRing(("x", "y"))
@@ -98,8 +109,6 @@ def test_krull_dim():
 
 def test_krull_dim_order_independent():
     rng = random.Random(131)
-    from conftest import sample_orders
-
     for _ in range(15):
         gens = [random_homogeneous_poly(rng, R3, rng.randint(1, 3)) for _ in range(2)]
         dims = {krull_dim_monomial(initial_ideal(gens, o)) for o in sample_orders(3)}
@@ -194,8 +203,6 @@ def test_compare_hilbert_weighted():
 
 def test_compare_hilbert_random_graded():
     rng = random.Random(139)
-    from conftest import sample_orders
-
     for _ in range(15):
         gens = [random_homogeneous_poly(rng, R3, rng.randint(1, 3)) for _ in range(2)]
         o1, o2 = rng.sample(sample_orders(3), 2)
@@ -313,3 +320,140 @@ def test_series_str_equals_the_polynomial_printer():
 def test_series_input_validation(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_from_monomials_refuses_a_monomial_of_another_arity():
+    # an ideal of the wrong arity would reach the series as an IndexError and
+    # give a wrong Krull dimension, so the tuple helper refuses it at once
+    with pytest.raises(RingMismatchError):
+        MonomialIdeal.from_monomials(R2, [Monomial((1, 2, 3))])
+    with pytest.raises(RingMismatchError):
+        MonomialIdeal.from_monomials(R3, [m(1, 0, 0), m(0, 1)])
+
+
+def reference_minimal(monos):
+    """`MonomialIdeal.from_monomials` on `Monomial` objects, as it was before
+    the exponent-tuple helper: one pass ascending by (degree, exponents)."""
+    kept = []
+    for mono in sorted(set(monos), key=lambda mono: (mono.degree(), mono.exponents)):
+        if not any(k.divides(mono) for k in kept):
+            kept.append(mono)
+    return tuple(kept)
+
+
+def reference_series(M, weight=None):
+    """The `Monomial` recursion that the exponent-tuple one replaced: x the
+    variable in the most generators (lowest index on ties), e its least
+    positive exponent, N(M) = N(M + (x^e)) + t^(e w(x)) N(M : x^e), both
+    ideals minimalized by `reference_minimal`; the base case (pairwise
+    coprime generators) multiplies out prod(1 - t^{deg g})."""
+    n = M.ring.n
+    weight = weight or WeightVector.ones(n)
+
+    def times(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+        return out
+
+    def numerator(gens):
+        counts = [sum(1 for g in gens if g.exponents[i]) for i in range(n)]
+        shared = [i for i in range(n) if counts[i] >= 2]
+        if not shared:
+            out = [1]
+            for g in gens:
+                d = weight.degree(g)
+                out = times(out, [1] + [0] * (d - 1) + [-1] if d else [0])
+            return out
+        piv = max(shared, key=lambda i: (counts[i], -i))
+        e = min(g.exponents[piv] for g in gens if g.exponents[piv])
+        x = Monomial(tuple(e if i == piv else 0 for i in range(n)))
+        plus = numerator(reference_minimal(gens + (x,)))
+        colon = numerator(reference_minimal(g.divide(x) if x.divides(g) else g for g in gens))
+        shifted = [0] * (e * weight.entries[piv]) + colon
+        return [a + b for a, b in zip_longest(plus, shifted, fillvalue=0)]
+
+    return HilbertSeries(tuple(numerator(reference_minimal(M.mingens))), weight.entries)
+
+
+def reference_krull_dim(M):
+    """Subsets of variable indices, largest first: the first containing no
+    generator's support; the unit ideal raises `UnitIdealError`."""
+    supports = [{i for i, e in enumerate(g.exponents) if e} for g in M.mingens]
+    if set() in supports:
+        raise UnitIdealError("unit ideal")
+    for size in range(M.ring.n, -1, -1):
+        for T in combinations(range(M.ring.n), size):
+            if not any(s <= set(T) for s in supports):
+                return size
+
+
+def _krull_dim_or_unit(dim, M):
+    try:
+        return dim(M)
+    except UnitIdealError:
+        return "unit"
+
+
+def hilbert_differential_sweep(seed, trials):
+    """The monomial-ideal layer against its references on `trials` seeded
+    ideals in 1 to 6 variables with 0 to 12 generators (some of them unit
+    ideals), under the standard or a weighted grading: `from_monomials`
+    against `reference_minimal`, `hilbert_series_monomial` against
+    `reference_series` and brute-force counts of standard monomials,
+    `krull_dim_monomial` against `reference_krull_dim`, and `_lead_ideal` of
+    a `_Reducer` of random polynomials (about a third of them widened by a
+    large exponent) against `from_monomials` of the unpacked leads and
+    `reference_minimal` of the leading monomials.  Returns a Counter of the
+    cases met and the list of (names, monomials, weight) that differ."""
+    rng = random.Random(seed)
+    stats, mismatches = Counter(), []
+    for _ in range(trials):
+        n = rng.randint(1, 6)
+        ring = PolyRing(tuple(f"x{i}" for i in range(n)))
+        top = rng.choice((1, 2, 3, 5))
+        if rng.random() < 0.5:  # generators of one degree: an antichain as drawn
+            pool = monomials_of_weight(n, WeightVector.ones(n), rng.randint(1, 4))
+            monos = rng.sample(pool, min(len(pool), rng.randint(1, 12)))
+        else:
+            monos = [mono for mono in (random_monomial(rng, n, top) for _ in range(rng.randint(0, 13)))
+                     if not mono.is_one()][:12]
+        if rng.random() < 0.05:
+            monos.append(Monomial((0,) * n))
+        weight = WeightVector(tuple(rng.randint(1, 3) for _ in range(n))) if rng.random() < 0.4 else None
+        M = MonomialIdeal.from_monomials(ring, monos)
+        d_max = (0, 12, 10, 8, 7, 6, 5)[n]
+        series = hilbert_series_monomial(M, weight)
+        ok = (M.mingens == reference_minimal(monos) and series == reference_series(M, weight)
+              and series.expand(d_max) == brute_force_hilbert_function(M, d_max, weight)
+              and _krull_dim_or_unit(krull_dim_monomial, M) == _krull_dim_or_unit(reference_krull_dim, M))
+        stats["ideals"] += 1
+        stats["zero ideal"] += not M.mingens
+        stats["unit ideal"] += any(g.is_one() for g in M.mingens)
+        stats["one variable"] += n == 1
+        stats["weighted"] += weight is not None
+        stats["six or more minimal generators"] += len(M.mingens) >= 6
+        order = rng.choice(sample_orders(n))
+        polys = [p for p in (random_poly(rng, ring, 3, top) for _ in range(rng.randint(0, 8))) if not p.is_zero()]
+        if polys and rng.random() < 0.35:  # past the first packing's 255: the reducer widens
+            big = tuple(rng.randint(0, 300) + 256 * (i == 0) for i in range(n))
+            polys.append(Polynomial.from_dict(ring, {Monomial(big): 1, random_monomial(rng, n, top): 2}))
+        basis = _Reducer(order, polys)
+        leads = [Monomial(basis.packing.unpack(w)) for w in basis.leads]
+        lead_ideal = _lead_ideal(ring, basis)
+        ok &= (lead_ideal == MonomialIdeal.from_monomials(ring, leads)
+               and lead_ideal.mingens == reference_minimal(leading_monomial(p, order) for p in polys))
+        stats["lead ideals"] += bool(polys)
+        stats["widened"] += bool(polys) and basis.packing.bits > 8
+        if not ok:
+            mismatches.append((ring.names, monos, weight))
+    return stats, mismatches
+
+
+def test_hilbert_layer_matches_references():
+    stats, mismatches = hilbert_differential_sweep(seed=163, trials=600)
+    assert mismatches == []
+    assert stats["zero ideal"] > 0 and stats["unit ideal"] > 0 and stats["one variable"] > 0, stats
+    assert stats["weighted"] > 150 and stats["six or more minimal generators"] > 80, stats
+    assert stats["widened"] > 100 and stats["lead ideals"] > 450, stats

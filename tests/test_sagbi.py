@@ -87,6 +87,18 @@ def test_factor_over_monomials():
     assert factor_over_monomials(m(3, 0), [m(2, 0)]) is None
 
 
+def test_factor_search_depth_does_not_grow_with_the_leads():
+    # an exponent 0 moves on to the next lead in a loop, not a level of
+    # recursion, so 1100 leads that do not divide the target, or are passed
+    # over, stay far below the recursion limit
+    assert factor_over_monomials(m(1, 0), [m(2, 0)] * 1100) is None
+    assert factor_over_monomials(m(0, 1), [m(1, 0)] * 1100 + [m(0, 1)]) == (0,) * 1100 + (1,)
+    assert factor_over_monomials(m(3, 0), [m(2, 0)] * 1100 + [m(1, 0)]) == (1,) + (0,) * 1099 + (1,)
+    # the degree-1100 monomials are minimal: none is a product of others
+    monos = [m(k, 1100 - k) for k in range(1101)]
+    assert minimalize_semigroup(monos) == tuple(monos)
+
+
 def test_memoized_factor_search_equals_depth_first_search():
     # one memo per _Kept while its leads stand: it is keyed by position, so
     # an insertion empties it, and the answers after it are still exact
